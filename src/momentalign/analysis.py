@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distances import CmdConfig, cmd_estimate
-from .moments import FULL, central_moments, monomial_exponents
+from .moments import FULL, central_moments, monomial_matrix
 from .network import NetworkParams, forward
 from .numerics import SeededRng
 from .trainer import TrainConfig, evaluate, train
@@ -215,11 +215,9 @@ def thm3_check(src, tgt, k: int = 5, tol: float = 1e-9) -> BoundCheck:
     lhs = float(np.abs(_ecf(src, T) - _ecf(tgt, T)).max())
 
     cmd = cmd_estimate(src, tgt, CmdConfig(k=k, mode=FULL)).value
-    tail = 0.0
-    for expo in monomial_exponents(m, k + 1):
-        ms = float(np.prod(src ** np.asarray(expo), axis=1).mean())
-        mt = float(np.prod(tgt ** np.asarray(expo), axis=1).mean())
-        tail = max(tail, abs(ms) + abs(mt))
+    ms = monomial_matrix(src, k + 1, FULL).mean(axis=0)
+    mt = monomial_matrix(tgt, k + 1, FULL).mean(axis=0)
+    tail = float((np.abs(ms) + np.abs(mt)).max())
     rhs = math.sqrt(m) * math.e * cmd + tail / math.factorial(k + 1)
     return BoundCheck.of(f"char-fct bound k={k}", lhs, rhs, tol)
 

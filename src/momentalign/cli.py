@@ -27,10 +27,12 @@ from .datasets import (
 from .distances import (
     CmdConfig,
     DistanceReport,
+    _as_dense,
     cmd_estimate,
     coral_distance,
     mmd_gaussian_estimate,
 )
+from .moments import monomial_matrix
 from .network import NetworkParams
 from .trainer import (
     TrainConfig,
@@ -151,15 +153,16 @@ def cmd_distance(args) -> int:
     elif args.metric == "mmd-poly":
         if args.degree is None:
             raise ConfigError("mmd-poly needs --degree")
-        X, Y = np.asarray(src.features), np.asarray(tgt.features)
+        X, Y = _as_dense(src.features), _as_dense(tgt.features)
         report = DistanceReport(f"mmd-poly{args.degree}", _poly_mmd(X, Y, args.degree))
     elif args.metric == "coral":
         report = DistanceReport("coral", coral_distance(src.features, tgt.features))
     else:  # raw-ipm
         if args.k is None:
             raise ConfigError("raw-ipm needs --k")
-        X, Y = np.asarray(src.features), np.asarray(tgt.features)
-        value = float(np.linalg.norm((X ** args.k).mean(axis=0) - (Y ** args.k).mean(axis=0)))
+        X, Y = _as_dense(src.features), _as_dense(tgt.features)
+        gap = monomial_matrix(X, args.k).mean(axis=0) - monomial_matrix(Y, args.k).mean(axis=0)
+        value = float(np.linalg.norm(gap))
         report = DistanceReport(f"raw-ipm{args.k}", value)
     print(json.dumps(report.to_dict(), indent=2))
     return 0

@@ -213,9 +213,12 @@ def _is_number(tok: str) -> bool:
 
 def _parse_float(tok: str, lineno: int) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise ValueError(f"line {lineno}: non-numeric cell {tok!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: non-finite cell {tok!r}")
+    return value
 
 
 def load_dense_csv(path) -> Sample:
@@ -322,6 +325,8 @@ def load_sparse(path) -> Sample:
                 val = float(val_s)
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ValueError(f"line {lineno}: non-finite value in token {tok!r}")
             if idx <= prev:
                 raise ValueError(f"line {lineno}: indices not strictly increasing")
             if declared_dim is not None and idx >= declared_dim:

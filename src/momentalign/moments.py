@@ -52,16 +52,33 @@ def monomial_exponents(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rec(k, m))
 
 
-def monomial_vector(x, k: int, mode: str = MARGINAL) -> np.ndarray:
-    """Evaluate the degree-k monomial vector at a single point x."""
-    _check_mode(mode)
-    if k < 1:
-        raise ValueError("monomial order k must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if mode == MARGINAL:
-        return x ** k
-    exps = np.array(monomial_exponents(x.shape[0], k), dtype=np.float64)
-    return np.prod(x[None, :] ** exps, axis=1)
+@lru_cache(maxsize=None)
+def _degree_step(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per degree-j monomial: the column of its degree-(j-1) parent and the
+    variable (its last nonzero exponent) that raises the parent to it."""
+    lower = {e: col for col, e in enumerate(monomial_exponents(m, j - 1))}
+    parent, var = [], []
+    for e in monomial_exponents(m, j):
+        i = max(v for v in range(m) if e[v])
+        parent.append(lower[e[:i] + (e[i] - 1,) + e[i + 1:]])
+        var.append(i)
+    parent, var = np.array(parent), np.array(var)
+    parent.flags.writeable = var.flags.writeable = False  # shared by the cache
+    return parent, var
+
+
+def _running_monomials(X: np.ndarray, k: int, mode: str):
+    """Yield the degree-j monomial matrices of X for j = 2..k as running
+    products (x^3 = x*x*x, never a generic pow).  Marginal mode reuses one
+    array in place, so a consumer must read each matrix before the next."""
+    M = X
+    for j in range(2, k + 1):
+        if mode == MARGINAL:
+            M = X * X if j == 2 else np.multiply(M, X, out=M)
+        else:
+            parent, var = _degree_step(X.shape[1], j)
+            M = M[:, parent] * X[:, var]
+        yield M
 
 
 def monomial_matrix(X: np.ndarray, k: int, mode: str = MARGINAL) -> np.ndarray:
@@ -70,10 +87,15 @@ def monomial_matrix(X: np.ndarray, k: int, mode: str = MARGINAL) -> np.ndarray:
     if k < 1:
         raise ValueError("monomial order k must be >= 1")
     X = np.asarray(X, dtype=np.float64)
-    if mode == MARGINAL:
-        return X ** k
-    exps = np.array(monomial_exponents(X.shape[1], k), dtype=np.float64)
-    return np.prod(X[:, None, :] ** exps[None, :, :], axis=2)
+    M = X.copy()
+    for M in _running_monomials(X, k, mode):
+        pass
+    return M
+
+
+def monomial_vector(x, k: int, mode: str = MARGINAL) -> np.ndarray:
+    """Evaluate the degree-k monomial vector at a single point x."""
+    return monomial_matrix(np.asarray(x, dtype=np.float64)[None, :], k, mode)[0]
 
 
 @dataclass
@@ -108,9 +130,7 @@ def central_moments(features, k: int, mode: str = MARGINAL) -> CentralMomentVect
         raise ValueError("empty sample")
     c1 = sample_mean(X)
     orders = [c1]
-    centered = X - c1
-    for j in range(2, k + 1):
-        orders.append(monomial_matrix(centered, j, mode).mean(axis=0))
+    orders.extend(M.mean(axis=0) for M in _running_monomials(X - c1, k, mode))
     return CentralMomentVector(k, mode, orders)
 
 

@@ -169,6 +169,9 @@ def train(
     snapshot = p.copy() if snapshot_at == start_epoch else None
     last_stable = p.copy()
     diverged = False
+    # In full-batch mode the traces an epoch's record takes of (Xs, Xt)
+    # after its step are exactly the next step's training traces.
+    record_traces = None
 
     for e in range(start_epoch, start_epoch + budget):
         if cfg.batch_size == 0:
@@ -179,21 +182,15 @@ def train(
             steps = math.ceil(max(ns, nt) / B)
             batches = []
             for t in range(steps):
-                idx_s = [(t * B + i) % ns for i in range(B)]
-                idx_t = [(t * B + i) % nt for i in range(B)]
-                batches.append(
-                    (
-                        take_rows(Xs, perm_s[idx_s]),
-                        Ys[perm_s[idx_s]],
-                        take_rows(Xt, perm_t[idx_t]),
-                    )
-                )
+                idx = t * B + np.arange(B)
+                idx_s, idx_t = perm_s[idx % ns], perm_t[idx % nt]
+                batches.append((take_rows(Xs, idx_s), Ys[idx_s], take_rows(Xt, idx_t)))
 
         for Xbs, Ybs, Xbt in batches:
-            trace_s = forward(p, Xbs)
+            trace_s, trace_t = record_traces or (forward(p, Xbs), None)
             grads = loss_gradients(p, Xbs, Ybs, trace_s)
             if cfg.lam != 0.0:
-                trace_t = forward(p, Xbt)
+                trace_t = trace_t or forward(p, Xbt)
                 grads.add_scaled(
                     cmd_gradients(p, Xbs, Xbt, cmd_cfg, trace_s, trace_t), cfg.lam
                 )
@@ -210,9 +207,9 @@ def train(
             p = last_stable
             break
 
-        trace_full = forward(p, Xs)
-        loss = cross_entropy_loss(trace_full, Ys)
-        cmd_val = cmd_estimate(trace_full.hidden, forward(p, Xt).hidden, cmd_cfg).value
+        trace_s, trace_t = forward(p, Xs), forward(p, Xt)
+        loss = cross_entropy_loss(trace_s, Ys)
+        cmd_val = cmd_estimate(trace_s.hidden, trace_t.hidden, cmd_cfg).value
         if not (math.isfinite(loss) and math.isfinite(cmd_val)):
             diverged = True
             p = last_stable
@@ -221,14 +218,16 @@ def train(
             epoch=e + 1,
             loss=loss,
             cmd=cmd_val,
-            source_acc=_accuracy(trace_full.outputs, Ys),
+            source_acc=_accuracy(trace_s.outputs, Ys),
             target_acc=(
-                _accuracy(forward(p, Xt).outputs, np.asarray(Yt, dtype=np.float64))
+                _accuracy(trace_t.outputs, np.asarray(Yt, dtype=np.float64))
                 if Yt is not None
                 else None
             ),
         )
         records.append(record)
+        if cfg.batch_size == 0:
+            record_traces = (trace_s, trace_t)
         last_stable = p.copy()
         if snapshot_at is not None and e + 1 == snapshot_at:
             snapshot = p.copy()

@@ -144,6 +144,45 @@ def test_distance_sparse_format(tmp_path, capsys):
     assert json.loads(out)["value"] == 0.0
 
 
+def test_distance_sparse_matches_dense_for_every_metric(tmp_path, capsys):
+    rows = {"a": [[1.5, 0.0, -0.5, 0.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.25]],
+            "b": [[0.5, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 2.0], [0.0, 0.0, 1.25, 0.0]]}
+    paths = {}
+    for name, dense in rows.items():
+        sparse = tmp_path / f"{name}.sparse"
+        sparse.write_text("#dim 4\n" + "".join(
+            "0 " + " ".join(f"{i}:{v!r}" for i, v in enumerate(r) if v) + "\n" for r in dense))
+        csv = tmp_path / f"{name}.csv"
+        csv.write_text("f1,f2,f3,f4\n" + "".join(",".join(map(repr, r)) + "\n" for r in dense))
+        paths[name] = (str(sparse), str(csv))
+    for extra in (["--metric", "raw-ipm", "--k", "2"],
+                  ["--metric", "raw-ipm", "--k", "3"],
+                  ["--metric", "mmd-poly", "--degree", "2"],
+                  ["--metric", "mmd-gauss", "--beta", "1.0"],
+                  ["--metric", "coral"],
+                  ["--metric", "cmd"]):
+        docs = []
+        for fmt, col in (("sparse", 0), ("dense", 1)):
+            code, out, err = run(capsys, "distance", "--format", fmt, "--source",
+                                 paths["a"][col], "--target", paths["b"][col], *extra)
+            assert code == 0, (extra, fmt, err)
+            docs.append(json.loads(out))
+        assert docs[0] == docs[1], extra
+        assert docs[0]["value"] > 0.0, extra
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_distance_rejects_non_finite_csv_cells(two_point_files, tmp_path, capsys, cell):
+    src, _ = two_point_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"f1\n0.5\n{cell}\n")
+    code, out, err = run(capsys, "distance", "--metric", "cmd",
+                         "--source", src, "--target", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err and "non-finite" in err
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

@@ -142,6 +142,10 @@ def test_dense_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("what,ever\n")
     with pytest.raises(ValueError, match="line 1"):
         load_dense_csv(path)
+    for cell in ("nan", "-inf", "Infinity"):
+        path.write_text(f"label,f1\n0,1.0\n1,{cell}\n")
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            load_dense_csv(path)
 
 
 def test_sparse_round_trip(tmp_path):
@@ -179,6 +183,9 @@ def test_sparse_loader_errors(tmp_path):
         load_sparse(path)
     path.write_text("0 1:x\n")
     with pytest.raises(ValueError, match="malformed"):
+        load_sparse(path)
+    path.write_text("0 1:1.0\n1 0:nan\n")
+    with pytest.raises(ValueError, match="line 2: non-finite"):
         load_sparse(path)
     with pytest.raises(ValueError):
         save_sparse(Sample(np.ones((2, 2)), one_hot(np.array([0, 1]), 2)),

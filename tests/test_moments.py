@@ -49,11 +49,13 @@ def test_monomial_vector_modes():
 
 
 def test_monomial_matrix_rowwise():
-    X = np.array([[1.0, 2.0], [3.0, -1.0]])
-    M = monomial_matrix(X, 2, FULL)
-    assert M.shape == (2, 3)
-    assert np.array_equal(M[0], monomial_vector(X[0], 2, FULL))
-    assert np.array_equal(M[1], monomial_vector(X[1], 2, FULL))
+    X = SeededRng(5).normal_matrix(6, 3) * 1.7 - 0.3
+    for k in range(1, 6):
+        for mode, width in ((MARGINAL, 3), (FULL, math.comb(k + 2, k))):
+            M = monomial_matrix(X, k, mode)
+            assert M.shape == (6, width)
+            for i in range(6):
+                assert np.array_equal(M[i], monomial_vector(X[i], k, mode)), (k, mode, i)
 
 
 def test_central_moments_basic():
@@ -99,6 +101,35 @@ def test_central_moments_shift_covariance(seed, shift):
     assert np.allclose(b[1], a[1] + shift)
     for j in (2, 3, 4):
         assert np.allclose(a[j], b[j], atol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 50),
+    st.integers(1, 3),
+    st.integers(1, 7),
+    st.sampled_from([MARGINAL, FULL]),
+)
+def test_central_moments_match_power_reference(seed, n, m, k, mode):
+    X = SeededRng(seed).normal_matrix(n, m) * 2.5 - 0.7
+    c = central_moments(X, k, mode)
+    D = X - c[1]
+    running = D
+    for j in range(2, k + 1):
+        exps = monomial_exponents(m, j) if mode == FULL else [
+            tuple(j if v == i else 0 for v in range(m)) for i in range(m)
+        ]
+        terms = np.power(D[:, None, :], np.array(exps, dtype=np.float64)).prod(axis=2)
+        bound = 1e-12 * np.abs(terms).mean(axis=0)
+        assert np.all(np.abs(c[j] - terms.mean(axis=0)) <= bound), (j, mode)
+        # the pure powers are the running products D*D*...*D that
+        # cmd_gradients differentiates, bit for bit, in either mode
+        running = running * D
+        pure = [exps.index(tuple(j if v == i else 0 for v in range(m))) for i in range(m)]
+        M = monomial_matrix(D, j, mode)
+        assert np.array_equal(M[:, pure], running), (j, mode)
+        assert np.array_equal(c[j], M.mean(axis=0)), (j, mode)
 
 
 # ---------------------------------------------------------------------------

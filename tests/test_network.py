@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentalign.distances import CmdConfig
 from momentalign.network import (
@@ -76,6 +78,33 @@ def test_sigmoid_stable_and_correct():
     assert s[0] == pytest.approx(0.0, abs=1e-300)
     assert s[4] == pytest.approx(1.0)
     assert np.allclose(s[1] + s[3], 1.0)  # symmetry
+
+
+def _masked_sigmoid(z):
+    # the boolean-mask formulation: 1/(1+e^-z) where z >= 0, e^z/(1+e^z) elsewhere
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=45))
+def test_sigmoid_bitwise_equals_masked_formula(values):
+    edges = [0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.inf, -np.inf]
+    z = np.array(values + edges)
+    for arr in (z, z[: 3 * (z.size // 3)].reshape(-1, 3)):
+        got, want = sigmoid(arr), _masked_sigmoid(arr)
+        assert got.shape == arr.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sigmoid_nan_in_nan_out():
+    s = sigmoid(np.array([[np.nan, 1.0], [-2.0, -np.nan]]))
+    assert np.isnan(s[0, 0]) and np.isnan(s[1, 1])
+    assert np.array_equal(s[[0, 1], [1, 0]], _masked_sigmoid(np.array([1.0, -2.0])))
 
 
 def test_softmax_rows():

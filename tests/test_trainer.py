@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from momentalign import network, trainer
 from momentalign.datasets import ArtificialSpec, generate_artificial, one_hot
-from momentalign.network import init_params, loss_gradients
+from momentalign.distances import CmdConfig, cmd_estimate
+from momentalign.network import (
+    cmd_gradients,
+    cross_entropy_loss,
+    forward,
+    init_params,
+    loss_gradients,
+)
 from momentalign.numerics import SeededRng
-from momentalign.optim import Sgd
+from momentalign.optim import Adadelta, Sgd
 from momentalign.trainer import (
     TrainConfig,
     evaluate,
@@ -44,6 +54,45 @@ def test_lambda_zero_matches_plain_backprop_bitwise():
     assert not res.diverged
     assert len(res.records) == 10
     assert [r.epoch for r in res.records] == list(range(1, 11))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([0.0, 1.0]))
+def test_full_batch_train_equals_fresh_forward_loop(seed, lam):
+    # The trainer reuses each record's traces as the next step's; a loop
+    # that forwards afresh every step must give the same bits.
+    Xs, Ys, Xt, Yt = small_problem(seed=seed % 7)
+    cfg = TrainConfig(hidden=5, lam=lam, epochs=20, seed=seed)
+    calls = []
+
+    def counting_forward(p, X):
+        calls.append(X is Xs)
+        return network.forward(p, X)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "forward", counting_forward)
+        res = train(Xs, Ys, Xt, cfg, Yt=Yt)
+    # one forward per domain per epoch, plus the first step's own
+    assert len(calls) == 2 * cfg.epochs + (1 if lam == 0.0 else 2)
+    assert sum(calls) == cfg.epochs + 1
+
+    p = init_params(Xs.shape[1], 5, 3, SeededRng(seed))
+    opt = Adadelta(rho=cfg.rho, eps=1e-6)
+    for _ in range(cfg.epochs):
+        trace_s = forward(p, Xs)
+        grads = loss_gradients(p, Xs, Ys, trace_s)
+        if lam != 0.0:
+            trace_t = forward(p, Xt)
+            grads.add_scaled(
+                cmd_gradients(p, Xs, Xt, CmdConfig(k=cfg.k), trace_s, trace_t), lam
+            )
+        opt.step(p, grads)
+    assert params_equal(res.params, p)
+    last = res.records[-1]
+    trace_s, trace_t = forward(p, Xs), forward(p, Xt)
+    assert last.loss == cross_entropy_loss(trace_s, Ys)
+    assert last.cmd == cmd_estimate(trace_s.hidden, trace_t.hidden, CmdConfig(k=cfg.k)).value
+    assert last.target_acc == evaluate(p, Xt, Yt)[0]
 
 
 def test_train_deterministic():
