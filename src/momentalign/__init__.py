@@ -36,7 +36,9 @@ from .distances import (
     coral_distance,
     mmd_gaussian_estimate,
     mmd_polynomial_analytic,
+    mmd_polynomial_estimate,
     raw_moment_ipm,
+    raw_moment_ipm_estimate,
 )
 from .moments import (
     FULL,

@@ -19,7 +19,7 @@ import numpy as np
 from .distances import CmdConfig, cmd_estimate
 from .moments import FULL, central_moments, monomial_matrix
 from .network import NetworkParams, forward
-from .numerics import SeededRng
+from .numerics import SeededRng, as_sample_pair
 from .trainer import TrainConfig, evaluate, train
 
 __all__ = [
@@ -147,23 +147,12 @@ def prop1_bound(j: int) -> float:
     return 2.0 * ((1.0 / (j + 1)) * (j / (j + 1)) ** j + 2.0 ** -(1 + j))
 
 
-def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need a nonempty sample matrix")
-    return X
-
-
 def prop1_check(src, tgt, j: int, a: float, b: float, tol: float = 1e-12) -> BoundCheck:
     """Checks ||c_j(src) - c_j(tgt)||_2 / |b-a|^j against its ceiling for
     samples supported on [a, b]^m."""
     if b <= a:
         raise ValueError("need a < b")
-    src, tgt = _as_matrix(src), _as_matrix(tgt)
-    if src.shape[1] != tgt.shape[1]:
-        raise ValueError("feature dimensions differ")
+    src, tgt = as_sample_pair(src, tgt)
     for X in (src, tgt):
         if X.min() < a - 1e-12 or X.max() > b + 1e-12:
             raise ValueError(f"sample leaves the support interval [{a}, {b}]")
@@ -197,9 +186,7 @@ def thm3_check(src, tgt, k: int = 5, tol: float = 1e-9) -> BoundCheck:
     Only odd k and m in {1, 2} are supported; the grid has 201 points in
     one dimension and an L1-clipped 101 x 101 lattice in two.
     """
-    src, tgt = _as_matrix(src), _as_matrix(tgt)
-    if src.shape[1] != tgt.shape[1]:
-        raise ValueError("feature dimensions differ")
+    src, tgt = as_sample_pair(src, tgt)
     m = src.shape[1]
     if m not in (1, 2):
         raise ValueError("characteristic-function check covers 1 or 2 features")
@@ -238,9 +225,7 @@ def dual_equivalence_check(
     shrinks as directions grows.
     """
     cfg = cfg or CmdConfig()
-    src, tgt = _as_matrix(src), _as_matrix(tgt)
-    if src.shape[1] != tgt.shape[1]:
-        raise ValueError("feature dimensions differ")
+    src, tgt = as_sample_pair(src, tgt)
     cs = central_moments(src, cfg.k, cfg.mode)
     ct = central_moments(tgt, cfg.k, cfg.mode)
     rng = SeededRng(seed)

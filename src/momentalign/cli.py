@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .analysis import alignment_report, sensitivity_sweep, write_sweep_csv
 from .datasets import (
     ArtificialSpec,
@@ -27,12 +25,12 @@ from .datasets import (
 from .distances import (
     CmdConfig,
     DistanceReport,
-    _as_dense,
     cmd_estimate,
     coral_distance,
     mmd_gaussian_estimate,
+    mmd_polynomial_estimate,
+    raw_moment_ipm_estimate,
 )
-from .moments import monomial_matrix
 from .network import NetworkParams
 from .trainer import (
     TrainConfig,
@@ -96,6 +94,28 @@ class RunConfig:
             )
         return generate_artificial(self.artificial)
 
+    def report_config(self) -> dict:
+        """The "config" block of report.json: the train settings and the
+        data used, either the artificial spec or the file format with each
+        file's path and the sha256 of its bytes."""
+        if self.source is None:
+            return {"train": self.train.to_dict(), "artificial": self.artificial.to_dict()}
+        return {
+            "train": self.train.to_dict(),
+            "format": self.format,
+            "source": _file_record(self.source),
+            "target": _file_record(self.target),
+        }
+
+
+def _file_record(path) -> dict:
+    # imported here: hashlib loads OpenSSL, about 3.5 MiB resident, which
+    # runs on generated data never need
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+
 
 def _write_json(path, obj) -> None:
     with open(path, "w", newline="\n") as fh:
@@ -132,38 +152,32 @@ def _parse_pair(text: str) -> tuple:
     return (float(parts[0]), float(parts[1]))
 
 
-def _poly_mmd(X: np.ndarray, Y: np.ndarray, degree: int) -> float:
-    def mean_kernel(A, B):
-        return float(((1.0 + A @ B.T) ** degree).mean())
-
-    value = mean_kernel(X, X) + mean_kernel(Y, Y) - 2.0 * mean_kernel(X, Y)
-    return max(0.0, value)
+# --metric -> (library function, the flag of its one setting, that flag's
+# default (None: the flag is required), report name; "{}" takes the setting)
+METRICS = {
+    "cmd": (lambda s, t, k: cmd_estimate(s, t, CmdConfig(k=k)), "k", CmdConfig().k, "cmd"),
+    "mmd-gauss": (mmd_gaussian_estimate, "beta", None, "mmd-gauss"),
+    "mmd-poly": (mmd_polynomial_estimate, "degree", None, "mmd-poly{}"),
+    "coral": (coral_distance, None, None, "coral"),
+    "raw-ipm": (raw_moment_ipm_estimate, "k", None, "raw-ipm{}"),
+}
 
 
 def cmd_distance(args) -> int:
+    fn, flag, default, name = METRICS[args.metric]
+    settings = []
+    if flag is not None:
+        value = getattr(args, flag)
+        if value is None:
+            value = default
+        if value is None:
+            raise ConfigError(f"{args.metric} needs --{flag}")
+        settings.append(value)
     src = _load_sample(args.source, args.format)
     tgt = _load_sample(args.target, args.format)
-    if args.metric == "cmd":
-        report = cmd_estimate(src.features, tgt.features, CmdConfig(k=args.k or 5))
-    elif args.metric == "mmd-gauss":
-        if args.beta is None:
-            raise ConfigError("mmd-gauss needs --beta")
-        value = mmd_gaussian_estimate(src.features, tgt.features, args.beta)
-        report = DistanceReport("mmd-gauss", value)
-    elif args.metric == "mmd-poly":
-        if args.degree is None:
-            raise ConfigError("mmd-poly needs --degree")
-        X, Y = _as_dense(src.features), _as_dense(tgt.features)
-        report = DistanceReport(f"mmd-poly{args.degree}", _poly_mmd(X, Y, args.degree))
-    elif args.metric == "coral":
-        report = DistanceReport("coral", coral_distance(src.features, tgt.features))
-    else:  # raw-ipm
-        if args.k is None:
-            raise ConfigError("raw-ipm needs --k")
-        X, Y = _as_dense(src.features), _as_dense(tgt.features)
-        gap = monomial_matrix(X, args.k).mean(axis=0) - monomial_matrix(Y, args.k).mean(axis=0)
-        value = float(np.linalg.norm(gap))
-        report = DistanceReport(f"raw-ipm{args.k}", value)
+    report = fn(src.features, tgt.features, *settings)
+    if not isinstance(report, DistanceReport):
+        report = DistanceReport(name.format(*settings), report)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -199,7 +213,7 @@ def cmd_train(args) -> int:
         fh.write(result.params.to_json() + "\n")
     report = {
         "command": "train",
-        "config": {"train": cfg.train.to_dict(), "artificial": cfg.artificial.to_dict()},
+        "config": cfg.report_config(),
         "diverged": result.diverged,
         "final": _final_metrics(result, tgt.features, tgt.labels),
     }
@@ -224,7 +238,7 @@ def cmd_warm_start(args) -> int:
     mann_align = alignment_report(result.mann.params, src.features, tgt.features)
     report = {
         "command": "warm-start",
-        "config": {"train": cfg.train.to_dict(), "artificial": cfg.artificial.to_dict()},
+        "config": cfg.report_config(),
         "diverged": result.shallow.diverged or result.mann.diverged,
         "snapshot_epoch": result.snapshot_epoch,
         "shallow": {
@@ -319,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_artificial)
 
     p = sub.add_parser("distance", help="distance between two feature files")
-    p.add_argument("--metric", required=True,
-                   choices=["cmd", "mmd-gauss", "mmd-poly", "coral", "raw-ipm"])
+    p.add_argument("--metric", required=True, choices=list(METRICS))
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--format", default="dense", choices=["dense", "sparse"])

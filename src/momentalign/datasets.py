@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import SeededRng, SparseRowMatrix, take_rows
+from .numerics import SeededRng, SparseRowMatrix, as_sample, n_cols, n_rows, take_rows
 
 
 @dataclass
@@ -43,9 +43,7 @@ class Sample:
 
     def __post_init__(self):
         if not isinstance(self.features, SparseRowMatrix):
-            self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.ndim == 1:
-                self.features = self.features[:, None]
+            self.features = as_sample(self.features)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.float64)
             if self.labels.shape[0] != self.n_rows:
@@ -55,15 +53,11 @@ class Sample:
 
     @property
     def n_rows(self) -> int:
-        if isinstance(self.features, SparseRowMatrix):
-            return self.features.rows
-        return self.features.shape[0]
+        return n_rows(self.features)
 
     @property
     def dim(self) -> int:
-        if isinstance(self.features, SparseRowMatrix):
-            return self.features.cols
-        return self.features.shape[1]
+        return n_cols(self.features)
 
     @property
     def label_ints(self) -> np.ndarray:

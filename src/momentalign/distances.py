@@ -11,7 +11,8 @@ trainer uses on sigmoid activations.  The analytic variant evaluates the
 same dual form on exact 1-D moments and backs the closed-form inequality
 checks, alongside the raw-moment IPM |E[x^k] - E[x'^k]| and the
 polynomial-kernel MMD whose raw-moment expansion makes those metrics
-sensitive to mean shifts.
+sensitive to mean shifts.  Every sample metric takes two dense or
+SparseRowMatrix samples of equal width.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .moments import (
     analytic_mean,
     analytic_raw_moment,
     central_moments,
+    monomial_matrix,
 )
-from .numerics import SparseRowMatrix
+from .numerics import as_sample_pair
 
 
 @dataclass
@@ -59,23 +61,10 @@ class DistanceReport:
         return {"metric": self.metric, "value": self.value, "terms": list(self.terms)}
 
 
-def _as_dense(features) -> np.ndarray:
-    if isinstance(features, SparseRowMatrix):
-        features = features.toarray()
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] == 0:
-        raise ValueError("empty sample")
-    return X
-
-
 def cmd_estimate(src, tgt, cfg: CmdConfig | None = None) -> DistanceReport:
     """Empirical CMD between two samples of equal dimension."""
     cfg = cfg or CmdConfig()
-    Xs, Xt = _as_dense(src), _as_dense(tgt)
-    if Xs.shape[1] != Xt.shape[1]:
-        raise ValueError("dimension mismatch between samples")
+    Xs, Xt = as_sample_pair(src, tgt)
     cs = central_moments(Xs, cfg.k, cfg.mode)
     ct = central_moments(Xt, cfg.k, cfg.mode)
     terms = []
@@ -104,6 +93,16 @@ def raw_moment_ipm(d1, d2, k: int) -> float:
     return abs(analytic_raw_moment(d1, k) - analytic_raw_moment(d2, k))
 
 
+def raw_moment_ipm_estimate(src, tgt, k: int) -> float:
+    """Euclidean norm of the gap between the two samples' mean vectors of
+    coordinatewise k-th powers: the sample side of raw_moment_ipm."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    Xs, Xt = as_sample_pair(src, tgt)
+    gap = monomial_matrix(Xs, k).mean(axis=0) - monomial_matrix(Xt, k).mean(axis=0)
+    return float(np.linalg.norm(gap))
+
+
 def mmd_polynomial_analytic(d1, d2, degree: int) -> float:
     """Squared MMD with kernel (1 + x y)^degree on exact raw moments.
 
@@ -119,14 +118,27 @@ def mmd_polynomial_analytic(d1, d2, degree: int) -> float:
     return total
 
 
+def mmd_polynomial_estimate(src, tgt, degree: int) -> float:
+    """Biased V-statistic estimate of squared MMD with the kernel
+    (1 + x.y)^degree, clamped at 0 from below: the sample side of
+    mmd_polynomial_analytic."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    Xs, Xt = as_sample_pair(src, tgt)
+
+    def mean_kernel(A, B):
+        return float(((1.0 + A @ B.T) ** degree).mean())
+
+    value = mean_kernel(Xs, Xs) + mean_kernel(Xt, Xt) - 2.0 * mean_kernel(Xs, Xt)
+    return max(0.0, value)
+
+
 def mmd_gaussian_estimate(src, tgt, bandwidth: float) -> float:
     """Biased V-statistic estimate of squared MMD with the Gaussian kernel
     exp(-||x-y||^2 / (2 bandwidth^2)), clamped at 0 from below."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    Xs, Xt = _as_dense(src), _as_dense(tgt)
-    if Xs.shape[1] != Xt.shape[1]:
-        raise ValueError("dimension mismatch between samples")
+    Xs, Xt = as_sample_pair(src, tgt)
 
     def mean_kernel(A, B):
         sq = (
@@ -145,9 +157,7 @@ def coral_distance(src, tgt) -> float:
     """Frobenius norm of the difference of sample covariance matrices
     (divisor |X|, matching the moment-estimator convention used by
     cmd_estimate)."""
-    Xs, Xt = _as_dense(src), _as_dense(tgt)
-    if Xs.shape[1] != Xt.shape[1]:
-        raise ValueError("dimension mismatch between samples")
+    Xs, Xt = as_sample_pair(src, tgt)
 
     def cov(X):
         centered = X - X.mean(axis=0)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import SparseRowMatrix, sample_mean
+from .numerics import as_sample
 
 FULL = "full"
 MARGINAL = "marginal"
@@ -93,11 +93,6 @@ def monomial_matrix(X: np.ndarray, k: int, mode: str = MARGINAL) -> np.ndarray:
     return M
 
 
-def monomial_vector(x, k: int, mode: str = MARGINAL) -> np.ndarray:
-    """Evaluate the degree-k monomial vector at a single point x."""
-    return monomial_matrix(np.asarray(x, dtype=np.float64)[None, :], k, mode)[0]
-
-
 @dataclass
 class CentralMomentVector:
     """c[1] is the mean vector; c[j] for j >= 2 is the mean monomial
@@ -121,14 +116,8 @@ def central_moments(features, k: int, mode: str = MARGINAL) -> CentralMomentVect
     _check_mode(mode)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(features, SparseRowMatrix):
-        features = features.toarray()
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] == 0:
-        raise ValueError("empty sample")
-    c1 = sample_mean(X)
+    X = as_sample(features)
+    c1 = X.mean(axis=0)
     orders = [c1]
     orders.extend(M.mean(axis=0) for M in _running_monomials(X - c1, k, mode))
     return CentralMomentVector(k, mode, orders)

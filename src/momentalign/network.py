@@ -27,7 +27,7 @@ import numpy as np
 
 from .distances import CmdConfig, cmd_estimate
 from .moments import MARGINAL
-from .numerics import SparseRowMatrix
+from .numerics import SparseRowMatrix, n_cols
 
 _NORM_EPS = 1e-12
 _LOG_CLAMP = 1e-12
@@ -173,16 +173,8 @@ def _weighted_feature_mean(X, weights: np.ndarray) -> np.ndarray:
     return weights.T @ np.asarray(X, dtype=np.float64) / n
 
 
-def _n_rows(X) -> int:
-    return X.rows if isinstance(X, SparseRowMatrix) else np.asarray(X).shape[0]
-
-
-def _n_cols(X) -> int:
-    return X.cols if isinstance(X, SparseRowMatrix) else np.asarray(X).shape[1]
-
-
 def forward(p: NetworkParams, X) -> ForwardTrace:
-    if _n_cols(X) != p.input_dim:
+    if n_cols(X) != p.input_dim:
         raise ValueError("input dimension does not match W")
     h0 = sigmoid(_input_dot(X, p.W.T) + p.b)
     h1 = softmax_rows(h0 @ p.V.T + p.c)

@@ -139,10 +139,9 @@ class SparseRowMatrix:
         D = np.asarray(D, dtype=np.float64)
         if D.shape[0] != self.cols:
             raise ValueError("dimension mismatch in sparse dot")
-        out = np.zeros((self.rows,) + D.shape[1:])
+        out = np.zeros((self.rows, D.shape[1]))
         row_ids = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        contrib = self.data[:, None] * D[self.indices] if D.ndim == 2 else self.data * D[self.indices]
-        np.add.at(out, row_ids, contrib)
+        np.add.at(out, row_ids, self.data[:, None] * D[self.indices])
         return out
 
     def t_dot_dense(self, D: np.ndarray) -> np.ndarray:
@@ -151,14 +150,8 @@ class SparseRowMatrix:
         if D.shape[0] != self.rows:
             raise ValueError("dimension mismatch in sparse t_dot")
         row_ids = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        out = np.zeros((self.cols,) + D.shape[1:])
-        contrib = self.data[:, None] * D[row_ids] if D.ndim == 2 else self.data * D[row_ids]
-        np.add.at(out, self.indices, contrib)
-        return out
-
-    def column_sums(self) -> np.ndarray:
-        out = np.zeros(self.cols)
-        np.add.at(out, self.indices, self.data)
+        out = np.zeros((self.cols, D.shape[1]))
+        np.add.at(out, self.indices, self.data[:, None] * D[row_ids])
         return out
 
     def take_rows(self, idx) -> "SparseRowMatrix":
@@ -178,51 +171,37 @@ class SparseRowMatrix:
         )
 
 
-def matvec(m, v):
-    """Matrix-vector product for a dense 2-D array or SparseRowMatrix."""
-    v = np.asarray(v, dtype=np.float64)
-    if isinstance(m, SparseRowMatrix):
-        if m.cols != v.shape[0]:
-            raise ValueError("dimension mismatch in matvec")
-        return m.dot_dense(v)
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError("dimension mismatch in matvec")
-    return m @ v
+def n_rows(features) -> int:
+    """Row count of a dense array or SparseRowMatrix."""
+    return features.rows if isinstance(features, SparseRowMatrix) else np.shape(features)[0]
 
 
-def sample_mean(features) -> np.ndarray:
-    """Coordinatewise mean over rows; errors on an empty sample."""
+def n_cols(features) -> int:
+    """Column count of a dense 2-D array or SparseRowMatrix."""
+    return features.cols if isinstance(features, SparseRowMatrix) else np.shape(features)[1]
+
+
+def as_sample(features) -> np.ndarray:
+    """A sample as a dense float64 matrix with one example per row: a
+    SparseRowMatrix is densified and a 1-D array becomes one column."""
     if isinstance(features, SparseRowMatrix):
-        if features.rows == 0:
-            raise ValueError("empty sample")
-        return features.column_sums() / features.rows
+        features = features.toarray()
     X = np.asarray(features, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError(f"a sample must be a 1-D or 2-D array, got {X.ndim}-D")
     if X.shape[0] == 0:
         raise ValueError("empty sample")
-    return X.mean(axis=0)
+    return X
 
 
-_ELEMENTWISE = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "pow": np.power,
-}
-
-
-def elementwise(op: str, a, b):
-    """Coordinatewise add/sub/mul/pow of a vector with a vector or scalar."""
-    if op not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    a = np.asarray(a, dtype=np.float64)
-    if not np.isscalar(b):
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape not in ((), a.shape):
-            raise ValueError("dimension mismatch in elementwise op")
-    return _ELEMENTWISE[op](a, b)
+def as_sample_pair(src, tgt) -> tuple[np.ndarray, np.ndarray]:
+    """as_sample of both samples, which must have the same width."""
+    X, Y = as_sample(src), as_sample(tgt)
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"dimension mismatch between samples: {X.shape[1]} vs {Y.shape[1]}")
+    return X, Y
 
 
 def take_rows(features, idx):
@@ -230,12 +209,3 @@ def take_rows(features, idx):
     if isinstance(features, SparseRowMatrix):
         return features.take_rows(idx)
     return np.asarray(features, dtype=np.float64)[np.asarray(idx, dtype=np.int64)]
-
-
-def ensure_finite(arr, context: str):
-    """Raise if arr contains NaN or Inf; used at module boundaries so
-    non-finite values never propagate silently."""
-    a = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError(f"non-finite values in {context}")
-    return arr

@@ -107,8 +107,18 @@ class Adadelta:
             eacc += (1.0 - self.rho) * update * update
 
 
+# kind -> (class, the settings it takes); each class holds its defaults
+OPTIMIZERS = {
+    "sgd": (Sgd, ("alpha",)),
+    "adagrad": (Adagrad, ("alpha", "eps")),
+    "adadelta": (Adadelta, ("rho", "eps")),
+}
+
+
 def make_optimizer(kind: str, **settings):
-    kinds = {"sgd": Sgd, "adagrad": Adagrad, "adadelta": Adadelta}
-    if kind not in kinds:
+    """A fresh optimizer of the given kind.  A setting given as None keeps
+    the kind's default; one the kind does not take is ignored."""
+    if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
-    return kinds[kind](**settings)
+    cls, takes = OPTIMIZERS[kind]
+    return cls(**{k: v for k, v in settings.items() if k in takes and v is not None})

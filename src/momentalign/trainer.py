@@ -32,9 +32,8 @@ from .network import (
     init_params,
     loss_gradients,
 )
-from .numerics import SeededRng, take_rows
-from .optim import Adadelta, Adagrad, Sgd
-from .trainer_config import TrainConfig  # re-export point, defined below
+from .numerics import SeededRng, n_cols, n_rows, take_rows
+from .optim import OPTIMIZERS, make_optimizer
 
 __all__ = [
     "TrainConfig",
@@ -47,6 +46,70 @@ __all__ = [
     "evaluate",
     "write_metrics_csv",
 ]
+
+
+@dataclass
+class TrainConfig:
+    """Settings of one training run, validated against the bounds of the
+    run-config schema, whose key names from_dict and to_dict use."""
+
+    hidden: int = 15
+    k: int = 5
+    lam: float = 1.0
+    optimizer: str = "adadelta"  # a kind of optim.OPTIMIZERS
+    alpha: float | None = None   # learning rate for sgd/adagrad
+    rho: float = 0.95            # adadelta decay
+    eps: float | None = None     # stability constant; per-optimizer default
+    epochs: int = 1200
+    batch_size: int = 0          # 0 = full batch
+    warm_start_fraction: float = 2.0 / 3.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.lam < 0:
+            raise ValueError("lambda must be >= 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0")
+        if not 0.0 <= self.warm_start_fraction <= 1.0:
+            raise ValueError("warm_start_fraction must lie in [0, 1]")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.alpha is not None and not self.alpha > 0:
+            raise ValueError("alpha must be positive")
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError("rho must lie in [0, 1)")
+        if self.eps is not None and not self.eps > 0:
+            raise ValueError("eps must be positive")
+
+    _KEYS = {
+        "hidden": "hidden",
+        "k": "k",
+        "lambda": "lam",
+        "optimizer": "optimizer",
+        "alpha": "alpha",
+        "rho": "rho",
+        "eps": "eps",
+        "epochs": "epochs",
+        "batch_size": "batch_size",
+        "warm_start_fraction": "warm_start_fraction",
+        "seed": "seed",
+    }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrainConfig":
+        unknown = set(doc) - set(cls._KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**{cls._KEYS[k]: v for k, v in doc.items()})
+
+    def to_dict(self) -> dict:
+        return {key: getattr(self, attr) for key, attr in self._KEYS.items()}
 
 
 @dataclass
@@ -78,19 +141,6 @@ class WarmStartResult:
     mann_target_acc: float | None
 
 
-def _build_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return Sgd(alpha=cfg.alpha if cfg.alpha is not None else 0.1)
-    if cfg.optimizer == "adagrad":
-        return Adagrad(
-            alpha=cfg.alpha if cfg.alpha is not None else 0.01,
-            eps=cfg.eps if cfg.eps is not None else 1e-8,
-        )
-    if cfg.optimizer == "adadelta":
-        return Adadelta(rho=cfg.rho, eps=cfg.eps if cfg.eps is not None else 1e-6)
-    raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
-
-
 def _accuracy(outputs: np.ndarray, Y: np.ndarray) -> float:
     return float((outputs.argmax(axis=1) == Y.argmax(axis=1)).mean())
 
@@ -114,12 +164,6 @@ def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
     accuracy = _accuracy(outputs, Y)
     disagreement = float(np.abs(outputs - Y).sum(axis=1).mean() / 2.0)
     return accuracy, disagreement
-
-
-def _n_rows(X) -> int:
-    from .numerics import SparseRowMatrix
-
-    return X.rows if isinstance(X, SparseRowMatrix) else np.asarray(X).shape[0]
 
 
 def _epoch_perms(seed: int, epoch: int, ns: int, nt: int):
@@ -146,7 +190,7 @@ def train(
     j epochs (0 = the initialization).
     """
     Ys = np.asarray(Ys, dtype=np.float64)
-    ns, nt = _n_rows(Xs), _n_rows(Xt)
+    ns, nt = n_rows(Xs), n_rows(Xt)
     if ns == 0 or nt == 0:
         raise ValueError("empty sample")
     if Ys.shape[0] != ns:
@@ -157,13 +201,8 @@ def train(
     if init is not None:
         p = init.copy()
     else:
-        p = init_params(
-            Xs.cols if hasattr(Xs, "cols") else np.asarray(Xs).shape[1],
-            cfg.hidden,
-            Ys.shape[1],
-            SeededRng(cfg.seed),
-        )
-    optimizer = _build_optimizer(cfg)
+        p = init_params(n_cols(Xs), cfg.hidden, Ys.shape[1], SeededRng(cfg.seed))
+    optimizer = make_optimizer(cfg.optimizer, alpha=cfg.alpha, rho=cfg.rho, eps=cfg.eps)
 
     records: list[EpochRecord] = []
     snapshot = p.copy() if snapshot_at == start_epoch else None

@@ -11,6 +11,7 @@ red rather than being loosened here.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -158,15 +159,7 @@ def check_char_fct(seed: int = 0, cases: int = 50) -> list:
         a, b = _boxed_pair(r.split(3), n1, n2)
         k = ks[i % 3]
         check = thm3_check(a, b, k=k, tol=1e-9)
-        out.append(
-            BoundCheck(
-                name=f"char-fct case {i} (k={k}, n={n1}/{n2})",
-                lhs=check.lhs,
-                rhs=check.rhs,
-                slack=check.slack,
-                passed=check.passed,
-            )
-        )
+        out.append(replace(check, name=f"char-fct case {i} (k={k}, n={n1}/{n2})"))
     return out
 
 
@@ -189,15 +182,7 @@ def check_dual_form(seed: int = 0, cases: int = 20) -> list:
             a = r.normal_matrix(60, m)
             b = r.normal_matrix(60, m) + 0.15
             check = dual_equivalence_check(a, b, CmdConfig(k=4, mode=mode), seed=seed + i)
-            out.append(
-                BoundCheck(
-                    name=f"dual form case {i} (m={m}, {mode}, one-sided)",
-                    lhs=check.lhs,
-                    rhs=check.rhs,
-                    slack=check.slack,
-                    passed=check.passed,
-                )
-            )
+            out.append(replace(check, name=f"dual form case {i} (m={m}, {mode}, one-sided)"))
     return out
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -183,6 +185,30 @@ def test_distance_rejects_non_finite_csv_cells(two_point_files, tmp_path, capsys
     assert "line 3" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("extra, target, message", [
+    (["--metric", "raw-ipm", "--k", "2"], "narrow", "dimension mismatch"),
+    (["--metric", "mmd-poly", "--degree", "2"], "narrow", "dimension mismatch"),
+    (["--metric", "cmd", "--k", "0"], "wide", "k must be >= 1"),
+    (["--metric", "raw-ipm", "--k", "0"], "wide", "k must be >= 1"),
+    (["--metric", "mmd-poly", "--degree", "0"], "wide", "degree must be >= 1"),
+    (["--metric", "mmd-poly", "--degree", "-1"], "wide", "degree must be >= 1"),
+    (["--metric", "mmd-gauss", "--beta", "0"], "wide", "bandwidth must be positive"),
+], ids=["raw-ipm-widths", "mmd-poly-widths", "cmd-k0", "raw-ipm-k0", "mmd-poly-degree0",
+        "mmd-poly-degree-1", "mmd-gauss-beta0"])
+def test_distance_rejects_bad_input(tmp_path, capsys, extra, target, message):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("f1,f2,f3\n0.0,1.0,2.0\n1.0,0.5,0.25\n")
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("f1\n0.25\n0.75\n")
+    paths = {"wide": str(wide), "narrow": str(narrow)}
+    code, out, err = run(capsys, "distance", "--source", str(wide),
+                         "--target", paths[target], *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -281,6 +307,43 @@ def test_train_file_inputs(tmp_path, capsys):
     lines = (tmp_path / "filerun" / "metrics.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss,cmd,source_acc,target_acc"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"optimizer": "sgd", "alpha": -0.5}, "alpha"),
+    ({"optimizer": "adagrad", "eps": -1.0}, "eps"),
+    ({"optimizer": "adam"}, "adam"),
+    ({"rho": 1.0}, "rho"),
+], ids=["sgd-alpha-negative", "adagrad-eps-negative", "optimizer-adam", "rho-1"])
+def test_train_rejects_schema_invalid_settings_before_loading(tmp_path, capsys, block, message):
+    # the data files do not exist: the config must fail first
+    doc = {"source": str(tmp_path / "missing-src.csv"),
+           "target": str(tmp_path / "missing-tgt.csv"),
+           "train": dict(block, epochs=5), "out": str(tmp_path / "out")}
+    code, out, err = run(capsys, "train", "--config", write_config(tmp_path, doc))
+    assert code == 2
+    assert message in err and "missing" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_report_records_data_source(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run(capsys, "gen-artificial", "--out", str(gen), "--samples", "45")
+    paths = {role: str(gen / f"{role}.csv") for role in ("source", "target")}
+    doc = dict(paths, train={"hidden": 3, "epochs": 2, "seed": 0}, out=str(tmp_path / "files"))
+    assert run(capsys, "train", "--config", write_config(tmp_path, doc))[0] == 0
+    config = json.loads((tmp_path / "files" / "report.json").read_text())["config"]
+    assert set(config) == {"train", "format", "source", "target"}
+    assert config["format"] == "dense"
+    for role, path in paths.items():
+        digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+        assert config[role] == {"path": path, "sha256": digest}
+
+    doc = dict(SMALL_RUN, out=str(tmp_path / "generated"))
+    assert run(capsys, "train", "--config", write_config(tmp_path, doc, "gen.json"))[0] == 0
+    config = json.loads((tmp_path / "generated" / "report.json").read_text())["config"]
+    assert set(config) == {"train", "artificial"}
+    assert config["artificial"]["total"] == 60 and config["artificial"]["seed"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from momentalign.moments import (
     central_moments,
     monomial_exponents,
     monomial_matrix,
-    monomial_vector,
     sample_analytic,
 )
 from momentalign.numerics import SeededRng, SparseRowMatrix
@@ -39,13 +38,14 @@ def test_exponents_count():
 
 
 def test_monomial_vector_modes():
-    x = np.array([2.0, 3.0])
-    assert np.array_equal(monomial_vector(x, 3, MARGINAL), [8.0, 27.0])
-    assert np.array_equal(monomial_vector(x, 3, FULL), [8.0, 12.0, 18.0, 27.0])
+    # the degree-3 monomial vector at one point: monomial_matrix of one row
+    x = np.array([[2.0, 3.0]])
+    assert np.array_equal(monomial_matrix(x, 3, MARGINAL), [[8.0, 27.0]])
+    assert np.array_equal(monomial_matrix(x, 3, FULL), [[8.0, 12.0, 18.0, 27.0]])
     with pytest.raises(ValueError):
-        monomial_vector(x, 0)
+        monomial_matrix(x, 0)
     with pytest.raises(ValueError):
-        monomial_vector(x, 2, mode="diagonal")
+        monomial_matrix(x, 2, mode="diagonal")
 
 
 def test_monomial_matrix_rowwise():
@@ -55,7 +55,7 @@ def test_monomial_matrix_rowwise():
             M = monomial_matrix(X, k, mode)
             assert M.shape == (6, width)
             for i in range(6):
-                assert np.array_equal(M[i], monomial_vector(X[i], k, mode)), (k, mode, i)
+                assert np.array_equal(M[i], monomial_matrix(X[i:i + 1], k, mode)[0]), (k, mode, i)
 
 
 def test_central_moments_basic():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentalign.numerics import SeededRng, SparseRowMatrix, matvec, sample_mean
+from momentalign.numerics import SeededRng, SparseRowMatrix
 
 
 def test_same_seed_same_stream():
@@ -90,8 +90,6 @@ def test_sparse_products_match_dense():
     assert np.allclose(S.dot_dense(D), dense @ D)
     R = np.arange(6, dtype=float).reshape(3, 2)
     assert np.allclose(S.t_dot_dense(R), dense.T @ R)
-    assert np.allclose(S.column_sums(), dense.sum(axis=0))
-    assert np.allclose(matvec(S, np.array([1.0, 2.0, 3.0])), dense @ [1.0, 2.0, 3.0])
 
 
 def test_sparse_take_rows():
@@ -107,21 +105,6 @@ def test_sparse_validation():
         SparseRowMatrix.from_rows([[(1, 1.0), (1, 2.0)]], cols=3)  # not increasing
     with pytest.raises(ValueError):
         SparseRowMatrix.from_rows([[(5, 1.0)]], cols=3)  # out of range
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(2), np.ones(3))
-    with pytest.raises(ValueError):
-        matvec(small_sparse(), np.ones(4))
-
-
-def test_sample_mean():
-    X = np.array([[1.0, 2.0], [3.0, 6.0]])
-    assert np.array_equal(sample_mean(X), [2.0, 4.0])
-    assert np.allclose(sample_mean(small_sparse()), small_sparse().toarray().mean(axis=0))
-    with pytest.raises(ValueError):
-        sample_mean(np.empty((0, 2)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -86,6 +86,19 @@ def test_make_optimizer():
         make_optimizer("adam")
 
 
+def test_make_optimizer_defaults_and_ignored_settings():
+    # None keeps each kind's own default; a setting the kind does not take
+    # is ignored
+    sgd = make_optimizer("sgd", alpha=None, rho=0.5, eps=1.0)
+    assert sgd == Sgd()
+    assert make_optimizer("adagrad", alpha=None, rho=0.5, eps=None) == Adagrad()
+    assert make_optimizer("adagrad", alpha=0.3, eps=1e-4) == Adagrad(alpha=0.3, eps=1e-4)
+    delta = make_optimizer("adadelta", alpha=0.3, rho=0.9, eps=None)
+    assert delta == Adadelta(rho=0.9)
+    with pytest.raises(ValueError):
+        make_optimizer("adadelta", rho=1.0)
+
+
 def test_optimizer_state_is_per_instance():
     p1, p2 = scalarish_params(), scalarish_params()
     a, b = Adagrad(alpha=1.0, eps=0.0), Adagrad(alpha=1.0, eps=0.0)

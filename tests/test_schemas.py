@@ -11,6 +11,7 @@ import momentalign
 from momentalign.cli import main
 from momentalign.datasets import ArtificialSpec
 from momentalign.distances import cmd_estimate
+from momentalign.trainer import TrainConfig
 from momentalign.verify import check_gradients
 
 SCHEMA_DIR = pathlib.Path(momentalign.__file__).parent / "schemas"
@@ -111,6 +112,42 @@ def test_run_config_instances(validators):
         v.validate({"format": "parquet"})
 
 
+SCHEMA_INVALID_TRAIN_BLOCKS = [
+    {"optimizer": "adam"},
+    {"alpha": -0.5},
+    {"alpha": 0.0},
+    {"eps": -1.0},
+    {"eps": 0.0},
+    {"rho": 1.0},
+    {"rho": -0.1},
+    {"hidden": 0},
+    {"k": 0},
+    {"lambda": -1.0},
+    {"epochs": 0},
+    {"batch_size": -1},
+    {"warm_start_fraction": 1.5},
+    {"momentum": 0.9},
+]
+
+
+@pytest.mark.parametrize("block", SCHEMA_INVALID_TRAIN_BLOCKS, ids=lambda b: json.dumps(b))
+def test_schema_invalid_train_block_is_rejected_by_train_config(validators, block):
+    with pytest.raises(jsonschema.ValidationError):
+        validators["run-config"].validate({"train": block})
+    with pytest.raises(ValueError):
+        TrainConfig.from_dict(block)
+
+
+@pytest.mark.parametrize("block", [
+    {"optimizer": "sgd", "alpha": float("inf")},  # the bound admits inf
+    {"optimizer": "adagrad", "alpha": 0.5, "eps": 1e-12},
+    {"rho": 0.0, "alpha": None, "eps": None},
+])
+def test_schema_valid_train_block_is_accepted_by_train_config(validators, block):
+    validators["run-config"].validate({"train": block})
+    assert TrainConfig.from_dict(block).to_dict() == dict(TrainConfig().to_dict(), **block)
+
+
 def test_sweep_config_instances(validators):
     v = validators["sweep-config"]
     v.validate({
@@ -148,3 +185,32 @@ def test_run_report_instances(validators, tmp_path, capsys):
 
     with pytest.raises(jsonschema.ValidationError):
         validators["run-report"].validate({"command": "train"})
+
+
+def test_run_report_config_records_generated_or_file_data(validators, tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert main(["gen-artificial", "--out", str(gen), "--samples", "30"]) == 0
+    doc = {"source": str(gen / "source.csv"), "target": str(gen / "target.csv"),
+           "train": {"hidden": 3, "epochs": 2, "seed": 1}, "out": str(tmp_path / "f")}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "f" / "report.json").read_text())
+    v = validators["run-report"]
+    v.validate(report)
+    files = report["config"]
+
+    generated = {"train": files["train"], "artificial": ArtificialSpec().to_dict()}
+    v.validate(dict(report, config=generated))
+    for bad in (
+        dict(generated, format="dense"),  # both shapes at once
+        dict(files, artificial=ArtificialSpec().to_dict()),
+        {key: val for key, val in files.items() if key != "format"},
+        dict(files, format="parquet"),
+        dict(files, source=dict(files["source"], sha256="abc")),
+        dict(files, target={"path": files["target"]["path"]}),
+        {"artificial": generated["artificial"]},  # train missing
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            v.validate(dict(report, config=bad))
