@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .numerics import SeededRng, SparseRowMatrix, as_sample, n_cols, n_rows, take_rows
+from .numerics import check_json_types
 
 
 @dataclass
@@ -94,6 +95,8 @@ class ArtificialSpec:
     target_seed: int | None = None  # None = independent stream derived from seed
 
     def __post_init__(self):
+        check_json_types(vars(self), ints=("total", "classes", "seed", "target_seed"),
+                         reals=("rotation_deg",), nullable=("target_seed",))
         self.centers = tuple(tuple(float(x) for x in c) for c in self.centers)
         self.shift = tuple(float(x) for x in self.shift)
         if len(self.centers) != self.classes:
@@ -127,21 +130,10 @@ class ArtificialSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ArtificialSpec":
-        known = {
-            "total", "classes", "rotation_deg", "shift", "centers",
-            "spread", "seed", "target_seed",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown artificial spec keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "shift" in kwargs:
-            kwargs["shift"] = tuple(kwargs["shift"])
-        if "centers" in kwargs:
-            kwargs["centers"] = tuple(tuple(c) for c in kwargs["centers"])
-        if isinstance(kwargs.get("spread"), list):
-            kwargs["spread"] = tuple(kwargs["spread"])
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 def _class_counts(total: int, classes: int) -> list[int]:

@@ -106,10 +106,15 @@ class SparseRowMatrix:
             raise ValueError("indptr endpoints inconsistent with indices")
         if len(self.indices) != len(self.data):
             raise ValueError("indices and data lengths differ")
-        for r in range(self.rows):
-            seg = self.indices[self.indptr[r]:self.indptr[r + 1]]
-            if len(seg) and (np.any(np.diff(seg) <= 0) or seg[0] < 0 or seg[-1] >= self.cols):
-                raise ValueError(f"row {r}: indices must be strictly increasing and < cols")
+        lengths = np.diff(self.indptr)
+        if np.any(lengths < 0):
+            raise ValueError(f"row {np.argmax(lengths < 0)}: indptr decreases")
+        row_ids = np.repeat(np.arange(self.rows), lengths)
+        bad = (self.indices < 0) | (self.indices >= self.cols)
+        bad[1:] |= (np.diff(self.indices) <= 0) & (row_ids[1:] == row_ids[:-1])
+        if np.any(bad):
+            r = row_ids[np.argmax(bad)]
+            raise ValueError(f"row {r}: indices must be strictly increasing and < cols")
 
     @classmethod
     def from_rows(cls, rows_of_pairs, cols: int) -> "SparseRowMatrix":
@@ -137,38 +142,35 @@ class SparseRowMatrix:
     def dot_dense(self, D: np.ndarray) -> np.ndarray:
         """self @ D for dense D of shape (cols, k)."""
         D = np.asarray(D, dtype=np.float64)
-        if D.shape[0] != self.cols:
+        if D.ndim != 2 or D.shape[0] != self.cols:
             raise ValueError("dimension mismatch in sparse dot")
-        out = np.zeros((self.rows, D.shape[1]))
         row_ids = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        np.add.at(out, row_ids, self.data[:, None] * D[self.indices])
-        return out
+        return _scatter_sum(row_ids, self.rows, self.data[:, None] * D[self.indices])
 
     def t_dot_dense(self, D: np.ndarray) -> np.ndarray:
         """self.T @ D for dense D of shape (rows, k)."""
         D = np.asarray(D, dtype=np.float64)
-        if D.shape[0] != self.rows:
+        if D.ndim != 2 or D.shape[0] != self.rows:
             raise ValueError("dimension mismatch in sparse t_dot")
         row_ids = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        out = np.zeros((self.cols, D.shape[1]))
-        np.add.at(out, self.indices, self.data[:, None] * D[row_ids])
-        return out
+        return _scatter_sum(self.indices, self.cols, self.data[:, None] * D[row_ids])
 
     def take_rows(self, idx) -> "SparseRowMatrix":
         idx = np.asarray(idx, dtype=np.int64)
-        indptr = [0]
-        chunks_i = []
-        chunks_d = []
-        for r in idx:
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            chunks_i.append(self.indices[lo:hi])
-            chunks_d.append(self.data[lo:hi])
-            indptr.append(indptr[-1] + (hi - lo))
-        cat = np.concatenate if chunks_i else lambda xs: np.empty(0)
-        return SparseRowMatrix(
-            len(idx), self.cols, indptr,
-            cat(chunks_i) if chunks_i else [], cat(chunks_d) if chunks_d else [],
-        )
+        if np.any((idx < 0) | (idx >= self.rows)):
+            raise ValueError(f"row index out of range [0, {self.rows})")
+        starts, lengths = self.indptr[idx], np.diff(self.indptr)[idx]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return SparseRowMatrix(len(idx), self.cols, indptr, self.indices[pos], self.data[pos])
+
+
+def _scatter_sum(target, size: int, terms: np.ndarray) -> np.ndarray:
+    """out[i] = sum of terms[j] over target[j] == i, bit for bit what np.add.at
+    into zeros gives: bincount too adds each element's terms to 0.0 in j order."""
+    k = terms.shape[1]
+    flat = ((target * k)[:, None] + np.arange(k)).ravel()
+    return np.bincount(flat, weights=terms.ravel(), minlength=size * k).reshape(size, k)
 
 
 def n_rows(features) -> int:
@@ -202,6 +204,18 @@ def as_sample_pair(src, tgt) -> tuple[np.ndarray, np.ndarray]:
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch between samples: {X.shape[1]} vs {Y.shape[1]}")
     return X, Y
+
+
+def check_json_types(doc: dict, ints=(), reals=(), nullable=()) -> None:
+    """ValueError unless doc[name] is an integer for each name in ints and a
+    number for each in reals, a bool being neither; a nullable one may be None."""
+    for names, kind, what in ((ints, (int, np.integer), "an integer"),
+                              (reals, (int, float, np.integer, np.floating), "a number")):
+        for name in names:
+            value = doc[name]
+            ok = isinstance(value, kind) and not isinstance(value, bool)
+            if not ok and not (value is None and name in nullable):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def take_rows(features, idx):

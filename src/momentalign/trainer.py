@@ -32,7 +32,7 @@ from .network import (
     init_params,
     loss_gradients,
 )
-from .numerics import SeededRng, n_cols, n_rows, take_rows
+from .numerics import SeededRng, check_json_types, n_cols, n_rows, take_rows
 from .optim import OPTIMIZERS, make_optimizer
 
 __all__ = [
@@ -66,6 +66,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_json_types(self.to_dict(), ints=("hidden", "k", "epochs", "batch_size", "seed"),
+                         reals=("lambda", "alpha", "rho", "eps", "warm_start_fraction"),
+                         nullable=("alpha", "eps"))
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
         if self.k < 1:
@@ -78,7 +81,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 0")
         if not 0.0 <= self.warm_start_fraction <= 1.0:
             raise ValueError("warm_start_fraction must lie in [0, 1]")
-        if self.optimizer not in OPTIMIZERS:
+        if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.alpha is not None and not self.alpha > 0:
             raise ValueError("alpha must be positive")

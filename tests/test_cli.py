@@ -326,6 +326,24 @@ def test_train_rejects_schema_invalid_settings_before_loading(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"train": {"epochs": "5"}}, "epochs must be an integer, got '5'"),
+    ({"artificial": {"total": "60"}}, "total must be an integer, got '60'"),
+    ({"train": {"hidden": 4.5}}, "hidden must be an integer, got 4.5"),
+    ({"train": {"epochs": True}}, "epochs must be an integer, got True"),
+    ({"train": {"lambda": "1"}}, "lambda must be a number, got '1'"),
+    ({"train": {"optimizer": "sgd", "alpha": False}}, "alpha must be a number, got False"),
+    ({"artificial": {"target_seed": 1.5}}, "target_seed must be an integer, got 1.5"),
+], ids=["epochs-string", "total-string", "hidden-float", "epochs-bool", "lambda-string",
+        "alpha-bool", "target-seed-float"])
+def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
+    doc = dict(doc, out=str(tmp_path / "out"))
+    code, out, err = run(capsys, "train", "--config", write_config(tmp_path, doc))
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_report_records_data_source(tmp_path, capsys):
     gen = tmp_path / "gen"
     run(capsys, "gen-artificial", "--out", str(gen), "--samples", "45")

@@ -96,6 +96,9 @@ def test_sparse_take_rows():
     S = small_sparse()
     sub = S.take_rows([2, 0])
     assert np.array_equal(sub.toarray(), S.toarray()[[2, 0]])
+    for bad in ([-1], [3], [0, 3]):
+        with pytest.raises(ValueError, match="out of range"):
+            S.take_rows(bad)
 
 
 def test_sparse_validation():
@@ -105,6 +108,19 @@ def test_sparse_validation():
         SparseRowMatrix.from_rows([[(1, 1.0), (1, 2.0)]], cols=3)  # not increasing
     with pytest.raises(ValueError):
         SparseRowMatrix.from_rows([[(5, 1.0)]], cols=3)  # out of range
+    with pytest.raises(ValueError, match="row 1: indptr decreases"):
+        SparseRowMatrix(3, 4, [0, 3, 2, 3], [0, 1, 2], [1.0, 2.0, 3.0])
+    # the message names the first bad row, whatever the fault
+    rows = [[(0, 1.0)], [], [(2, 1.0), (1, 1.0)], [(-1, 1.0)], [(3, 1.0)]]
+    with pytest.raises(ValueError, match="^row 2: indices must be strictly increasing"):
+        SparseRowMatrix.from_rows(rows, cols=3)
+    rows[2] = [(1, 1.0), (2, 1.0)]
+    with pytest.raises(ValueError, match="^row 3: "):
+        SparseRowMatrix.from_rows(rows, cols=3)
+    with pytest.raises(ValueError, match="^row 1: "):
+        SparseRowMatrix.from_rows([[(0, 1.0), (2, 1.0)], [(3, 1.0)]], cols=3)
+    # a new row may restart at a lower column
+    assert SparseRowMatrix.from_rows([[(2, 1.0)], [(0, 1.0)]], cols=3).shape == (2, 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,3 +138,95 @@ def test_sparse_dot_matches_dense_product(rows):
     S = SparseRowMatrix.from_rows(cleaned, cols=6)
     D = np.linspace(-1.0, 1.0, 6 * 3).reshape(6, 3)
     assert np.allclose(S.dot_dense(D), S.toarray() @ D)
+
+
+# Bitwise references: the np.add.at scatter and the Python-loop gather
+# that the vectorized kernels replace.
+
+
+def add_at_dot(S, D):
+    out = np.zeros((S.rows, D.shape[1]))
+    np.add.at(out, np.repeat(np.arange(S.rows), np.diff(S.indptr)),
+              S.data[:, None] * D[S.indices])
+    return out
+
+
+def add_at_t_dot(S, D):
+    out = np.zeros((S.cols, D.shape[1]))
+    np.add.at(out, S.indices,
+              S.data[:, None] * D[np.repeat(np.arange(S.rows), np.diff(S.indptr))])
+    return out
+
+
+def loop_take_rows(S, idx):
+    rows = [list(zip(S.indices[S.indptr[r]:S.indptr[r + 1]], S.data[S.indptr[r]:S.indptr[r + 1]]))
+            for r in idx]
+    return SparseRowMatrix.from_rows(rows, S.cols)
+
+
+# signed values from 1e-300 to 1e300, including both zeros; products of
+# the extremes overflow to inf and their sums may be nan
+SIGNED = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324]),
+    st.floats(-1e3, 1e3),
+    st.integers(-2**52, 2**52).map(lambda i: i * 2.0**-42),  # full mantissas: order shows
+    st.builds(lambda magnitude, sign: sign * magnitude,
+              st.floats(1e290, 1e308) | st.floats(1e-308, 1e-290), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@st.composite
+def csr_matrices(draw):
+    """A SparseRowMatrix of 0-8 rows and 1-8 columns: empty rows, rows
+    with every column set, and the all-empty and 0-row cases."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    pattern = [draw(st.lists(st.booleans(), min_size=cols, max_size=cols)) for _ in range(rows)]
+    return SparseRowMatrix.from_rows(
+        [[(i, draw(SIGNED)) for i in range(cols) if row[i]] for row in pattern], cols)
+
+
+def signed_matrix(draw, rows, width):
+    return np.array([[draw(SIGNED) for _ in range(width)] for _ in range(rows)]).reshape(rows, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_products_bitwise_equal_add_at(data):
+    S = data.draw(csr_matrices())
+    width = data.draw(st.integers(1, 8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = signed_matrix(data.draw, S.cols, width)
+        assert S.dot_dense(D).tobytes() == add_at_dot(S, D).tobytes()
+        R = signed_matrix(data.draw, S.rows, width)
+        assert S.t_dot_dense(R).tobytes() == add_at_t_dot(S, R).tobytes()
+
+
+def test_sparse_products_keep_signed_zeros_as_add_at():
+    # 0.0 + -0.0 is 0.0: a row of -0.0 terms sums to +0.0 in both kernels
+    S = SparseRowMatrix.from_rows([[(0, -0.0)], [], [(0, 1.0), (1, -1.0)]], cols=2)
+    D = np.array([[1.0, -0.0], [1.0, 0.0]])
+    out = S.dot_dense(D)
+    assert out.tobytes() == add_at_dot(S, D).tobytes()
+    assert not np.signbit(out).any()
+    assert S.t_dot_dense(D[[0, 1, 0]]).tobytes() == add_at_t_dot(S, D[[0, 1, 0]]).tobytes()
+
+
+def test_sparse_products_reject_non_matrix_operands():
+    S = small_sparse()
+    for D in (np.ones(3), np.ones((3, 2, 1)), np.ones((4, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            S.dot_dense(D)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            S.t_dot_dense(D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_take_rows_equals_loop_reference(data):
+    S = data.draw(csr_matrices())
+    idx = data.draw(st.lists(st.integers(0, S.rows - 1), max_size=12)) if S.rows else []
+    got, want = S.take_rows(idx), loop_take_rows(S, idx)
+    assert got.shape == want.shape == (len(idx), S.cols)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()

@@ -127,6 +127,12 @@ SCHEMA_INVALID_TRAIN_BLOCKS = [
     {"batch_size": -1},
     {"warm_start_fraction": 1.5},
     {"momentum": 0.9},
+    {"epochs": "5"},
+    {"hidden": 4.5},
+    {"epochs": True},
+    {"lambda": "1"},
+    {"alpha": False},
+    {"seed": None},
 ]
 
 

@@ -13,7 +13,7 @@ from momentalign.network import (
     init_params,
     loss_gradients,
 )
-from momentalign.numerics import SeededRng
+from momentalign.numerics import SeededRng, SparseRowMatrix
 from momentalign.optim import Adadelta, Sgd
 from momentalign.trainer import (
     TrainConfig,
@@ -232,3 +232,51 @@ def test_write_metrics_csv(tmp_path):
     res2 = train(Xs, Ys, Xt, TrainConfig(hidden=4, epochs=1, seed=1))
     write_metrics_csv(res2.records, p1)
     assert p1.read_text().splitlines()[1].endswith(",nan")
+
+
+def sparse_pair(seed=0, rows=40, cols=30):
+    """Two seeded count matrices, a fifth and three tenths of the entries
+    set and every ninth row empty, with two-class labels for the source."""
+    rng = SeededRng(seed)
+    domains = []
+    for density in (0.2, 0.3):
+        u = rng.uniform_matrix(rows, cols)
+        counts = np.where(u < density, np.floor(u / density * 6.0) + 1.0, 0.0)
+        counts[::9] = 0.0
+        domains.append(SparseRowMatrix.from_rows(
+            [[(i, v) for i, v in enumerate(row) if v] for row in counts], cols))
+    first_half = domains[0].toarray()[:, : cols // 2].sum(axis=1)
+    labels = (first_half > np.median(first_half)).astype(int)
+    return domains[0], one_hot(labels, 2), domains[1]
+
+
+def test_sparse_minibatch_train_bitwise_equals_add_at_products():
+    # The sparse products' scatter kernel must give add.at's bits, so that
+    # a whole minibatch run through it is unchanged.
+    Xs, Ys, Xt = sparse_pair()
+    cfg = TrainConfig(hidden=6, lam=1.0, epochs=2, batch_size=8, seed=4)
+    calls = []
+
+    def add_at_dot(S, D):
+        calls.append("dot")
+        out = np.zeros((S.rows, D.shape[1]))
+        np.add.at(out, np.repeat(np.arange(S.rows), np.diff(S.indptr)),
+                  S.data[:, None] * D[S.indices])
+        return out
+
+    def add_at_t_dot(S, D):
+        calls.append("t_dot")
+        out = np.zeros((S.cols, D.shape[1]))
+        np.add.at(out, S.indices,
+                  S.data[:, None] * D[np.repeat(np.arange(S.rows), np.diff(S.indptr))])
+        return out
+
+    res = train(Xs, Ys, Xt, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SparseRowMatrix, "dot_dense", add_at_dot)
+        mp.setattr(SparseRowMatrix, "t_dot_dense", add_at_t_dot)
+        ref = train(Xs, Ys, Xt, cfg)
+    assert set(calls) == {"dot", "t_dot"}
+    assert not res.diverged and len(res.records) == 2
+    assert res.params.to_json() == ref.params.to_json()
+    assert repr(res.records) == repr(ref.records)  # repr tells -0.0 from 0.0
