@@ -12,7 +12,7 @@ genuine violation of the inequality, never a formatting artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,11 +44,7 @@ class KsResult:
     significant: bool
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "pvalue": self.pvalue,
-            "significant": self.significant,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -68,13 +64,7 @@ class BoundCheck:
         return cls(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=bool(slack >= -tol))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _kolmogorov_sf(lam: float) -> float:
@@ -119,10 +109,7 @@ class AlignmentReport:
     significant: int
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": [r.to_dict() for r in self.nodes],
-            "significant": self.significant,
-        }
+        return asdict(self)
 
 
 def alignment_report(p: NetworkParams, Xs, Xt, alpha: float = 1e-2) -> AlignmentReport:

@@ -9,6 +9,7 @@ of its flags and config file; all randomness flows from config seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -56,9 +57,16 @@ class ConfigError(ValueError):
 _RUN_KEYS = {"train", "artificial", "source", "target", "format", "out"}
 
 
+def _parse_constant(name):
+    # NaN passes every bound check; the bounds judge the infinities
+    if name == "NaN":
+        raise ValueError("NaN is not a JSON number")
+    return float(name)
+
+
 def _load_json(path):
     with open(path, "r") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_parse_constant)
 
 
 def _load_sample(path, fmt: str) -> Sample:
@@ -185,14 +193,7 @@ def cmd_distance(args) -> int:
 def _final_metrics(result, Xt, Yt):
     if not result.records:
         return None
-    last = result.records[-1]
-    out = {
-        "epoch": last.epoch,
-        "loss": last.loss,
-        "cmd": last.cmd,
-        "source_acc": last.source_acc,
-        "target_acc": last.target_acc,
-    }
+    out = dataclasses.asdict(result.records[-1])
     if Yt is not None:
         out["target_acc"] = evaluate(result.params, Xt, Yt)[0]
     return out

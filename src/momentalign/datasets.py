@@ -96,7 +96,8 @@ class ArtificialSpec:
 
     def __post_init__(self):
         check_json_types(vars(self), ints=("total", "classes", "seed", "target_seed"),
-                         reals=("rotation_deg",), nullable=("target_seed",))
+                         reals=("rotation_deg",), nullable=("target_seed",),
+                         arrays={"shift": (1,), "centers": (2,), "spread": (0, 1)})
         self.centers = tuple(tuple(float(x) for x in c) for c in self.centers)
         self.shift = tuple(float(x) for x in self.shift)
         if len(self.centers) != self.classes:

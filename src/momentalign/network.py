@@ -7,6 +7,11 @@ gradients, this module provides the analytic gradient of the empirical
 CMD between source and target hidden activations with respect to W and b,
 which is what moment-alignment training adds to backpropagation.
 
+Both objectives are differentiated as a per-row cotangent on h0
+(loss_cotangent, cmd_cotangents), pushed through the sigmoid by one
+backprop_hidden per input matrix; a step on loss + lambda * CMD sums the
+source cotangents first, so it makes one input product per domain.
+
 Two deliberate deviations from naive transcription, both confirmed by the
 finite-difference oracle in this module:
 
@@ -80,8 +85,9 @@ class NetworkParams:
             "seed": self.seed,
         }
         # json emits floats via repr: shortest decimal that round-trips,
-        # so loading gives back bitwise identical doubles
-        return json.dumps(doc, indent=1)
+        # so loading gives back bitwise identical doubles; without indent
+        # CPython encodes in C, about twice as fast on a large W
+        return json.dumps(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkParams":
@@ -157,26 +163,13 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _input_dot(X, M: np.ndarray) -> np.ndarray:
-    """X @ M for dense or sparse X."""
-    if isinstance(X, SparseRowMatrix):
-        return X.dot_dense(M)
-    return np.asarray(X, dtype=np.float64) @ M
-
-
-def _weighted_feature_mean(X, weights: np.ndarray) -> np.ndarray:
-    """(weights.T @ X) / n_rows as a (hidden x input) array; weights has
-    one row per example."""
-    n = weights.shape[0]
-    if isinstance(X, SparseRowMatrix):
-        return X.t_dot_dense(weights).T / n
-    return weights.T @ np.asarray(X, dtype=np.float64) / n
-
-
 def forward(p: NetworkParams, X) -> ForwardTrace:
     if n_cols(X) != p.input_dim:
         raise ValueError("input dimension does not match W")
-    h0 = sigmoid(_input_dot(X, p.W.T) + p.b)
+    if isinstance(X, SparseRowMatrix):
+        h0 = sigmoid(X.dot_dense(p.W.T) + p.b)
+    else:
+        h0 = sigmoid(np.asarray(X, dtype=np.float64) @ p.W.T + p.b)
     h1 = softmax_rows(h0 @ p.V.T + p.c)
     return ForwardTrace(h0, h1)
 
@@ -189,20 +182,68 @@ def cross_entropy_loss(trace: ForwardTrace, Y: np.ndarray) -> float:
     return float(-(Y * logs).sum(axis=1).mean())
 
 
-def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | None = None) -> Gradients:
-    """Analytic gradients of the mean cross-entropy on (X, Y)."""
-    trace = trace or forward(p, X)
+def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray):
+    """(dW, db) of an objective whose per-row gradient with respect to
+    the hidden activations h0 = sigm(X W^T + b) is cotangent / n_rows."""
+    n = hidden.shape[0]
+    dpre = cotangent * hidden * (1.0 - hidden)  # n x hidden
+    if isinstance(X, SparseRowMatrix):
+        dW = X.t_dot_dense(dpre).T / n
+    else:
+        dW = dpre.T @ np.asarray(X, dtype=np.float64) / n
+    return dW, dpre.mean(axis=0)
+
+
+def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray):
+    """(cotangent on h0, dV, dc) of the mean cross-entropy on trace's rows;
+    backprop_hidden turns the cotangent into dW and db."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != trace.outputs.shape:
         raise ValueError("labels do not align with outputs")
-    n = Y.shape[0]
     resid = trace.outputs - Y  # n x classes
-    dc = resid.mean(axis=0)
-    dV = resid.T @ trace.hidden / n
-    dpre = (resid @ p.V) * trace.hidden * (1.0 - trace.hidden)  # n x hidden
-    db = dpre.mean(axis=0)
-    dW = _weighted_feature_mean(X, dpre) * 1.0  # already divided by n
+    return resid @ p.V, resid.T @ trace.hidden / Y.shape[0], resid.mean(axis=0)
+
+
+def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | None = None) -> Gradients:
+    """Analytic gradients of the mean cross-entropy on (X, Y)."""
+    trace = trace or forward(p, X)
+    cotangent, dV, dc = loss_cotangent(p, trace, Y)
+    dW, db = backprop_hidden(X, trace.hidden, cotangent)
     return Gradients(dW, db, dV, dc)
+
+
+def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig):
+    """(g_s, g_t): the gradient of the marginal cmd(As, At) with respect to
+    each hidden activation row, times that side's row count.
+
+    With D the centered activations and u_j the unit vector along
+    c_j(S) - c_j(T), the order-j term a_j ||c_j(S) - c_j(T)|| contributes
+    a_1 u_1 at j = 1 and a_j j u_j * (D^{j-1} - mean(D^{j-1})) above, with
+    the opposite sign on the target side.  D^{j-1} are the running
+    products whose means are the c_j that cmd_estimate reports.
+    """
+    if cfg.mode != MARGINAL:
+        raise ValueError("cmd gradients are defined for marginal monomials only")
+    mean_s, mean_t = As.mean(axis=0), At.mean(axis=0)
+    g_s, g_t = np.zeros_like(As), np.zeros_like(At)
+    delta = mean_s - mean_t
+    nrm = float(np.linalg.norm(delta))
+    if nrm >= _NORM_EPS:
+        u = cfg.weight(1) * delta / nrm
+        g_s += u
+        g_t -= u
+    Ds, Dt = As - mean_s, At - mean_t
+    pow_s, pow_t = Ds, Dt  # D^(j-1)
+    for j in range(2, cfg.k + 1):
+        next_s, next_t = pow_s * Ds, pow_t * Dt  # D^j, whose means are c_j
+        delta = next_s.mean(axis=0) - next_t.mean(axis=0)
+        nrm = float(np.linalg.norm(delta))
+        if nrm >= _NORM_EPS:
+            u = cfg.weight(j) * j * delta / nrm
+            g_s += u * (pow_s - pow_s.mean(axis=0))
+            g_t -= u * (pow_t - pow_t.mean(axis=0))
+        pow_s, pow_t = next_s, next_t
+    return g_s, g_t
 
 
 def cmd_gradients(
@@ -217,72 +258,17 @@ def cmd_gradients(
 
     Only marginal monomials are supported (the estimator the trainer
     minimizes).  dV and dc are zero: the CMD term reads the hidden layer
-    only.
-
-    For each order j the term is a_j * ||c_j(S) - c_j(T)||_2 over hidden
-    activations.  Writing q = h0*(1-h0) (the sigmoid derivative), D for
-    centered activations, and u_j for the unit vector along c_j(S)-c_j(T):
-
-      order 1:  d/db_l += a_1 u_l (E_S[q_l] - E_T[q_l])
-      order j:  dc_{j,l}/db_l = j (E[D^{j-1} q]_l - E[D^{j-1}]_l E[q]_l)
-      and for W the same expectations with each q weighted by the input
-      row: dc_{j,l}/dW_{l,d} = j (E[D^{j-1} q x_d] - E[D^{j-1}] E[q x_d]).
+    only.  The CMD depends on W and b only through h0, so the gradient is
+    cmd_cotangents' per-row cotangent on each domain's activations,
+    pushed through the sigmoid by one backprop_hidden per domain.
     """
     cfg = cfg or CmdConfig()
-    if cfg.mode != MARGINAL:
-        raise ValueError("cmd gradients are defined for marginal monomials only")
     trace_s = trace_s or forward(p, Xs)
     trace_t = trace_t or forward(p, Xt)
-    As, At = trace_s.hidden, trace_t.hidden
-    ns, nt = As.shape[0], At.shape[0]
-    qs = As * (1.0 - As)
-    qt = At * (1.0 - At)
-    mean_s, mean_t = As.mean(axis=0), At.mean(axis=0)
-    eq_s, eq_t = qs.mean(axis=0), qt.mean(axis=0)
-    eqx_s = _weighted_feature_mean(Xs, qs)  # E[q x^T], hidden x input
-    eqx_t = _weighted_feature_mean(Xt, qt)
-
-    db = np.zeros_like(p.b)
-    dW = np.zeros_like(p.W)
-
-    delta = mean_s - mean_t
-    nrm = float(np.linalg.norm(delta))
-    if nrm >= _NORM_EPS:
-        u = delta / nrm
-        a1 = cfg.weight(1)
-        db += a1 * u * (eq_s - eq_t)
-        dW += a1 * u[:, None] * (eqx_s - eqx_t)
-
-    Ds, Dt = As - mean_s, At - mean_t
-    pow_s = np.ones_like(As)  # D^(j-1), starting at j=2 -> D^1 after update
-    pow_t = np.ones_like(At)
-    for j in range(2, cfg.k + 1):
-        pow_s = pow_s * Ds  # now D^(j-1)
-        pow_t = pow_t * Dt
-        cj_s = (pow_s * Ds).mean(axis=0)  # c_j
-        cj_t = (pow_t * Dt).mean(axis=0)
-        delta_j = cj_s - cj_t
-        nrm_j = float(np.linalg.norm(delta_j))
-        if nrm_j < _NORM_EPS:
-            continue
-        u = delta_j / nrm_j
-        aj = cfg.weight(j)
-        gb_s = j * (pow_s * (qs - eq_s)).mean(axis=0)
-        gb_t = j * (pow_t * (qt - eq_t)).mean(axis=0)
-        db += aj * u * (gb_s - gb_t)
-        prev_s = pow_s.mean(axis=0)  # c_{j-1}
-        prev_t = pow_t.mean(axis=0)
-        gw_s = j * (_weighted_feature_mean(Xs, pow_s * qs) - prev_s[:, None] * eqx_s)
-        gw_t = j * (_weighted_feature_mean(Xt, pow_t * qt) - prev_t[:, None] * eqx_t)
-        dW += aj * u[:, None] * (gw_s - gw_t)
-
-    return Gradients(dW, db, np.zeros_like(p.V), np.zeros_like(p.c))
-
-
-def _param_views(p: NetworkParams, which: str):
-    if which == "cmd":
-        return [("W", p.W), ("b", p.b)]
-    return [("W", p.W), ("b", p.b), ("V", p.V), ("c", p.c)]
+    g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cfg)
+    dW, db = backprop_hidden(Xs, trace_s.hidden, g_s)
+    dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, g_t)
+    return Gradients(dW + dW_t, db + db_t, np.zeros_like(p.V), np.zeros_like(p.c))
 
 
 def finite_difference_check(
@@ -317,9 +303,9 @@ def finite_difference_check(
 
     worst = 0.0
     work = p.copy()
-    for name, arr in _param_views(work, which):
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
+    for name, grad in grads.items():
+        flat = getattr(work, name).reshape(-1)
+        gflat = grad.reshape(-1)
         for i in range(flat.shape[0]):
             keep = flat[i]
             flat[i] = keep + step

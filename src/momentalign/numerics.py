@@ -206,16 +206,31 @@ def as_sample_pair(src, tgt) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def check_json_types(doc: dict, ints=(), reals=(), nullable=()) -> None:
+_NUMBER = (int, float, np.integer, np.floating)
+_SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
+
+
+def _is_json(value, kind, depth=0) -> bool:
+    """value is a kind, a bool being none, or (depth > 0) a list of such values
+    nested depth deep."""
+    if depth:
+        return isinstance(value, (list, tuple)) and all(_is_json(v, kind, depth - 1) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_json_types(doc: dict, ints=(), reals=(), nullable=(), arrays=None) -> None:
     """ValueError unless doc[name] is an integer for each name in ints and a
-    number for each in reals, a bool being neither; a nullable one may be None."""
-    for names, kind, what in ((ints, (int, np.integer), "an integer"),
-                              (reals, (int, float, np.integer, np.floating), "a number")):
+    number for each in reals, a bool being neither; a nullable one may be None.
+    arrays maps a name to the depths it may have: 0 a number, 1 a list of
+    numbers, 2 a list of lists of numbers."""
+    for names, kind, what in ((ints, (int, np.integer), "an integer"), (reals, _NUMBER, "a number")):
         for name in names:
-            value = doc[name]
-            ok = isinstance(value, kind) and not isinstance(value, bool)
-            if not ok and not (value is None and name in nullable):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+            if not _is_json(doc[name], kind) and not (doc[name] is None and name in nullable):
+                raise ValueError(f"{name} must be {what}, got {doc[name]!r}")
+    for name, depths in (arrays or {}).items():
+        if not any(_is_json(doc[name], _NUMBER, d) for d in depths):
+            what = " or ".join(_SHAPES[d] for d in depths)
+            raise ValueError(f"{name} must be {what}, got {doc[name]!r}")
 
 
 def take_rows(features, idx):

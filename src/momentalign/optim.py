@@ -27,21 +27,12 @@ from .network import Gradients, NetworkParams
 
 
 def _zeros_like_params(p: NetworkParams):
-    return {
-        "W": np.zeros_like(p.W),
-        "b": np.zeros_like(p.b),
-        "V": np.zeros_like(p.V),
-        "c": np.zeros_like(p.c),
-    }
+    return {name: np.zeros_like(getattr(p, name)) for name in "WbVc"}
 
 
 def _pairs(p: NetworkParams, g: Gradients):
-    return (
-        ("W", p.W, g.dW),
-        ("b", p.b, g.db),
-        ("V", p.V, g.dV),
-        ("c", p.c, g.dc),
-    )
+    """(name, parameter, its gradient) for W, b, V and c."""
+    return tuple((name, getattr(p, name), getattr(g, "d" + name)) for name in "WbVc")
 
 
 def _check(p: NetworkParams, g: Gradients):

@@ -2,12 +2,12 @@
 lambda times the CMD between source and target hidden activations.
 
 The loop follows the stochastic update scheme: forward both domains,
-accumulate analytic gradients of loss + lambda*cmd, and apply the chosen
-optimizer.  Stopping is a fixed epoch budget.  Runs are deterministic
-functions of the config: initialization and every per-epoch shuffle come
-from streams derived from the config seed, and with lambda = 0 the CMD
-gradient path is skipped entirely, so a lambda = 0 run is bitwise equal
-to a plain cross-entropy trainer.
+take the analytic gradients of loss + lambda*cmd (step_gradients), and
+apply the chosen optimizer.  Stopping is a fixed epoch budget.  Runs are
+deterministic functions of the config: initialization and every
+per-epoch shuffle come from streams derived from the config seed, and
+with lambda = 0 the CMD gradient path is skipped entirely, so a
+lambda = 0 run is bitwise equal to a plain cross-entropy trainer.
 
 The warm-start protocol trains the shallow (lambda = 0) network for the
 full budget, snapshots its weights at a fraction of the epochs, and
@@ -25,11 +25,14 @@ import numpy as np
 
 from .distances import CmdConfig, cmd_estimate
 from .network import (
+    Gradients,
     NetworkParams,
-    cmd_gradients,
+    backprop_hidden,
+    cmd_cotangents,
     cross_entropy_loss,
     forward,
     init_params,
+    loss_cotangent,
     loss_gradients,
 )
 from .numerics import SeededRng, check_json_types, n_cols, n_rows, take_rows
@@ -41,6 +44,7 @@ __all__ = [
     "TrainResult",
     "WarmStartResult",
     "objective",
+    "step_gradients",
     "train",
     "warm_start_train",
     "evaluate",
@@ -169,6 +173,20 @@ def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
     return accuracy, disagreement
 
 
+def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
+                   trace_s, trace_t=None) -> Gradients:
+    """Gradients of loss(Xs, Ys) + lam * cmd(h0(Xs), h0(Xt)) from the domains'
+    forward traces (trace_t is read only when lam != 0).  The CMD cotangent
+    joins the loss's on the source side: one backprop per domain."""
+    if lam == 0.0:
+        return loss_gradients(p, Xs, Ys, trace_s)
+    cotangent, dV, dc = loss_cotangent(p, trace_s, Ys)
+    g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg)
+    dW, db = backprop_hidden(Xs, trace_s.hidden, cotangent + lam * g_s)
+    dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, lam * g_t)
+    return Gradients(dW + dW_t, db + db_t, dV, dc)
+
+
 def _epoch_perms(seed: int, epoch: int, ns: int, nt: int):
     rng = SeededRng(seed).split(epoch + 1)
     return rng.permutation(ns), rng.permutation(nt)
@@ -230,19 +248,14 @@ def train(
 
         for Xbs, Ybs, Xbt in batches:
             trace_s, trace_t = record_traces or (forward(p, Xbs), None)
-            grads = loss_gradients(p, Xbs, Ybs, trace_s)
             if cfg.lam != 0.0:
                 trace_t = trace_t or forward(p, Xbt)
-                grads.add_scaled(
-                    cmd_gradients(p, Xbs, Xbt, cmd_cfg, trace_s, trace_t), cfg.lam
-                )
+            grads = step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t)
             if not grads.all_finite():
                 diverged = True
                 break
             optimizer.step(p, grads)
-            if not all(
-                np.all(np.isfinite(a)) for a in (p.W, p.b, p.V, p.c)
-            ):
+            if not all(np.all(np.isfinite(a)) for a in (p.W, p.b, p.V, p.c)):
                 diverged = True
                 break
         if diverged:

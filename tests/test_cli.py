@@ -334,11 +334,36 @@ def test_train_rejects_schema_invalid_settings_before_loading(tmp_path, capsys, 
     ({"train": {"lambda": "1"}}, "lambda must be a number, got '1'"),
     ({"train": {"optimizer": "sgd", "alpha": False}}, "alpha must be a number, got False"),
     ({"artificial": {"target_seed": 1.5}}, "target_seed must be an integer, got 1.5"),
+    ({"artificial": {"shift": [None, 0]}}, "shift must be a list of numbers, got [None, 0]"),
+    ({"artificial": {"spread": "0.3"}},
+     "spread must be a number or a list of numbers, got '0.3'"),
+    ({"artificial": {"centers": 5}}, "centers must be a list of lists of numbers, got 5"),
 ], ids=["epochs-string", "total-string", "hidden-float", "epochs-bool", "lambda-string",
-        "alpha-bool", "target-seed-float"])
+        "alpha-bool", "target-seed-float", "shift-null-element", "spread-string",
+        "centers-number"])
 def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
     doc = dict(doc, out=str(tmp_path / "out"))
     code, out, err = run(capsys, "train", "--config", write_config(tmp_path, doc))
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("train, message", [
+    ({"lambda": float("nan")}, "NaN is not a JSON number"),
+    ({"optimizer": "sgd", "alpha": float("nan")}, "NaN is not a JSON number"),
+    ({"warm_start_fraction": float("nan")}, "NaN is not a JSON number"),
+    ({"lambda": -float("inf")}, "lambda must be >= 0"),
+    ({"rho": float("inf")}, "rho must lie in [0, 1)"),
+], ids=["lambda-nan", "alpha-nan", "fraction-nan", "lambda--inf", "rho-inf"])
+def test_train_rejects_non_finite_json_constants(tmp_path, capsys, train, message):
+    # Python's json writes NaN and +-Infinity and reads them back. NaN fails
+    # at the loader, since it passes every bound; the bounds judge the infinities.
+    doc = dict(SMALL_RUN, train=dict(train, epochs=2), out=str(tmp_path / "out"))
+    path = write_config(tmp_path, doc)
+    text = pathlib.Path(path).read_text()
+    assert "NaN" in text or "Infinity" in text
+    code, out, err = run(capsys, "train", "--config", path)
     assert code == 2
     assert out == "" and err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()

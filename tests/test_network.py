@@ -54,6 +54,22 @@ def test_params_json_round_trip():
         assert np.array_equal(a, b)
     assert q.seed == p.seed
 
+    # a W the size of a sparse run's, with signed zeros, subnormals and
+    # full-mantissa values: every double must come back bit for bit
+    rng = SeededRng(10)
+    W = rng.normal_matrix(50, 5000) * np.exp(rng.normal_matrix(50, 5000) * 20.0)
+    W[0, :4] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3]
+    W[1, :3] = [np.nextafter(1.0, 2.0), 1.0 / 3.0, -np.pi * 1e300]
+    big = NetworkParams(W, rng.normal_matrix(1, 50)[0], rng.normal_matrix(2, 50), [0.1, -0.0])
+    text = big.to_json()
+    back = NetworkParams.from_json(text)
+    for a, b in [(big.W, back.W), (big.b, back.b), (big.V, back.V), (big.c, back.c)]:
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    doc = json.loads(text)
+    doc["shapes"]["input"] = 4999
+    with pytest.raises(ValueError):
+        NetworkParams.from_json(json.dumps(doc))
+
 
 def test_params_from_json_rejects_bad_shapes():
     doc = json.loads(tiny_params().to_json())
@@ -186,6 +202,82 @@ def test_cmd_gradients_zero_on_identical_activations():
     X = SeededRng(11).normal_matrix(5, 2)
     g = cmd_gradients(p, X, X, CmdConfig())
     assert np.all(g.dW == 0.0) and np.all(g.db == 0.0)
+
+
+def per_order_cmd_gradients(p, Xs, Xt, cfg):
+    """The CMD gradient as per-order expectations over dense inputs, with
+    q = h0 (1 - h0): the mean's gradients are E[q] and E[q x], and for j >= 2
+    dc_j/db = j (E[D^{j-1} q] - E[D^{j-1}] E[q]) and
+    dc_j/dW = j (E[D^{j-1} q x] - E[D^{j-1}] E[q x])."""
+    sides = []
+    for X in (Xs, Xt):
+        A = forward(p, X).hidden
+        D = A - A.mean(axis=0)
+        powers = [np.ones_like(A)]  # D^0..D^k as running products
+        for _ in range(cfg.k):
+            powers.append(powers[-1] * D)
+        sides.append((X, A, A * (1.0 - A), powers))
+    dW, db = np.zeros_like(p.W), np.zeros_like(p.b)
+    for j in range(1, cfg.k + 1):
+        c = [A.mean(axis=0) if j == 1 else P[j].mean(axis=0) for _, A, _, P in sides]
+        nrm = np.linalg.norm(c[0] - c[1])
+        if nrm < 1e-12:
+            continue
+        u = cfg.weight(j) * (c[0] - c[1]) / nrm
+        for sign, (X, _, q, P) in zip((1.0, -1.0), sides):
+            gb, gw = q.mean(axis=0), q.T @ X / X.shape[0]
+            if j > 1:
+                prev = P[j - 1]
+                gb = j * ((prev * q).mean(axis=0) - prev.mean(axis=0) * gb)
+                gw = j * ((prev * q).T @ X / X.shape[0] - prev.mean(axis=0)[:, None] * gw)
+            db += sign * u * gb
+            dW += sign * u[:, None] * gw
+    return dW, db
+
+
+def sparse_copy(X):
+    return SparseRowMatrix.from_rows([[(i, v) for i, v in enumerate(row) if v] for row in X],
+                                     X.shape[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 6), st.integers(2, 9), st.integers(2, 9),
+       st.booleans(), st.booleans())
+def test_cmd_gradients_match_per_order_expectations(seed, k, ns, nt, sparse, unit):
+    # cotangent plus one backprop per domain against the per-order formula,
+    # with unequal sample sizes and, unless unit, non-unit weights
+    rng = SeededRng(seed)
+    p = init_params(4, 3, 2, rng)
+    p.b[:] = rng.normal_matrix(1, 3)[0]
+    Xs = rng.normal_matrix(ns, 4) * 1.5
+    Xt = rng.normal_matrix(nt, 4) * 0.7 + 0.3
+    Xs[rng.uniform_matrix(ns, 4) < 0.3] = 0.0
+    Xt[rng.uniform_matrix(nt, 4) < 0.3] = 0.0
+    cfg = CmdConfig(k=k) if unit else CmdConfig(k=k, weights=list(rng.uniforms(k) * 3.0 + 0.1))
+    want_W, want_b = per_order_cmd_gradients(p, Xs, Xt, cfg)
+    args = (sparse_copy(Xs), sparse_copy(Xt)) if sparse else (Xs, Xt)
+    got = cmd_gradients(p, *args, cfg)
+    scale = max(np.abs(want_W).max(), np.abs(want_b).max())
+    assert np.all(np.abs(got.dW - want_W) <= 1e-12 * scale)
+    assert np.all(np.abs(got.db - want_b) <= 1e-12 * scale)
+    assert np.all(got.dV == 0.0) and np.all(got.dc == 0.0)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_cmd_gradients_skip_zero_norm_orders(sparse):
+    # b = 0 and Xt = -Xs give At = 1 - As: the even central moments agree
+    # to rounding, so their terms have zero subgradient, and the odd ones do not
+    p = init_params(3, 4, 2, SeededRng(12))
+    Xs = SeededRng(13).normal_matrix(7, 3)
+    Xt = -Xs
+    cfg = CmdConfig(k=6, weights=[1.0, 2.0, 0.5, 3.0, 1.5, 4.0])
+    want_W, want_b = per_order_cmd_gradients(p, Xs, Xt, cfg)
+    args = (sparse_copy(Xs), sparse_copy(Xt)) if sparse else (Xs, Xt)
+    got = cmd_gradients(p, *args, cfg)
+    scale = max(np.abs(want_W).max(), np.abs(want_b).max())
+    assert scale > 0.0
+    assert np.all(np.abs(got.dW - want_W) <= 1e-12 * scale)
+    assert np.all(np.abs(got.db - want_b) <= 1e-12 * scale)
 
 
 def test_finite_difference_check_validation():

@@ -96,6 +96,26 @@ def test_artificial_spec_instances(validators):
         v.validate({"blobs": 3})
 
 
+SCHEMA_INVALID_ARTIFICIAL_BLOCKS = [
+    ({"shift": [None, 0]}, "shift"),
+    ({"shift": ["0.1", 0]}, "shift"),
+    ({"spread": "0.3"}, "spread"),
+    ({"spread": None}, "spread"),
+    ({"spread": [0.1, True, 0.3]}, "spread"),
+    ({"centers": 5}, "centers"),
+    ({"centers": [[0, 0], [1, None], [2, 1]]}, "centers"),
+]
+
+
+@pytest.mark.parametrize("block, key", SCHEMA_INVALID_ARTIFICIAL_BLOCKS,
+                         ids=lambda b: json.dumps(b))
+def test_schema_invalid_artificial_block_is_rejected_by_spec(validators, block, key):
+    with pytest.raises(jsonschema.ValidationError):
+        validators["artificial-spec"].validate(block)
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        ArtificialSpec.from_dict(block)
+
+
 def test_run_config_instances(validators):
     v = validators["run-config"]
     v.validate({

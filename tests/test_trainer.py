@@ -19,6 +19,7 @@ from momentalign.trainer import (
     TrainConfig,
     evaluate,
     objective,
+    step_gradients,
     train,
     warm_start_train,
     write_metrics_csv,
@@ -79,14 +80,8 @@ def test_full_batch_train_equals_fresh_forward_loop(seed, lam):
     p = init_params(Xs.shape[1], 5, 3, SeededRng(seed))
     opt = Adadelta(rho=cfg.rho, eps=1e-6)
     for _ in range(cfg.epochs):
-        trace_s = forward(p, Xs)
-        grads = loss_gradients(p, Xs, Ys, trace_s)
-        if lam != 0.0:
-            trace_t = forward(p, Xt)
-            grads.add_scaled(
-                cmd_gradients(p, Xs, Xt, CmdConfig(k=cfg.k), trace_s, trace_t), lam
-            )
-        opt.step(p, grads)
+        trace_s, trace_t = forward(p, Xs), forward(p, Xt)
+        opt.step(p, step_gradients(p, Xs, Ys, Xt, lam, CmdConfig(k=cfg.k), trace_s, trace_t))
     assert params_equal(res.params, p)
     last = res.records[-1]
     trace_s, trace_t = forward(p, Xs), forward(p, Xt)
@@ -280,3 +275,51 @@ def test_sparse_minibatch_train_bitwise_equals_add_at_products():
     assert not res.diverged and len(res.records) == 2
     assert res.params.to_json() == ref.params.to_json()
     assert repr(res.records) == repr(ref.records)  # repr tells -0.0 from 0.0
+
+
+def gradients_close(got, want, rel=1e-12):
+    scale = max(np.abs(a).max() for a in (want.dW, want.db, want.dV, want.dc))
+    return all(np.all(np.abs(g - w) <= rel * scale) for g, w in (
+        (got.dW, want.dW), (got.db, want.db), (got.dV, want.dV), (got.dc, want.dc)))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 2.0])
+def test_step_gradients_is_loss_plus_lambda_cmd(sparse, lam):
+    if sparse:
+        Xs, Ys, Xt = sparse_pair(seed=2, rows=12)
+        p = init_params(Xs.cols, 5, 2, SeededRng(3))
+        Xt = Xt.take_rows(np.arange(9))  # unequal sample sizes
+    else:
+        Xs, Ys, Xt, _ = small_problem(total=45, seed=2)
+        p = init_params(Xs.shape[1], 5, 3, SeededRng(3))
+        Xt = Xt[:11]
+    cmd_cfg = CmdConfig(k=4, weights=[1.0, 0.5, 2.0, 1.5])
+    trace_s, trace_t = forward(p, Xs), forward(p, Xt)
+    got = step_gradients(p, Xs, Ys, Xt, lam, cmd_cfg, trace_s, trace_t)
+    want = loss_gradients(p, Xs, Ys, trace_s)
+    if lam == 0.0:
+        assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in (
+            (got.dW, want.dW), (got.db, want.db), (got.dV, want.dV), (got.dc, want.dc)))
+    else:
+        want.add_scaled(cmd_gradients(p, Xs, Xt, cmd_cfg, trace_s, trace_t), lam)
+        assert gradients_close(got, want)
+
+
+@pytest.mark.parametrize("lam, per_step", [(0.0, 1), (1.0, 2)])
+def test_sparse_minibatch_step_makes_one_input_product_per_domain(lam, per_step):
+    Xs, Ys, Xt = sparse_pair()
+    cfg = TrainConfig(hidden=6, lam=lam, epochs=2, batch_size=8, seed=4)
+    calls = []
+    t_dot = SparseRowMatrix.t_dot_dense
+
+    def counting_t_dot(S, D):
+        calls.append(S.rows)
+        return t_dot(S, D)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SparseRowMatrix, "t_dot_dense", counting_t_dot)
+        res = train(Xs, Ys, Xt, cfg)
+    steps = cfg.epochs * 40 // cfg.batch_size
+    assert not res.diverged
+    assert calls == [cfg.batch_size] * (per_step * steps)
