@@ -112,6 +112,9 @@ class ArtificialSpec:
             self.spread = tuple(float(s) for s in self.spread)
             if len(self.spread) != self.classes:
                 raise ValueError("need one spread per class")
+        for name in ("rotation_deg", "shift", "centers", "spread"):  # JSON reads Infinity
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         spreads = self.spread if isinstance(self.spread, tuple) else (self.spread,)
         if any(s <= 0 for s in spreads):
             raise ValueError("spread must be positive")

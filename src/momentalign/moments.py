@@ -68,16 +68,17 @@ def _degree_step(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _running_monomials(X: np.ndarray, k: int, mode: str):
-    """Yield the degree-j monomial matrices of X for j = 2..k as running
-    products (x^3 = x*x*x, never a generic pow).  Marginal mode reuses one
-    array in place, so a consumer must read each matrix before the next."""
+    """Yield the degree-j monomial matrices of X, shape (..., n, m), for
+    j = 2..k as running products (x^3 = x*x*x, never a generic pow).
+    Marginal mode reuses one array in place, so a consumer must read each
+    matrix before the next."""
     M = X
     for j in range(2, k + 1):
         if mode == MARGINAL:
             M = X * X if j == 2 else np.multiply(M, X, out=M)
         else:
-            parent, var = _degree_step(X.shape[1], j)
-            M = M[:, parent] * X[:, var]
+            parent, var = _degree_step(X.shape[-1], j)
+            M = M[..., parent] * X[..., var]
         yield M
 
 
@@ -108,19 +109,29 @@ class CentralMomentVector:
         return self.orders[j - 1]
 
 
+def _stacked_central_moments(S: np.ndarray, k: int, mode: str) -> list:
+    """c_1..c_k of every sample in a stack S of shape (g, n, m) at once;
+    orders[j-1] has shape (g, n_monomials).  Each sample's moments are bit
+    for bit those of the sample on its own, since every reduction runs over
+    the rows of one sample (axis -2) in the same order."""
+    c1 = S.mean(axis=-2)
+    orders = [c1]
+    orders.extend(M.mean(axis=-2) for M in _running_monomials(S - c1[:, None, :], k, mode))
+    return orders
+
+
 def central_moments(features, k: int, mode: str = MARGINAL) -> CentralMomentVector:
     """Empirical central moment vector c_1..c_k of a sample.
 
-    c_1 is the sample mean; c_j = mean over rows of nu^(j)(x - c_1).
+    c_1 is the sample mean; c_j = mean over rows of nu^(j)(x - c_1).  This
+    is the one-sample case of the stacked kernel that the prop-bound
+    verifier runs on whole groups of equally shaped samples.
     """
     _check_mode(mode)
     if k < 1:
         raise ValueError("k must be >= 1")
     X = as_sample(features)
-    c1 = X.mean(axis=0)
-    orders = [c1]
-    orders.extend(M.mean(axis=0) for M in _running_monomials(X - c1, k, mode))
-    return CentralMomentVector(k, mode, orders)
+    return CentralMomentVector(k, mode, [c[0] for c in _stacked_central_moments(X[None], k, mode)])
 
 
 # ---------------------------------------------------------------------------

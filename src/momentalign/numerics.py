@@ -12,32 +12,40 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = float(2.0 ** -53)
 
 
-def _mix64(z):
-    """SplitMix64 finalizer. Operates on uint64 scalars or arrays; all
-    arithmetic wraps modulo 2^64 (numpy unsigned semantics)."""
-    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+def stream_words(seeds, counters) -> np.ndarray:
+    """Word number ``counters`` (1-based) of the SplitMix64 streams seeded by
+    ``seeds``, broadcast together: mix64(seed + counter * gamma), all
+    arithmetic wrapping modulo 2^64.  This one function defines every
+    stream :class:`SeededRng` produces."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(seeds, dtype=np.uint64) + _GAMMA * np.asarray(counters, dtype=np.uint64)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
     return z
+
+
+def word_uniforms(words) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each word."""
+    return (words >> np.uint64(11)).astype(np.float64) * _INV53
 
 
 class SeededRng:
     """Counter-based SplitMix64 stream.
 
     The i-th raw 64-bit word of the stream is mix64(seed + (i+1)*gamma)
-    with gamma = 0x9E3779B97F4A7C15 and mix64 the SplitMix64 finalizer.
-    Because words are indexed rather than iterated, any block can be
-    produced vectorized and the stream is identical across platforms.
+    with gamma = 0x9E3779B97F4A7C15 and mix64 the SplitMix64 finalizer
+    (see :func:`stream_words`).  Because words are indexed rather than
+    iterated, any block can be produced vectorized and the stream is
+    identical across platforms.
     """
 
     def __init__(self, seed: int):
@@ -47,12 +55,11 @@ class SeededRng:
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        with np.errstate(over="ignore"):
-            return _mix64(np.uint64(self.seed) + _GAMMA * idx)
+        return stream_words(self.seed, idx)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), using the top 53 bits of each word."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV53
+        return word_uniforms(self._raw(n))
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.uniforms(rows * cols).reshape(rows, cols)
@@ -82,11 +89,11 @@ class SeededRng:
     def split(self, salt: int) -> "SeededRng":
         """Derive an independent child stream. Children with different
         salts never share words with each other or with the parent."""
-        with np.errstate(over="ignore"):
-            child = _mix64(
-                (np.uint64(self.seed) ^ _MIX2) + _GAMMA * np.uint64(int(salt) + 1)
-            )
-        return SeededRng(int(child))
+        return SeededRng(int(self.split_seeds(salt)))
+
+    def split_seeds(self, salts) -> np.ndarray:
+        """The seed of split(salt) for each of an array of salts."""
+        return stream_words(self.seed ^ int(_MIX2), np.asarray(salts, dtype=np.uint64) + np.uint64(1))
 
 
 class SparseRowMatrix:

@@ -22,9 +22,9 @@ from .distances import (
     mmd_polynomial_analytic,
     raw_moment_ipm,
 )
-from .moments import FULL, MARGINAL, AffineBeta, Normal, central_moments
+from .moments import FULL, MARGINAL, AffineBeta, Normal, _stacked_central_moments
 from .network import finite_difference_check, init_params
-from .numerics import SeededRng
+from .numerics import SeededRng, stream_words, word_uniforms
 
 __all__ = [
     "SOURCE",
@@ -44,6 +44,11 @@ __all__ = [
 SOURCE = AffineBeta(0.4, 0.4, 0.8, 0.1)
 LEFT = Normal(0.5, 0.27)
 RIGHT = AffineBeta(0.4, 0.4, 0.8, 0.12)
+
+
+def _check_cases(cases: int) -> None:
+    if cases < 1:
+        raise ValueError("cases must be >= 1")
 
 
 def check_appendix_a() -> list:
@@ -80,6 +85,7 @@ def check_gradients(seed: int = 0, cases: int = 20) -> list:
     """Analytic loss and alignment gradients against central finite
     differences on small random networks; passes below 1e-5 relative
     error in every coordinate."""
+    _check_cases(cases)
     out = []
     ks = (1, 3, 5)
     for i in range(cases):
@@ -101,34 +107,75 @@ def check_gradients(seed: int = 0, cases: int = 20) -> list:
     return out
 
 
+# the case classes i % 4 whose X or Y sample check_prop_bound reshapes
+_CLUMP_X = {1: lambda X: X ** 2, 3: np.round}  # clump toward 0; two-point mass on {0, 1}
+_CLUMP_Y = {2: np.sqrt}  # clump toward 1
+
+
+def _grouped_moments(seeds, rows, first_word, m, classes, clump):
+    """Yield (sel, c) per row count: c holds c_1..c_7 of the samples sel,
+    sample i drawn as rows[i] x m uniforms from word first_word[i] on of
+    stream seeds[i], and reshaped by clump[r] when classes[i] == r.  The
+    samples of one row count go through the stacked moment kernel together."""
+    for n in np.flatnonzero(np.bincount(rows)):  # np.unique would import numpy.ma
+        sel = np.flatnonzero(rows == n)
+        words = stream_words(seeds[sel, None], first_word[sel, None] + np.arange(n * m))
+        S = word_uniforms(words).reshape(len(sel), n, m)
+        for r, f in clump.items():
+            hit = classes[sel] == r
+            S[hit] = f(S[hit])
+        yield sel, _stacked_central_moments(S, 7, MARGINAL)
+
+
+def _block_norms(child, n1, n2, idx, m) -> np.ndarray:
+    """||c_j(X) - c_j(Y)||_2 for j = 1..7, shape (7, len(idx)), of the
+    prop-bound cases idx, all of width m."""
+    seeds, classes = child[idx], idx % 4
+    d = np.empty((7, len(idx), m))  # c_j(X) - c_j(Y)
+    for sel, c in _grouped_moments(seeds, n1[idx], np.full(len(idx), 3), m, classes, _CLUMP_X):
+        d[:, sel] = c
+    for sel, c in _grouped_moments(seeds, n2[idx], 3 + n1[idx] * m, m, classes, _CLUMP_Y):
+        d[:, sel] -= c
+    return np.sqrt(np.vecdot(d, d))  # bit for bit np.linalg.norm of each row
+
+
+def _block_worst(child, n1, n2, idx, m, bounds) -> list:
+    """Per order j = 1..7, the worst (slack, case, lhs, rhs) among the
+    prop-bound cases idx, all of width m; the first case on a tie."""
+    lhs = _block_norms(child, n1, n2, idx, m)
+    rhs = math.sqrt(m) * bounds
+    slack = rhs[:, None] - lhs
+    return [(slack[j, w], idx[w], lhs[j, w], rhs[j]) for j, w in enumerate(np.argmin(slack, axis=1))]
+
+
+def _worst_cases(seed: int, cases: int) -> list:
+    """Per order j = 1..7, the (slack, case, lhs, rhs) of the prop-bound
+    case with the least slack, the first such case on a tie."""
+    case = np.arange(cases)
+    child = SeededRng(seed).split_seeds(case + 1)
+    n1, n2 = 2 + (word_uniforms(stream_words(child[:, None], [1, 2])) * 29).astype(np.int64).T
+    bounds = np.array([prop1_bound(j) for j in range(1, 8)])
+    blocks = [_block_worst(child, n1, n2, np.flatnonzero(case % 3 == m - 1), m, bounds)
+              for m in range(1, min(cases, 3) + 1)]
+    return list(map(min, zip(*blocks)))
+
+
 def check_prop_bound(seed: int = 0, cases: int = 10000) -> list:
     """Order-j moment distance ceilings over random pairs on [0,1]^m,
-    j = 1..7; reports the worst slack per order."""
-    rng = SeededRng(seed)
-    worst = {j: None for j in range(1, 8)}
-    for i in range(cases):
-        r = rng.split(i + 1)
-        m = 1 + i % 3
-        n1 = 2 + int(r.uniforms(1)[0] * 29)
-        n2 = 2 + int(r.uniforms(1)[0] * 29)
-        X = r.uniform_matrix(n1, m)
-        Y = r.uniform_matrix(n2, m)
-        if i % 4 == 1:
-            X = X ** 2  # clump toward 0
-        elif i % 4 == 2:
-            Y = np.sqrt(Y)  # clump toward 1
-        elif i % 4 == 3:
-            X = np.round(X)  # two-point mass on {0, 1}
-        cx = central_moments(X, 7)
-        cy = central_moments(Y, 7)
-        for j in range(1, 8):
-            lhs = float(np.linalg.norm(cx[j] - cy[j]))
-            rhs = math.sqrt(m) * prop1_bound(j)
-            if worst[j] is None or rhs - lhs < worst[j][1] - worst[j][0]:
-                worst[j] = (lhs, rhs)
+    j = 1..7; reports the worst slack per order.
+
+    Case i draws from SeededRng(seed).split(i + 1): its first two uniforms
+    give the row counts n1, n2 in 2..30, the next n1 * m the rows of X and
+    the n2 * m after them the rows of Y, with m = 1 + i % 3; i % 4 picks
+    how the pair is clumped.  All cases run in one batched pass, one block
+    per m: the draws are indexed straight into each case's stream, and the
+    samples of one row count share a stacked moment call.  Among equal
+    worst slacks the lowest case index wins.
+    """
+    _check_cases(cases)
     return [
-        BoundCheck.of(f"moment-bound j={j} worst of {cases} pairs", worst[j][0], worst[j][1], 1e-12)
-        for j in range(1, 8)
+        BoundCheck.of(f"moment-bound j={j} worst of {cases} pairs", lhs, rhs, 1e-12)
+        for j, (_, _, lhs, rhs) in zip(range(1, 8), _worst_cases(seed, cases))
     ]
 
 
@@ -150,6 +197,7 @@ def _boxed_pair(r: SeededRng, n1: int, n2: int):
 def check_char_fct(seed: int = 0, cases: int = 50) -> list:
     """Characteristic-function bound on random zero-mean scalar pairs,
     k cycling through 1, 3, 5."""
+    _check_cases(cases)
     out = []
     ks = (1, 3, 5)
     for i in range(cases):
@@ -166,6 +214,7 @@ def check_char_fct(seed: int = 0, cases: int = 50) -> list:
 def check_dual_form(seed: int = 0, cases: int = 20) -> list:
     """Closed form vs sampled variational form: exact for one feature,
     one-sided above it."""
+    _check_cases(cases)
     out = []
     for i in range(cases):
         r = SeededRng(seed).split(i + 1)

@@ -349,17 +349,26 @@ def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("train, message", [
-    ({"lambda": float("nan")}, "NaN is not a JSON number"),
-    ({"optimizer": "sgd", "alpha": float("nan")}, "NaN is not a JSON number"),
-    ({"warm_start_fraction": float("nan")}, "NaN is not a JSON number"),
-    ({"lambda": -float("inf")}, "lambda must be >= 0"),
-    ({"rho": float("inf")}, "rho must lie in [0, 1)"),
-], ids=["lambda-nan", "alpha-nan", "fraction-nan", "lambda--inf", "rho-inf"])
-def test_train_rejects_non_finite_json_constants(tmp_path, capsys, train, message):
+@pytest.mark.parametrize("train, artificial, message", [
+    ({"lambda": float("nan")}, {}, "NaN is not a JSON number"),
+    ({"optimizer": "sgd", "alpha": float("nan")}, {}, "NaN is not a JSON number"),
+    ({"warm_start_fraction": float("nan")}, {}, "NaN is not a JSON number"),
+    ({"lambda": -float("inf")}, {}, "lambda must be >= 0"),
+    ({"rho": float("inf")}, {}, "rho must lie in [0, 1)"),
+    ({}, {"shift": [float("inf"), 0]}, "shift must be finite, got (inf, 0.0)"),
+    ({}, {"rotation_deg": float("inf")}, "rotation_deg must be finite, got inf"),
+    ({}, {"spread": float("inf")}, "spread must be finite, got inf"),
+    ({}, {"spread": [0.2, -float("inf"), 0.3]}, "spread must be finite, got (0.2, -inf, 0.3)"),
+    ({}, {"centers": [[0, 0], [1, float("inf")], [2, 1]]},
+     "centers must be finite, got ((0.0, 0.0), (1.0, inf), (2.0, 1.0))"),
+], ids=["lambda-nan", "alpha-nan", "fraction-nan", "lambda--inf", "rho-inf", "shift-inf",
+        "rotation-inf", "spread-inf", "spread-list-inf", "centers-inf"])
+def test_train_rejects_non_finite_json_constants(tmp_path, capsys, train, artificial, message):
     # Python's json writes NaN and +-Infinity and reads them back. NaN fails
-    # at the loader, since it passes every bound; the bounds judge the infinities.
+    # at the loader, since it passes every bound; the bounds judge the
+    # infinities, and the artificial data must be finite.
     doc = dict(SMALL_RUN, train=dict(train, epochs=2), out=str(tmp_path / "out"))
+    doc["artificial"] = dict(doc["artificial"], **artificial)
     path = write_config(tmp_path, doc)
     text = pathlib.Path(path).read_text()
     assert "NaN" in text or "Infinity" in text
@@ -447,6 +456,13 @@ def test_check_char_fct_small(capsys):
 def test_check_dual_form_small(capsys):
     code, out, _ = run(capsys, "check", "dual-form", "--cases", "6")
     assert code == 0
+
+
+@pytest.mark.parametrize("suite", ["gradients", "prop-bound", "char-fct", "dual-form"])
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_check_rejects_fewer_than_one_case(capsys, suite, cases):
+    # zero cases would be a green verdict over nothing
+    assert run(capsys, "check", suite, "--cases", cases) == (2, "", "error: cases must be >= 1\n")
 
 
 def test_check_unknown_suite(capsys):

@@ -49,6 +49,22 @@ def test_spec_validation():
     assert spec.spread == (0.1, 0.2, 0.3)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("shift", (0.1, float("inf"))),
+    ("shift", (-float("inf"), 0.0)),
+    ("rotation_deg", float("inf")),
+    ("rotation_deg", -float("inf")),
+    ("spread", float("inf")),
+    ("spread", (0.1, float("inf"), 0.3)),
+    ("centers", ((0.0, 0.0), (1.0, 1.0), (-float("inf"), 0.0))),
+])
+def test_spec_rejects_non_finite_values(key, value):
+    # an infinite shift or rotation made non-finite target data, which
+    # trained to a false "diverged" or failed with a bare math domain error
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        ArtificialSpec.from_dict({key: value})
+
+
 def test_spec_dict_round_trip():
     spec = ArtificialSpec(total=100, rotation_deg=10.0, shift=(1.0, 2.0), seed=4)
     assert ArtificialSpec.from_dict(spec.to_dict()) == spec

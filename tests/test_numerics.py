@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentalign.numerics import SeededRng, SparseRowMatrix
+from momentalign.numerics import SeededRng, SparseRowMatrix, stream_words, word_uniforms
 
 
 def test_same_seed_same_stream():
@@ -63,6 +63,35 @@ def test_split_streams_are_independent():
     assert not np.array_equal(a, c)
     # same salt reproduces the same child
     assert np.array_equal(a, SeededRng(123).split(1).uniforms(20))
+
+
+def test_stream_words_are_splitmix64():
+    # the first outputs of the reference SplitMix64 generator seeded with 0
+    words = stream_words(0, np.arange(1, 4))
+    assert words.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert np.array_equal(SeededRng(0).uniforms(3), word_uniforms(words))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
+    st.integers(0, 30),
+    st.integers(1, 6),
+    st.integers(1, 6),
+)
+def test_stream_words_index_split_streams(seed, salts, skip, rows, cols):
+    # word c of split(salt) is stream_words(split_seeds(salt), c): a block can
+    # be drawn for many child streams at once, at any offset
+    child = SeededRng(seed).split_seeds(salts)
+    assert child.tolist() == [SeededRng(seed).split(s).seed for s in salts]
+    counters = skip + 1 + np.arange(rows * cols)
+    block = word_uniforms(stream_words(child[:, None], counters))
+    for salt, drawn in zip(salts, block):
+        r = SeededRng(seed).split(salt)
+        r.uniforms(skip)
+        assert np.array_equal(drawn.reshape(rows, cols), r.uniform_matrix(rows, cols))
+        assert np.array_equal(drawn, SeededRng(seed).split(salt).uniforms(skip + rows * cols)[skip:])
 
 
 # ---------------------------------------------------------------------------

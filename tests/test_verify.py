@@ -1,5 +1,14 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import momentalign.verify as verify
+from momentalign.analysis import BoundCheck, prop1_bound
+from momentalign.moments import central_moments
+from momentalign.numerics import SeededRng
 from momentalign.verify import (
     CHECKS,
     check_appendix_a,
@@ -61,7 +70,86 @@ def test_prop_bound_suite_passes():
     rows = check_prop_bound(cases=300)
     assert len(rows) == 7
     assert all(r.passed for r in rows)
-    assert [f"j={j}" in r.name for j, r in zip(range(1, 8), rows)]
+    assert [r.name for r in rows] == [f"moment-bound j={j} worst of 300 pairs" for j in range(1, 8)]
+
+
+def per_case_pairs(seed, cases):
+    """The draws of the per-case loop check_prop_bound replaced: per case,
+    its width m and its pair X, Y, each drawn from one split stream."""
+    rng = SeededRng(seed)
+    for i in range(cases):
+        r = rng.split(i + 1)
+        m = 1 + i % 3
+        n1 = 2 + int(r.uniforms(1)[0] * 29)
+        n2 = 2 + int(r.uniforms(1)[0] * 29)
+        X = r.uniform_matrix(n1, m)
+        Y = r.uniform_matrix(n2, m)
+        if i % 4 == 1:
+            X = X ** 2  # clump toward 0
+        elif i % 4 == 2:
+            Y = np.sqrt(Y)  # clump toward 1
+        elif i % 4 == 3:
+            X = np.round(X)  # two-point mass on {0, 1}
+        yield m, X, Y
+
+
+def per_case_norms(X, Y):
+    cx = central_moments(X, 7)
+    cy = central_moments(Y, 7)
+    return [float(np.linalg.norm(cx[j] - cy[j])) for j in range(1, 8)]
+
+
+def prop_bound_per_case(seed, cases):
+    """The per-case loop check_prop_bound replaced, kept as its reference:
+    two central_moments calls per case and the first worst slack per order."""
+    worst = {j: None for j in range(1, 8)}
+    for m, X, Y in per_case_pairs(seed, cases):
+        for j, lhs in enumerate(per_case_norms(X, Y), start=1):
+            rhs = math.sqrt(m) * prop1_bound(j)
+            if worst[j] is None or rhs - lhs < worst[j][1] - worst[j][0]:
+                worst[j] = (lhs, rhs)
+    return [
+        BoundCheck.of(f"moment-bound j={j} worst of {cases} pairs", worst[j][0], worst[j][1], 1e-12)
+        for j in range(1, 8)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_prop_bound_norms_equal_per_case_norms(seed):
+    # every case's seven distances, not just the worst one reported
+    pairs = list(per_case_pairs(seed, 600))
+    child = SeededRng(seed).split_seeds(np.arange(1, 601))
+    n1, n2 = (np.array([len(pair[side]) for pair in pairs]) for side in (1, 2))
+    for m in (1, 2, 3):
+        idx = np.arange(m - 1, 600, 3)
+        lhs = verify._block_norms(child, n1, n2, idx, m)
+        assert lhs.T.tolist() == [per_case_norms(*pairs[i][1:]) for i in idx]
+
+
+# small case counts leave a width without cases or a row count with one sample
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.one_of(st.integers(1, 12), st.integers(13, 600)))
+def test_prop_bound_batched_equals_per_case_loop(seed, cases):
+    batched = check_prop_bound(seed=seed, cases=cases)
+    assert [r.to_dict() for r in batched] == [r.to_dict() for r in prop_bound_per_case(seed, cases)]
+
+
+@pytest.mark.parametrize("bound", [prop1_bound, lambda j: 0.0], ids=["bound", "zero-bound"])
+def test_prop_bound_ties_go_to_the_first_case(monkeypatch, bound):
+    # all-zero draws give every pair lhs 0: the pairs of width 1 tie on the
+    # least slack, and with a zero bound every pair ties, across widths too
+    monkeypatch.setattr(verify, "word_uniforms", lambda words: np.zeros(words.shape))
+    monkeypatch.setattr(verify, "prop1_bound", bound)
+    worst = verify._worst_cases(0, 30)
+    assert [case for _, case, _, _ in worst] == [0] * 7
+    assert all(lhs == 0.0 for _, _, lhs, _ in worst)
+
+
+@pytest.mark.parametrize("suite", ["gradients", "prop-bound", "char-fct", "dual-form"])
+@pytest.mark.parametrize("cases", [0, -3])
+def test_suites_reject_fewer_than_one_case(suite, cases):
+    with pytest.raises(ValueError, match=r"^cases must be >= 1$"):
+        CHECKS[suite](cases=cases)
 
 
 def test_char_fct_suite_passes():
