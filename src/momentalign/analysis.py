@@ -20,7 +20,7 @@ from .distances import CmdConfig, cmd_estimate
 from .moments import FULL, central_moments, monomial_matrix
 from .network import NetworkParams, forward
 from .numerics import SeededRng, as_sample_pair
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, train
 
 __all__ = [
     "KsResult",
@@ -263,10 +263,7 @@ def sensitivity_sweep(Xs, Ys, Xt, Yt, ks, lambdas, cfg: TrainConfig | None = Non
     for k in ks:
         for lam in lambdas:
             result = train(Xs, Ys, Xt, replace(cfg, k=k, lam=lam), Yt=Yt)
-            if result.diverged:
-                acc[(k, lam)] = float("nan")
-            else:
-                acc[(k, lam)] = evaluate(result.params, Xt, Yt)[0]
+            acc[(k, lam)] = float("nan") if result.diverged else result.records[-1].target_acc
 
     def k_mean(k):
         vals = [acc[(k, lam)] for lam in lambdas]

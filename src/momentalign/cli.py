@@ -33,13 +33,7 @@ from .distances import (
     raw_moment_ipm_estimate,
 )
 from .network import NetworkParams
-from .trainer import (
-    TrainConfig,
-    evaluate,
-    train,
-    warm_start_train,
-    write_metrics_csv,
-)
+from .trainer import TrainConfig, train, warm_start_train, write_metrics_csv
 from .verify import CHECKS
 
 USAGE_ERROR = 2
@@ -69,6 +63,22 @@ def _load_json(path):
         return json.load(fh, parse_constant=_parse_constant)
 
 
+def _out_path(doc: dict, default: str) -> str:
+    out = doc.get("out", default)
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"out must be a non-empty string, got {out!r}")
+    return out
+
+
+def _grid(doc: dict, key: str, kind, what: str, low) -> list:
+    """doc[key] as a sweep axis: a non-empty list of kind values >= low."""
+    values = doc.get(key)
+    if not (isinstance(values, list) and values and all(
+            isinstance(v, kind) and not isinstance(v, bool) and v >= low for v in values)):
+        raise ConfigError(f"{key} must be a non-empty list of {what}, got {values!r}")
+    return values
+
+
 def _load_sample(path, fmt: str) -> Sample:
     return load_sparse(path) if fmt == "sparse" else load_dense_csv(path)
 
@@ -86,8 +96,11 @@ class RunConfig:
         self.artificial = ArtificialSpec.from_dict(doc.get("artificial", {}))
         self.source = doc.get("source")
         self.target = doc.get("target")
+        for key in ("source", "target"):
+            if not isinstance(doc.get(key), (str, type(None))):
+                raise ConfigError(f"{key} must be a string or null, got {doc[key]!r}")
         self.format = doc.get("format", "dense")
-        self.out = doc.get("out", "run-out")
+        self.out = _out_path(doc, "run-out")
         if self.format not in ("dense", "sparse"):
             raise ConfigError(f"unknown format {self.format!r}")
         if (self.source is None) != (self.target is None):
@@ -190,15 +203,6 @@ def cmd_distance(args) -> int:
     return 0
 
 
-def _final_metrics(result, Xt, Yt):
-    if not result.records:
-        return None
-    out = dataclasses.asdict(result.records[-1])
-    if Yt is not None:
-        out["target_acc"] = evaluate(result.params, Xt, Yt)[0]
-    return out
-
-
 def cmd_train(args) -> int:
     cfg = RunConfig(_load_json(args.config))
     if args.lam is not None:
@@ -216,7 +220,7 @@ def cmd_train(args) -> int:
         "command": "train",
         "config": cfg.report_config(),
         "diverged": result.diverged,
-        "final": _final_metrics(result, tgt.features, tgt.labels),
+        "final": dataclasses.asdict(result.records[-1]) if result.records else None,
     }
     _write_json(os.path.join(cfg.out, "report.json"), report)
     return DIVERGED if result.diverged else 0
@@ -296,19 +300,15 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     run_doc = {k: doc[k] for k in _RUN_KEYS - {"out"} if k in doc}
     cfg = RunConfig(run_doc)
+    ks = _grid(doc, "ks", int, "integers >= 1", 1)
+    lambdas = _grid(doc, "lambdas", (int, float), "numbers >= 0", 0)
+    out = _out_path(doc, "sweep.csv")
     src, tgt = cfg.load_pair()
     if tgt.labels is None:
         raise ConfigError("sweep needs a labeled target sample")
-    cells = sensitivity_sweep(
-        src.features,
-        src.labels,
-        tgt.features,
-        tgt.labels,
-        doc.get("ks", []),
-        doc.get("lambdas", []),
-        cfg.train,
-    )
-    write_sweep_csv(cells, doc.get("out", "sweep.csv"))
+    cells = sensitivity_sweep(src.features, src.labels, tgt.features, tgt.labels,
+                              ks, lambdas, cfg.train)
+    write_sweep_csv(cells, out)
     return 0
 
 

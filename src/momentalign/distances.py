@@ -32,6 +32,8 @@ from .moments import (
 )
 from .numerics import as_sample_pair
 
+_NORM_EPS = 1e-12
+
 
 @dataclass
 class CmdConfig:
@@ -71,6 +73,41 @@ def cmd_estimate(src, tgt, cfg: CmdConfig | None = None) -> DistanceReport:
     for j in range(1, cfg.k + 1):
         terms.append(cfg.weight(j) * float(np.linalg.norm(cs[j] - ct[j])))
     return DistanceReport("cmd", math.fsum(terms), terms)
+
+
+def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig):
+    """(g_s, g_t): the gradient of the marginal cmd(As, At) with respect to
+    each activation row, times that side's row count.
+
+    With D = A - c_1 and u_j the unit vector along c_j(S) - c_j(T), the
+    order-j term a_j ||c_j(S) - c_j(T)|| contributes coef_j * (D^{j-1} -
+    mean D^{j-1}) with coef_j = j a_j u_j, and the opposite sign on the
+    target side.  So each side is the polynomial sum_j coef_j D^{j-1},
+    evaluated by Horner's rule, minus a constant built from the same
+    central moments the distance reports: mean D^{j-1} is c_{j-1} for
+    j >= 3 and mean(D) for j = 2.  A term whose moment gap has norm below
+    1e-12 gets the zero subgradient at the norm's minimum.
+    """
+    if cfg.mode != MARGINAL:
+        raise ValueError("cmd gradients are defined for marginal monomials only")
+    cs, ct = central_moments(As, cfg.k), central_moments(At, cfg.k)
+    coefs = []
+    for j in range(1, cfg.k + 1):
+        delta = cs[j] - ct[j]
+        nrm = float(np.linalg.norm(delta))
+        coefs.append(cfg.weight(j) * j * delta / nrm if nrm >= _NORM_EPS else np.zeros_like(delta))
+
+    def side(A, c, coefs):
+        D = A - c[1]
+        acc, const = np.zeros_like(D), coefs[0]
+        for j in range(cfg.k, 1, -1):
+            acc += coefs[j - 1]
+            acc *= D
+            const = const - coefs[j - 1] * (D.mean(axis=0) if j == 2 else c[j - 1])
+        acc += const
+        return acc
+
+    return side(As, cs, coefs), side(At, ct, [-u for u in coefs])
 
 
 def cmd_analytic(d1, d2, cfg: CmdConfig | None = None) -> DistanceReport:

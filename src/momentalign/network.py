@@ -8,19 +8,15 @@ CMD between source and target hidden activations with respect to W and b,
 which is what moment-alignment training adds to backpropagation.
 
 Both objectives are differentiated as a per-row cotangent on h0
-(loss_cotangent, cmd_cotangents), pushed through the sigmoid by one
-backprop_hidden per input matrix; a step on loss + lambda * CMD sums the
-source cotangents first, so it makes one input product per domain.
+(loss_cotangent here, distances.cmd_cotangents for the CMD), pushed
+through the sigmoid by one backprop_hidden per input matrix; a step on
+loss + lambda * CMD sums the source cotangents first, so it makes one
+input product per domain.
 
-Two deliberate deviations from naive transcription, both confirmed by the
-finite-difference oracle in this module:
-
-* In the loss gradients for V, b and W, the chain rule requires the
-  hidden activations h0 (as the transposed factor and inside the sigmoid
-  derivative h0*(1-h0)) rather than the network outputs.
-* Whenever a CMD term's moment difference has Euclidean norm below 1e-12,
-  that term's gradient contribution is defined as zero: a valid
-  subgradient at the non-differentiable minimum of the norm.
+In the loss gradients for V, b and W, the chain rule requires the hidden
+activations h0 (as the transposed factor and inside the sigmoid
+derivative h0*(1-h0)) rather than the network outputs, as the
+finite-difference oracle in this module confirms.
 """
 
 from __future__ import annotations
@@ -30,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import CmdConfig, cmd_estimate
-from .moments import MARGINAL
+from .distances import CmdConfig, cmd_cotangents, cmd_estimate
 from .numerics import SparseRowMatrix, n_cols
 
-_NORM_EPS = 1e-12
 _LOG_CLAMP = 1e-12
 
 
@@ -210,40 +204,6 @@ def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | Non
     cotangent, dV, dc = loss_cotangent(p, trace, Y)
     dW, db = backprop_hidden(X, trace.hidden, cotangent)
     return Gradients(dW, db, dV, dc)
-
-
-def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig):
-    """(g_s, g_t): the gradient of the marginal cmd(As, At) with respect to
-    each hidden activation row, times that side's row count.
-
-    With D the centered activations and u_j the unit vector along
-    c_j(S) - c_j(T), the order-j term a_j ||c_j(S) - c_j(T)|| contributes
-    a_1 u_1 at j = 1 and a_j j u_j * (D^{j-1} - mean(D^{j-1})) above, with
-    the opposite sign on the target side.  D^{j-1} are the running
-    products whose means are the c_j that cmd_estimate reports.
-    """
-    if cfg.mode != MARGINAL:
-        raise ValueError("cmd gradients are defined for marginal monomials only")
-    mean_s, mean_t = As.mean(axis=0), At.mean(axis=0)
-    g_s, g_t = np.zeros_like(As), np.zeros_like(At)
-    delta = mean_s - mean_t
-    nrm = float(np.linalg.norm(delta))
-    if nrm >= _NORM_EPS:
-        u = cfg.weight(1) * delta / nrm
-        g_s += u
-        g_t -= u
-    Ds, Dt = As - mean_s, At - mean_t
-    pow_s, pow_t = Ds, Dt  # D^(j-1)
-    for j in range(2, cfg.k + 1):
-        next_s, next_t = pow_s * Ds, pow_t * Dt  # D^j, whose means are c_j
-        delta = next_s.mean(axis=0) - next_t.mean(axis=0)
-        nrm = float(np.linalg.norm(delta))
-        if nrm >= _NORM_EPS:
-            u = cfg.weight(j) * j * delta / nrm
-            g_s += u * (pow_s - pow_s.mean(axis=0))
-            g_t -= u * (pow_t - pow_t.mean(axis=0))
-        pow_s, pow_t = next_s, next_t
-    return g_s, g_t
 
 
 def cmd_gradients(

@@ -116,11 +116,12 @@ class SparseRowMatrix:
         lengths = np.diff(self.indptr)
         if np.any(lengths < 0):
             raise ValueError(f"row {np.argmax(lengths < 0)}: indptr decreases")
-        row_ids = np.repeat(np.arange(self.rows), lengths)
+        # the row of each stored entry, kept for the products below
+        self.row_ids = np.repeat(np.arange(self.rows), lengths)
         bad = (self.indices < 0) | (self.indices >= self.cols)
-        bad[1:] |= (np.diff(self.indices) <= 0) & (row_ids[1:] == row_ids[:-1])
+        bad[1:] |= (np.diff(self.indices) <= 0) & (self.row_ids[1:] == self.row_ids[:-1])
         if np.any(bad):
-            r = row_ids[np.argmax(bad)]
+            r = self.row_ids[np.argmax(bad)]
             raise ValueError(f"row {r}: indices must be strictly increasing and < cols")
 
     @classmethod
@@ -142,8 +143,7 @@ class SparseRowMatrix:
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        row_ids = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        out[row_ids, self.indices] = self.data
+        out[self.row_ids, self.indices] = self.data
         return out
 
     def dot_dense(self, D: np.ndarray) -> np.ndarray:
@@ -151,16 +151,14 @@ class SparseRowMatrix:
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.cols:
             raise ValueError("dimension mismatch in sparse dot")
-        row_ids = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        return _scatter_sum(row_ids, self.rows, self.data[:, None] * D[self.indices])
+        return _scatter_sum(self.row_ids, self.rows, self.data[:, None] * D[self.indices])
 
     def t_dot_dense(self, D: np.ndarray) -> np.ndarray:
         """self.T @ D for dense D of shape (rows, k)."""
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.rows:
             raise ValueError("dimension mismatch in sparse t_dot")
-        row_ids = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        return _scatter_sum(self.indices, self.cols, self.data[:, None] * D[row_ids])
+        return _scatter_sum(self.indices, self.cols, self.data[:, None] * D[self.row_ids])
 
     def take_rows(self, idx) -> "SparseRowMatrix":
         idx = np.asarray(idx, dtype=np.int64)

@@ -23,12 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distances import CmdConfig, cmd_estimate
+from .distances import CmdConfig, cmd_cotangents, cmd_estimate
 from .network import (
     Gradients,
     NetworkParams,
     backprop_hidden,
-    cmd_cotangents,
     cross_entropy_loss,
     forward,
     init_params,

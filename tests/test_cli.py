@@ -338,11 +338,15 @@ def test_train_rejects_schema_invalid_settings_before_loading(tmp_path, capsys, 
     ({"artificial": {"spread": "0.3"}},
      "spread must be a number or a list of numbers, got '0.3'"),
     ({"artificial": {"centers": 5}}, "centers must be a list of lists of numbers, got 5"),
+    ({"out": 7}, "out must be a non-empty string, got 7"),
+    ({"out": ""}, "out must be a non-empty string, got ''"),
+    ({"source": 0, "target": 0}, "source must be a string or null, got 0"),
+    ({"source": "s.csv", "target": ["t.csv"]}, "target must be a string or null, got ['t.csv']"),
 ], ids=["epochs-string", "total-string", "hidden-float", "epochs-bool", "lambda-string",
         "alpha-bool", "target-seed-float", "shift-null-element", "spread-string",
-        "centers-number"])
+        "centers-number", "out-number", "out-empty", "source-number", "target-list"])
 def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
-    doc = dict(doc, out=str(tmp_path / "out"))
+    doc = {"out": str(tmp_path / "out"), **doc}
     code, out, err = run(capsys, "train", "--config", write_config(tmp_path, doc))
     assert code == 2
     assert out == "" and err == f"error: {message}\n"
@@ -543,6 +547,30 @@ def test_sweep_empty_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     code, _, err = run(capsys, "sweep", "--config", cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"ks": [5, 2.7]}, "ks must be a non-empty list of integers >= 1, got [5, 2.7]"),
+    ({"ks": [5, True]}, "ks must be a non-empty list of integers >= 1, got [5, True]"),
+    ({"ks": 5}, "ks must be a non-empty list of integers >= 1, got 5"),
+    ({"ks": [0]}, "ks must be a non-empty list of integers >= 1, got [0]"),
+    ({"ks": []}, "ks must be a non-empty list of integers >= 1, got []"),
+    ({"lambdas": [True]}, "lambdas must be a non-empty list of numbers >= 0, got [True]"),
+    ({"lambdas": ["1"]}, "lambdas must be a non-empty list of numbers >= 0, got ['1']"),
+    ({"lambdas": [1.0, -0.5]}, "lambdas must be a non-empty list of numbers >= 0, got [1.0, -0.5]"),
+    ({"out": 1}, "out must be a non-empty string, got 1"),
+    ({"out": ""}, "out must be a non-empty string, got ''"),
+    ({"source": 0}, "source must be a string or null, got 0"),
+], ids=["ks-float", "ks-bool", "ks-number", "ks-zero", "ks-empty", "lambdas-bool",
+        "lambdas-string", "lambdas-negative", "out-number", "out-empty", "source-number"])
+def test_sweep_rejects_wrong_json_types(tmp_path, capsys, doc, message):
+    # the data files do not exist: the config must fail first
+    doc = {"source": str(tmp_path / "missing-src.csv"), "target": str(tmp_path / "missing-tgt.csv"),
+           "ks": [5], "lambdas": [1.0], "out": str(tmp_path / "s.csv"), **doc}
+    code, out, err = run(capsys, "sweep", "--config", write_config(tmp_path, doc))
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_unknown_key(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from momentalign.distances import (
     CmdConfig,
     cmd_analytic,
+    cmd_cotangents,
     cmd_estimate,
     coral_distance,
     mmd_gaussian_estimate,
@@ -76,6 +77,21 @@ def test_cmd_full_mode_sees_cross_moments():
     Y = np.array([[0.5, -0.5], [-0.5, 0.5]])
     assert cmd_estimate(X, Y).value == 0.0
     assert cmd_estimate(X, Y, CmdConfig(mode=FULL)).value > 0.1
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cmd_cotangents_shaped_like_activations(k):
+    # a (hidden,)-shaped result would broadcast silently in backprop_hidden
+    rng = SeededRng(40 + k)
+    As, At = rng.uniform_matrix(9, 4), rng.uniform_matrix(6, 4) * 0.8 + 0.1
+    g_s, g_t = cmd_cotangents(As, At, CmdConfig(k=k))
+    assert g_s.shape == As.shape and g_t.shape == At.shape
+    assert np.all(np.isfinite(g_s)) and np.all(np.isfinite(g_t))
+
+
+def test_cmd_cotangents_reject_full_mode():
+    with pytest.raises(ValueError):
+        cmd_cotangents(np.ones((3, 2)), np.zeros((3, 2)), CmdConfig(mode=FULL))
 
 
 def test_cmd_analytic_matches_large_sample():

@@ -124,8 +124,9 @@ def test_central_moments_match_power_reference(seed, n, m, k, mode):
         terms = np.power(D[:, None, :], np.array(exps, dtype=np.float64)).prod(axis=2)
         bound = 1e-12 * np.abs(terms).mean(axis=0)
         assert np.all(np.abs(c[j] - terms.mean(axis=0)) <= bound), (j, mode)
-        # the pure powers are the running products D*D*...*D that
-        # cmd_gradients differentiates, bit for bit, in either mode
+        # the pure powers are the running products D*D*...*D in either
+        # mode; their means are the c_j whose gaps set cmd_cotangents'
+        # Horner coefficients and constant
         running = running * D
         pure = [exps.index(tuple(j if v == i else 0 for v in range(m))) for i in range(m)]
         M = monomial_matrix(D, j, mode)
