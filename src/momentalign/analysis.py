@@ -12,6 +12,7 @@ genuine violation of the inequality, never a formatting artifact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "prop1_check",
     "thm3_check",
     "dual_equivalence_check",
+    "sweep_grid",
     "sensitivity_sweep",
     "write_sweep_csv",
 ]
@@ -243,6 +245,18 @@ class SweepCell:
         return {"k": self.k, "lambda": self.lam, "accuracy": self.accuracy, "ratio": self.ratio}
 
 
+def sweep_grid(ks, lambdas) -> tuple[list, list]:
+    """The (k, lambda) axes of a sweep as ints and floats, after checking
+    that they are non-empty lists of integers >= 1 and of numbers >= 0, a
+    bool being neither; ValueError naming the axis otherwise."""
+    for name, values, kind, what, low in (("ks", ks, numbers.Integral, "integers >= 1", 1),
+                                          ("lambdas", lambdas, numbers.Real, "numbers >= 0", 0)):
+        if not (isinstance(values, (list, tuple)) and values and all(
+                isinstance(v, kind) and not isinstance(v, bool) and v >= low for v in values)):
+            raise ValueError(f"{name} must be a non-empty list of {what}, got {values!r}")
+    return [int(k) for k in ks], [float(l) for l in lambdas]
+
+
 def sensitivity_sweep(Xs, Ys, Xt, Yt, ks, lambdas, cfg: TrainConfig | None = None) -> list:
     """Trains one joint run per (k, lambda) cell and reports target
     accuracy, plus each k's lambda-averaged accuracy as a ratio against
@@ -252,18 +266,16 @@ def sensitivity_sweep(Xs, Ys, Xt, Yt, ks, lambdas, cfg: TrainConfig | None = Non
     averages skip them.  The baseline k (cfg.k) must be in the grid.
     """
     cfg = cfg or TrainConfig()
-    ks = [int(k) for k in ks]
-    lambdas = [float(l) for l in lambdas]
-    if not ks or not lambdas:
-        raise ValueError("need at least one k and one lambda")
+    ks, lambdas = sweep_grid(ks, lambdas)
     if cfg.k not in ks:
         raise ValueError(f"baseline k={cfg.k} missing from the sweep grid")
 
+    # every cell's config is checked (lambda = inf fails) before any trains
+    runs = {(k, lam): replace(cfg, k=k, lam=lam) for k in ks for lam in lambdas}
     acc = {}
-    for k in ks:
-        for lam in lambdas:
-            result = train(Xs, Ys, Xt, replace(cfg, k=k, lam=lam), Yt=Yt)
-            acc[(k, lam)] = float("nan") if result.diverged else result.records[-1].target_acc
+    for cell, run in runs.items():
+        result = train(Xs, Ys, Xt, run, Yt=Yt)
+        acc[cell] = float("nan") if result.diverged else result.records[-1].target_acc
 
     def k_mean(k):
         vals = [acc[(k, lam)] for lam in lambdas]

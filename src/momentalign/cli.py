@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .analysis import alignment_report, sensitivity_sweep, write_sweep_csv
+from .analysis import alignment_report, sensitivity_sweep, sweep_grid, write_sweep_csv
 from .datasets import (
     ArtificialSpec,
     Sample,
@@ -68,15 +68,6 @@ def _out_path(doc: dict, default: str) -> str:
     if not isinstance(out, str) or not out:
         raise ConfigError(f"out must be a non-empty string, got {out!r}")
     return out
-
-
-def _grid(doc: dict, key: str, kind, what: str, low) -> list:
-    """doc[key] as a sweep axis: a non-empty list of kind values >= low."""
-    values = doc.get(key)
-    if not (isinstance(values, list) and values and all(
-            isinstance(v, kind) and not isinstance(v, bool) and v >= low for v in values)):
-        raise ConfigError(f"{key} must be a non-empty list of {what}, got {values!r}")
-    return values
 
 
 def _load_sample(path, fmt: str) -> Sample:
@@ -300,8 +291,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     run_doc = {k: doc[k] for k in _RUN_KEYS - {"out"} if k in doc}
     cfg = RunConfig(run_doc)
-    ks = _grid(doc, "ks", int, "integers >= 1", 1)
-    lambdas = _grid(doc, "lambdas", (int, float), "numbers >= 0", 0)
+    ks, lambdas = sweep_grid(doc.get("ks"), doc.get("lambdas"))
     out = _out_path(doc, "sweep.csv")
     src, tgt = cfg.load_pair()
     if tgt.labels is None:

@@ -67,9 +67,10 @@ def _degree_step(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return parent, var
 
 
-def _running_monomials(X: np.ndarray, k: int, mode: str):
-    """Yield the degree-j monomial matrices of X, shape (..., n, m), for
-    j = 2..k as running products (x^3 = x*x*x, never a generic pow).
+def _running_monomials(X: np.ndarray, k: int, mode: str, axis: int = -1):
+    """Yield the degree-j monomial matrices of X for j = 2..k as running
+    products (x^3 = x*x*x, never a generic pow), the monomials along axis
+    (-1 for rows of shape (..., n, m), -2 for the transposed (..., m, n)).
     Marginal mode reuses one array in place, so a consumer must read each
     matrix before the next."""
     M = X
@@ -77,8 +78,8 @@ def _running_monomials(X: np.ndarray, k: int, mode: str):
         if mode == MARGINAL:
             M = X * X if j == 2 else np.multiply(M, X, out=M)
         else:
-            parent, var = _degree_step(X.shape[-1], j)
-            M = M[..., parent] * X[..., var]
+            parent, var = _degree_step(X.shape[axis], j)
+            M = np.take(M, parent, axis=axis) * np.take(X, var, axis=axis)
         yield M
 
 
@@ -109,23 +110,64 @@ class CentralMomentVector:
         return self.orders[j - 1]
 
 
+_BLOCK = 1 << 15  # doubles per block of one sample: 256 KiB, well inside L2
+_MIN_ROWS = 8  # a very wide sample still takes this many rows per block
+
+
 def _stacked_central_moments(S: np.ndarray, k: int, mode: str) -> list:
     """c_1..c_k of every sample in a stack S of shape (g, n, m) at once;
-    orders[j-1] has shape (g, n_monomials).  Each sample's moments are bit
-    for bit those of the sample on its own, since every reduction runs over
-    the rows of one sample (axis -2) in the same order."""
-    c1 = S.mean(axis=-2)
-    orders = [c1]
-    orders.extend(M.mean(axis=-2) for M in _running_monomials(S - c1[:, None, :], k, mode))
-    return orders
+    orders[j-1] has shape (g, n_monomials).
+
+    Two passes over row blocks of at most _BLOCK values per sample (but
+    _MIN_ROWS rows at least), read along the block's longer side through
+    one scratch buffer.  A narrow block (m < rows) is transposed, so each
+    feature's rows are contiguous and summed pairwise; a wide one keeps its
+    rows, summed one after another.  Pass 1 sums the blocks to c_1, each
+    copied into the buffer unless it already has the buffer's layout (a
+    wide block of a row-major stack).  Pass 2 writes each centred block
+    into the buffer and sums its running products per order.  Block sums
+    are added in row order and c_j = sum / n.  The order of every sum
+    depends only on (n, m), not on the memory layout of S, so each
+    sample's moments are bit for bit those of the sample on its own.  S
+    itself is never written."""
+    g, n, m = S.shape
+    rows = min(n, max(_MIN_ROWS, _BLOCK // max(m, 1)))
+    narrow = m < rows
+    axis = -1 if narrow else -2  # the rows of the scratch buffer
+    buf = np.empty((g, m, rows) if narrow else (g, rows, m))
+
+    def blocks():
+        for r0 in range(0, n, rows):
+            view = S[:, r0:r0 + rows]
+            r = view.shape[1]
+            yield (view.transpose(0, 2, 1), buf[..., :r]) if narrow else (view, buf[:, :r])
+
+    def add(total, block_sum):
+        return block_sum if total is None else np.add(total, block_sum, out=total)
+
+    total = None
+    for view, scratch in blocks():
+        if view.strides[1:] != scratch.strides[1:]:  # narrow, or not row-major
+            np.copyto(scratch, view)
+            view = scratch
+        total = add(total, view.sum(axis=axis))
+    c1 = total / n
+    centre = c1[:, :, None] if narrow else c1[:, None]
+    totals = [None] * (k - 1)
+    for view, scratch in blocks():
+        D = np.subtract(view, centre, out=scratch)
+        for j, M in enumerate(_running_monomials(D, k, mode, -2 if narrow else -1)):
+            totals[j] = add(totals[j], M.sum(axis=axis))
+    return [c1] + [t / n for t in totals]
 
 
 def central_moments(features, k: int, mode: str = MARGINAL) -> CentralMomentVector:
     """Empirical central moment vector c_1..c_k of a sample.
 
-    c_1 is the sample mean; c_j = mean over rows of nu^(j)(x - c_1).  This
-    is the one-sample case of the stacked kernel that the prop-bound
-    verifier runs on whole groups of equally shaped samples.
+    c_1 is the sample mean; c_j = mean over rows of nu^(j)(x - c_1), each
+    sum taken blockwise in the order _stacked_central_moments documents.
+    This is the one-sample case of that stacked kernel, which the
+    prop-bound verifier runs on whole groups of equally shaped samples.
     """
     _check_mode(mode)
     if k < 1:

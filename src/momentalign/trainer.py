@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
+        if not math.isfinite(self.lam):  # JSON reads Infinity
+            raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 0:

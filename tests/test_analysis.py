@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from momentalign import analysis
 from momentalign.analysis import (
     AlignmentReport,
     BoundCheck,
@@ -187,6 +188,39 @@ def test_sensitivity_sweep_baseline_must_be_in_grid():
     with pytest.raises(ValueError):
         sensitivity_sweep(Xs, Ys, Xt, Yt, ks=[], lambdas=[1.0],
                           cfg=TrainConfig(hidden=3, epochs=2))
+
+
+@pytest.mark.parametrize("ks, lambdas, message", [
+    ([2.7], [1.0], "ks must be a non-empty list of integers >= 1, got [2.7]"),
+    ([2, True], [1.0], "ks must be a non-empty list of integers >= 1, got [2, True]"),
+    ([-1], [1.0], "ks must be a non-empty list of integers >= 1, got [-1]"),
+    (["2"], [1.0], "ks must be a non-empty list of integers >= 1, got ['2']"),
+    ([2], [1.0, -0.5], "lambdas must be a non-empty list of numbers >= 0, got [1.0, -0.5]"),
+    ([2], [False], "lambdas must be a non-empty list of numbers >= 0, got [False]"),
+    ([2], ["1"], "lambdas must be a non-empty list of numbers >= 0, got ['1']"),
+    ([2], [float("nan")], "lambdas must be a non-empty list of numbers >= 0, got [nan]"),
+    ([2], [1.0, float("inf")], "lambda must be finite, got inf"),
+], ids=["k-float", "k-bool", "k-negative", "k-string", "lambda-negative", "lambda-bool",
+        "lambda-string", "lambda-nan", "lambda-inf"])
+def test_sensitivity_sweep_rejects_bad_grid_entries(ks, lambdas, message, monkeypatch):
+    # the grid is checked before any cell trains: ks=[2.7] used to run as k = 2
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was checked")
+
+    monkeypatch.setattr(analysis, "train", no_training)
+    Xs, Ys, Xt, Yt = sweep_problem()
+    with pytest.raises(ValueError) as info:
+        sensitivity_sweep(Xs, Ys, Xt, Yt, ks=ks, lambdas=lambdas,
+                          cfg=TrainConfig(hidden=3, epochs=2, k=2))
+    assert str(info.value) == message
+
+
+def test_sensitivity_sweep_grid_accepts_numpy_scalars():
+    Xs, Ys, Xt, Yt = sweep_problem()
+    cells = sensitivity_sweep(Xs, Ys, Xt, Yt, ks=(np.int64(1),), lambdas=(np.float64(0.5), 1),
+                              cfg=TrainConfig(hidden=3, epochs=2, k=1, seed=2))
+    assert [(c.k, c.lam) for c in cells] == [(1, 0.5), (1, 1.0)]
+    assert type(cells[0].k) is int and type(cells[1].lam) is float
 
 
 def test_sensitivity_sweep_records_divergence_as_nan():

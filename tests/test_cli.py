@@ -358,6 +358,7 @@ def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
     ({"optimizer": "sgd", "alpha": float("nan")}, {}, "NaN is not a JSON number"),
     ({"warm_start_fraction": float("nan")}, {}, "NaN is not a JSON number"),
     ({"lambda": -float("inf")}, {}, "lambda must be >= 0"),
+    ({"lambda": float("inf")}, {}, "lambda must be finite, got inf"),
     ({"rho": float("inf")}, {}, "rho must lie in [0, 1)"),
     ({}, {"shift": [float("inf"), 0]}, "shift must be finite, got (inf, 0.0)"),
     ({}, {"rotation_deg": float("inf")}, "rotation_deg must be finite, got inf"),
@@ -365,8 +366,8 @@ def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
     ({}, {"spread": [0.2, -float("inf"), 0.3]}, "spread must be finite, got (0.2, -inf, 0.3)"),
     ({}, {"centers": [[0, 0], [1, float("inf")], [2, 1]]},
      "centers must be finite, got ((0.0, 0.0), (1.0, inf), (2.0, 1.0))"),
-], ids=["lambda-nan", "alpha-nan", "fraction-nan", "lambda--inf", "rho-inf", "shift-inf",
-        "rotation-inf", "spread-inf", "spread-list-inf", "centers-inf"])
+], ids=["lambda-nan", "alpha-nan", "fraction-nan", "lambda--inf", "lambda-inf", "rho-inf",
+        "shift-inf", "rotation-inf", "spread-inf", "spread-list-inf", "centers-inf"])
 def test_train_rejects_non_finite_json_constants(tmp_path, capsys, train, artificial, message):
     # Python's json writes NaN and +-Infinity and reads them back. NaN fails
     # at the loader, since it passes every bound; the bounds judge the

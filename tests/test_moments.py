@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentalign import moments
 from momentalign.moments import (
     FULL,
     MARGINAL,
@@ -104,6 +106,28 @@ def test_central_moments_shift_covariance(seed, shift):
         assert np.allclose(a[j], b[j], atol=1e-9)
 
 
+def _blocked_mean(M, m):
+    """The mean over the rows of M, the monomials of an n x m sample, in the
+    kernel's documented order: blocks of min(n, max(_MIN_ROWS, _BLOCK // m))
+    rows; a narrow block (m < rows) summed pairwise along each column of its
+    transpose, a wide one row after row; block sums added in row order."""
+    n = len(M)
+    rows = min(n, max(moments._MIN_ROWS, moments._BLOCK // m))
+    total = None
+    for r0 in range(0, n, rows):
+        B = M[r0:r0 + rows]
+        s = np.ascontiguousarray(B.T).sum(axis=1) if m < rows else B.sum(axis=0)
+        total = s if total is None else total + s
+    return total / n
+
+
+def _sequential_moments(X, k, mode):
+    """c_1..c_k as the unblocked kernel computed them: one mean over all rows
+    of the sample per order, each a sequential column sum for m > 1."""
+    c1 = X.mean(axis=0)
+    return [c1] + [monomial_matrix(X - c1, j, mode).mean(axis=0) for j in range(2, k + 1)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32),
@@ -131,7 +155,7 @@ def test_central_moments_match_power_reference(seed, n, m, k, mode):
         pure = [exps.index(tuple(j if v == i else 0 for v in range(m))) for i in range(m)]
         M = monomial_matrix(D, j, mode)
         assert np.array_equal(M[:, pure], running), (j, mode)
-        assert np.array_equal(c[j], M.mean(axis=0)), (j, mode)
+        assert np.array_equal(c[j], _blocked_mean(M, m)), (j, mode)
 
 
 @settings(max_examples=80, deadline=None)
@@ -154,6 +178,94 @@ def test_stacked_central_moments_equal_per_sample(seed, g, n, m, k, mode):
         for j in range(1, k + 1):
             assert stacked[j - 1].shape == (g, one[j].size)
             assert np.array_equal(stacked[j - 1][i], one[j]), (i, j)
+
+
+# Blocks of 4..64 elements split a sample of up to 120 rows into many blocks:
+# narrow ones (transposed, m < rows) for small m, and for m >= _MIN_ROWS wide
+# ones, which keep their rows.
+_small_blocks = st.integers(4, 64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 120),
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.sampled_from([MARGINAL, FULL]),
+    _small_blocks,
+)
+def test_blocked_kernel_order_across_blocks(seed, n, m, k, mode, block):
+    X = SeededRng(seed).normal_matrix(n, m) * 1.9 - 0.6
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_BLOCK", block)
+        c = central_moments(X, k, mode)
+        assert np.array_equal(c[1], _blocked_mean(X, m))
+        # the layout of the caller's array does not change the order
+        f = central_moments(np.asfortranarray(X), k, mode)
+        assert all(np.array_equal(f[j], c[j]) for j in range(1, k + 1))
+        for j in range(2, k + 1):
+            assert np.array_equal(c[j], _blocked_mean(monomial_matrix(X - c[1], j, mode), m)), j
+    # the unblocked kernel's sequential sums differ only in rounding
+    ref = _sequential_moments(X, k, mode)
+    assert np.all(np.abs(c[1] - ref[0]) <= 1e-12 * np.abs(X).mean(axis=0))
+    for j in range(2, k + 1):
+        scale = np.abs(monomial_matrix(X - ref[0], j, mode)).mean(axis=0)
+        assert np.all(np.abs(c[j] - ref[j - 1]) <= 1e-12 * scale), j
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+    st.integers(1, 60),
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.sampled_from([MARGINAL, FULL]),
+    _small_blocks,
+)
+def test_stacked_central_moments_equal_per_sample_across_blocks(seed, g, n, m, k, mode, block):
+    S = SeededRng(seed).normal_matrix(g * n, m).reshape(g, n, m) * 1.7 + 0.4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_BLOCK", block)
+        stacked = _stacked_central_moments(S, k, mode)
+        for i in range(g):
+            one = central_moments(S[i], k, mode)
+            for j in range(1, k + 1):
+                assert np.array_equal(stacked[j - 1][i], one[j]), (i, j)
+
+
+@pytest.mark.parametrize("shape", [(37,), (37, 1), (37, 3), (20, 24)],
+                         ids=["1-d", "m=1", "narrow", "wide"])
+@pytest.mark.parametrize("block", [8, moments._BLOCK], ids=["many-blocks", "one-block"])
+def test_central_moments_leave_the_input_unchanged(shape, block, monkeypatch):
+    # as_sample hands the kernel the caller's own array (a 1-D sample as a
+    # column view of it), and for m = 1 the transposed block is contiguous
+    X = SeededRng(4).uniforms(math.prod(shape)).reshape(shape) + 2.0
+    before = X.copy()
+    monkeypatch.setattr(moments, "_BLOCK", block)
+    for mode in (MARGINAL, FULL):
+        central_moments(X, 4, mode)
+        assert np.array_equal(X, before), mode
+        _stacked_central_moments(X.reshape(1, shape[0], -1), 4, mode)
+        assert np.array_equal(X, before), mode
+
+
+def test_central_moments_of_a_zero_width_sample_are_empty():
+    c = central_moments(np.empty((3, 0)), 3)
+    assert [c[j].shape for j in (1, 2, 3)] == [(0,), (0,), (0,)]
+
+
+def test_central_moments_memory_is_one_block():
+    # the unblocked kernel peaked at 15.3 MiB here: two n x m temporaries
+    X = SeededRng(3).normal_matrix(100_000, 10)
+    tracemalloc.start()
+    try:
+        central_moments(X, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
