@@ -24,6 +24,8 @@ import numpy as np
 
 from .moments import (
     MARGINAL,
+    _check_mode,
+    _stacked_central_moments,
     analytic_central_moment,
     analytic_mean,
     analytic_raw_moment,
@@ -63,16 +65,26 @@ class DistanceReport:
         return {"metric": self.metric, "value": self.value, "terms": list(self.terms)}
 
 
+def _stacked_cmd(S: np.ndarray, T: np.ndarray, cfg: CmdConfig) -> list:
+    """cmd_estimate of every pair (S[i], T[i]) of two stacks of dense
+    samples, S of shape (g, ns, m) and T of shape (g, nt, m): one stacked
+    moment pass per stack.  Per-order norms are sqrt(vecdot(d, d)), bit for
+    bit np.linalg.norm of each row."""
+    _check_mode(cfg.mode)
+    cs = _stacked_central_moments(S, cfg.k, cfg.mode)
+    ct = _stacked_central_moments(T, cfg.k, cfg.mode)
+    terms = np.empty((S.shape[0], cfg.k))
+    for j, (a, b) in enumerate(zip(cs, ct)):
+        d = a - b
+        terms[:, j] = cfg.weight(j + 1) * np.sqrt(np.vecdot(d, d))
+    return [DistanceReport("cmd", math.fsum(t), t) for t in terms.tolist()]
+
+
 def cmd_estimate(src, tgt, cfg: CmdConfig | None = None) -> DistanceReport:
-    """Empirical CMD between two samples of equal dimension."""
-    cfg = cfg or CmdConfig()
+    """Empirical CMD between two samples of equal dimension: the one-pair
+    case of _stacked_cmd."""
     Xs, Xt = as_sample_pair(src, tgt)
-    cs = central_moments(Xs, cfg.k, cfg.mode)
-    ct = central_moments(Xt, cfg.k, cfg.mode)
-    terms = []
-    for j in range(1, cfg.k + 1):
-        terms.append(cfg.weight(j) * float(np.linalg.norm(cs[j] - ct[j])))
-    return DistanceReport("cmd", math.fsum(terms), terms)
+    return _stacked_cmd(Xs[None], Xt[None], cfg or CmdConfig())[0]
 
 
 def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig):

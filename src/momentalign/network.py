@@ -22,12 +22,13 @@ finite-difference oracle in this module confirms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import CmdConfig, cmd_cotangents, cmd_estimate
-from .numerics import SparseRowMatrix, n_cols
+from .distances import CmdConfig, _stacked_cmd, cmd_cotangents
+from .numerics import SparseRowMatrix, as_sample, n_cols
 
 _LOG_CLAMP = 1e-12
 
@@ -152,28 +153,45 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _hidden(X, W, b) -> np.ndarray:
+    """h0 = sigm(X W^T + b).  W and b may carry a leading stack axis of g
+    networks, run on one dense X as a (g, n_rows, hidden) array."""
+    if isinstance(X, SparseRowMatrix):
+        pre = X.dot_dense(W.T)
+    else:
+        pre = np.asarray(X, dtype=np.float64) @ np.swapaxes(W, -1, -2)
+    return sigmoid(pre + b[..., None, :])
+
+
+def _outputs(h0: np.ndarray, V: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """h = softmax(h0 V^T + c), stacked like _hidden."""
+    return softmax_rows(h0 @ np.swapaxes(V, -1, -2) + c[..., None, :])
 
 
 def forward(p: NetworkParams, X) -> ForwardTrace:
+    """The one-network case of _hidden and _outputs."""
     if n_cols(X) != p.input_dim:
         raise ValueError("input dimension does not match W")
-    if isinstance(X, SparseRowMatrix):
-        h0 = sigmoid(X.dot_dense(p.W.T) + p.b)
-    else:
-        h0 = sigmoid(np.asarray(X, dtype=np.float64) @ p.W.T + p.b)
-    h1 = softmax_rows(h0 @ p.V.T + p.c)
-    return ForwardTrace(h0, h1)
+    h0 = _hidden(X, p.W, p.b)
+    return ForwardTrace(h0, _outputs(h0, p.V, p.c))
+
+
+def _cross_entropy(outputs: np.ndarray, Y: np.ndarray):
+    """Mean cross-entropy over the rows of outputs, per network of a stack."""
+    logs = np.log(np.maximum(outputs, _LOG_CLAMP))
+    return -(Y * logs).sum(axis=-1).mean(axis=-1)
 
 
 def cross_entropy_loss(trace: ForwardTrace, Y: np.ndarray) -> float:
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != trace.outputs.shape:
         raise ValueError("labels do not align with outputs")
-    logs = np.log(np.maximum(trace.outputs, _LOG_CLAMP))
-    return float(-(Y * logs).sum(axis=1).mean())
+    return float(_cross_entropy(trace.outputs, Y))
 
 
 def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray):
@@ -231,6 +249,48 @@ def cmd_gradients(
     return Gradients(dW + dW_t, db + db_t, np.zeros_like(p.V), np.zeros_like(p.c))
 
 
+_STENCIL = (1.0, -1.0, 2.0, -2.0)  # the O(h^4) central difference's offsets, in steps
+_FD_CHUNK = 1 << 14  # hidden activations per chunk of perturbed networks: 128 KiB, inside L2
+
+
+def _stencil_values(p: NetworkParams, which: str, step: float, *, X=None, Y=None,
+                    Xs=None, Xt=None, cfg: CmdConfig | None = None) -> np.ndarray:
+    """f[i, o]: the objective ('loss' on (X, Y) or 'cmd' between Xs and Xt)
+    of p with its i-th parameter coordinate moved by step * _STENCIL[o].
+    The coordinates run through W, b and, for the loss, V and c, each
+    flattened.  The perturbed networks run as stacks of at most _FD_CHUNK
+    hidden activations (one network at least); each network's arithmetic
+    is the same in any stack, so chunking changes no value."""
+    if which == "loss":
+        X, Y = as_sample(X), np.asarray(Y, dtype=np.float64)
+        names, rows = ("W", "b", "V", "c"), X.shape[0]
+
+        def objective(W, b, V, c):
+            return _cross_entropy(_outputs(_hidden(X, W, b), V, c), Y)
+    else:
+        Xs, Xt, cfg = as_sample(Xs), as_sample(Xt), cfg or CmdConfig()
+        names, rows = ("W", "b"), Xs.shape[0] + Xt.shape[0]
+
+        def objective(W, b):
+            reports = _stacked_cmd(_hidden(Xs, W, b), _hidden(Xt, W, b), cfg)
+            return [r.value for r in reports]
+
+    arrays = [getattr(p, name) for name in names]
+    theta = np.concatenate([a.ravel() for a in arrays])
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+    coord = np.repeat(np.arange(theta.size), len(_STENCIL))
+    moved = theta[coord] + np.tile(step * np.array(_STENCIL), theta.size)
+    per_chunk = max(1, _FD_CHUNK // (rows * p.hidden))
+    f = np.empty(coord.size)
+    for s0 in range(0, coord.size, per_chunk):
+        g = min(per_chunk, coord.size - s0)
+        stack = np.tile(theta, (g, 1))
+        stack[np.arange(g), coord[s0:s0 + g]] = moved[s0:s0 + g]
+        parts = np.split(stack, cuts, axis=1)
+        f[s0:s0 + g] = objective(*(part.reshape(g, *a.shape) for part, a in zip(parts, arrays)))
+    return f.reshape(theta.size, len(_STENCIL))
+
+
 def finite_difference_check(
     p: NetworkParams,
     *,
@@ -240,41 +300,25 @@ def finite_difference_check(
     Xs=None,
     Xt=None,
     cfg: CmdConfig | None = None,
-    step: float = 1e-5,
+    step: float = 1e-3,
 ) -> float:
-    """Max relative error between analytic gradients and central finite
-    differences, |a - f| / max(1e-8, |a| + |f|) over all parameter
-    coordinates. which is 'loss' or 'cmd'."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    """Max relative error |a - f| / max(1e-8, |a| + |f|) over all parameter
+    coordinates between the analytic gradient a and the O(h^4) central
+    difference f = (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h, h =
+    step; NaN when any coordinate's error is not finite.  which is 'loss'
+    or 'cmd'.  Sparse inputs are densified once for the differences."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a finite number > 0, got {step}")
     if which == "loss":
-        objective = lambda q: cross_entropy_loss(forward(q, X), Y)
         analytic = loss_gradients(p, X, Y)
-        grads = {"W": analytic.dW, "b": analytic.db, "V": analytic.dV, "c": analytic.dc}
+        grads = (analytic.dW, analytic.db, analytic.dV, analytic.dc)
     elif which == "cmd":
-        cfg = cfg or CmdConfig()
-        objective = lambda q: cmd_estimate(
-            forward(q, Xs).hidden, forward(q, Xt).hidden, cfg
-        ).value
         analytic = cmd_gradients(p, Xs, Xt, cfg)
-        grads = {"W": analytic.dW, "b": analytic.db}
+        grads = (analytic.dW, analytic.db)
     else:
         raise ValueError("which must be 'loss' or 'cmd'")
-
-    worst = 0.0
-    work = p.copy()
-    for name, grad in grads.items():
-        flat = getattr(work, name).reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.shape[0]):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = objective(work)
-            flat[i] = keep - step
-            down = objective(work)
-            flat[i] = keep
-            fd = (up - down) / (2.0 * step)
-            a = gflat[i]
-            err = abs(a - fd) / max(1e-8, abs(a) + abs(fd))
-            worst = max(worst, err)
-    return worst
+    f = _stencil_values(p, which, step, X=X, Y=Y, Xs=Xs, Xt=Xt, cfg=cfg)
+    fd = (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * step)
+    a = np.concatenate([g.ravel() for g in grads])
+    worst = float((np.abs(a - fd) / np.maximum(1e-8, np.abs(a) + np.abs(fd))).max())
+    return worst if math.isfinite(worst) else math.nan

@@ -211,6 +211,17 @@ def as_sample_pair(src, tgt) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
+def check_finite(**samples) -> None:
+    """ValueError naming the first sample, given by keyword, that holds a
+    non-finite value: a dense array, or a SparseRowMatrix's stored data.
+    None is skipped."""
+    for name, values in samples.items():
+        if isinstance(values, SparseRowMatrix):
+            values = values.data
+        if values is not None and not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got a non-finite value")
+
+
 _NUMBER = (int, float, np.integer, np.floating)
 _SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
 

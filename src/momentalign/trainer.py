@@ -34,7 +34,7 @@ from .network import (
     loss_cotangent,
     loss_gradients,
 )
-from .numerics import SeededRng, check_json_types, n_cols, n_rows, take_rows
+from .numerics import SeededRng, check_finite, check_json_types, n_cols, n_rows, take_rows
 from .optim import OPTIMIZERS, make_optimizer
 
 __all__ = [
@@ -209,7 +209,8 @@ def train(
     init/start_epoch let a caller continue from a snapshot while keeping
     the per-epoch shuffle streams aligned with a single longer run.
     snapshot_at=j stores a copy of the parameters as they stood after
-    j epochs (0 = the initialization).
+    j epochs (0 = the initialization).  Non-finite features or labels
+    raise ValueError before the first epoch.
     """
     Ys = np.asarray(Ys, dtype=np.float64)
     ns, nt = n_rows(Xs), n_rows(Xt)
@@ -217,6 +218,7 @@ def train(
         raise ValueError("empty sample")
     if Ys.shape[0] != ns:
         raise ValueError("source labels do not align with features")
+    check_finite(Xs=Xs, Ys=Ys, Xt=Xt, Yt=Yt)
     budget = cfg.epochs if epochs is None else epochs
     cmd_cfg = CmdConfig(k=cfg.k)
 
@@ -298,7 +300,8 @@ def train(
 
 
 def warm_start_train(Xs, Ys, Xt, cfg: TrainConfig, Yt=None) -> WarmStartResult:
-    """Shallow full-budget run plus a CMD continuation from its snapshot."""
+    """Shallow full-budget run plus a CMD continuation from its snapshot;
+    train rejects non-finite inputs before the shallow run starts."""
     snap_epoch = round(cfg.warm_start_fraction * cfg.epochs)
     shallow = train(
         Xs, Ys, Xt, replace(cfg, lam=0.0), Yt=Yt, snapshot_at=snap_epoch

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -591,11 +592,19 @@ def test_module_entry_point(two_point_files):
     import subprocess
     import sys
 
+    import momentalign
+
+    # the package's source directory, which pytest's pythonpath setting
+    # puts on sys.path of this process only
+    package_root = os.path.dirname(os.path.dirname(momentalign.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     src, tgt = two_point_files
     proc = subprocess.run(
         [sys.executable, "-m", "momentalign", "distance", "--metric", "cmd",
          "--source", src, "--target", tgt],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["metric"] == "cmd"

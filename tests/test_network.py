@@ -1,11 +1,14 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentalign.distances import CmdConfig
+from momentalign import network
+from momentalign.distances import CmdConfig, cmd_estimate
 from momentalign.network import (
     ForwardTrace,
     Gradients,
@@ -281,9 +284,119 @@ def test_cmd_gradients_skip_zero_norm_orders(sparse):
 
 
 def test_finite_difference_check_validation():
+    # a NaN step used to give 0.0: every difference NaN, dropped by max
     p = tiny_params()
-    with pytest.raises(ValueError):
-        finite_difference_check(p, which="loss", X=np.ones((2, 3)),
-                                Y=np.eye(2), step=0.0)
+    for step in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step must be a finite number > 0"):
+            finite_difference_check(p, which="loss", X=np.ones((2, 3)), Y=np.eye(2), step=step)
     with pytest.raises(ValueError):
         finite_difference_check(p, which="asdf")
+
+
+@pytest.mark.parametrize("which", ["loss", "cmd"])
+def test_finite_difference_check_nan_gradient_coordinate_is_nan(monkeypatch, which):
+    # one NaN analytic coordinate makes the whole check NaN, which no bound
+    # passes; Python's max used to skip it and report the other coordinates
+    p = tiny_params(seed=5, m=3, h=4, c=3)
+    X = SeededRng(6).normal_matrix(8, 3)
+    Y = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]]
+    name = "loss_gradients" if which == "loss" else "cmd_gradients"
+    real = getattr(network, name)
+
+    def poisoned(*args, **kwargs):
+        g = real(*args, **kwargs)
+        g.db[2] = np.nan
+        return g
+
+    monkeypatch.setattr(network, name, poisoned)
+    kwargs = dict(X=X, Y=Y) if which == "loss" else dict(Xs=X, Xt=X[:5] + 0.3)
+    assert math.isnan(finite_difference_check(p, which=which, **kwargs))
+
+
+def test_finite_difference_check_densifies_sparse_input():
+    p = tiny_params(seed=7, m=3, h=4, c=2)
+    Xs = SeededRng(8).normal_matrix(6, 3)
+    Xs[SeededRng(9).uniform_matrix(6, 3) < 0.4] = 0.0
+    Xt = np.abs(SeededRng(10).normal_matrix(5, 3))
+    Y = np.eye(2)[np.arange(6) % 2]
+    for which, kw in (("loss", dict(X=Xs, Y=Y)), ("cmd", dict(Xs=Xs, Xt=Xt))):
+        sparse = {k: sparse_copy(v) if k != "Y" else v for k, v in kw.items()}
+        assert finite_difference_check(p, which=which, **sparse) < 1e-8
+        dense = network._stencil_values(p, which, 1e-3, **kw)
+        assert np.array_equal(network._stencil_values(p, which, 1e-3, **sparse), dense)
+
+
+def _moved(p, names, i, delta):
+    """A copy of p with coordinate i of the flattened parameters names moved by delta."""
+    q = p.copy()
+    for name in names:
+        flat = getattr(q, name).reshape(-1)
+        if i < flat.size:
+            flat[i] += delta
+            return q
+        i -= flat.size
+    raise IndexError(i)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 4), st.integers(2, 3),
+       st.integers(2, 7), st.integers(2, 7), st.integers(1, 7), st.booleans())
+def test_stencil_values_match_scalar_objectives(seed, m, h, c, ns, nt, k, unit):
+    # every perturbed network of the stack against the one-network
+    # objective, with unequal sample sizes and, unless unit, non-unit weights
+    rng = SeededRng(seed)
+    p = init_params(m, h, c, rng)
+    p.b[:] = rng.normal_matrix(1, h)[0]
+    p.c[:] = rng.normal_matrix(1, c)[0]
+    Xs = rng.normal_matrix(ns, m) * 1.5
+    Xt = rng.normal_matrix(nt, m) * 0.7 + 0.3
+    Y = np.eye(c)[np.arange(ns) % c]
+    cfg = CmdConfig(k=k) if unit else CmdConfig(k=k, weights=list(rng.uniforms(k) * 3.0 + 0.1))
+    step = 1e-3
+    cases = (
+        ("loss", ("W", "b", "V", "c"), dict(X=Xs, Y=Y),
+         lambda q: cross_entropy_loss(forward(q, Xs), Y)),
+        ("cmd", ("W", "b"), dict(Xs=Xs, Xt=Xt, cfg=cfg),
+         lambda q: cmd_estimate(forward(q, Xs).hidden, forward(q, Xt).hidden, cfg).value),
+    )
+    for which, names, kwargs, scalar in cases:
+        f = network._stencil_values(p, which, step, **kwargs)
+        assert f.shape == (sum(getattr(p, n).size for n in names), 4)
+        for i, row in enumerate(f):
+            for got, offset in zip(row, (1.0, -1.0, 2.0, -2.0)):
+                want = scalar(_moved(p, names, i, offset * step))
+                assert abs(got - want) <= 1e-13 * abs(want), (which, i, offset)
+
+
+@pytest.mark.parametrize("which", ["loss", "cmd"])
+def test_stencil_values_independent_of_chunk_cap(monkeypatch, which):
+    p = tiny_params(seed=11, m=3, h=5, c=3)
+    Xs = SeededRng(12).normal_matrix(9, 3)
+    kwargs = dict(X=Xs, Y=np.eye(3)[np.arange(9) % 3]) if which == "loss" else dict(
+        Xs=Xs, Xt=SeededRng(13).normal_matrix(7, 3) + 0.2, cfg=CmdConfig(k=5))
+    results = []
+    for cap in (1, 100, 1 << 30):
+        monkeypatch.setattr(network, "_FD_CHUNK", cap)
+        results.append((network._stencil_values(p, which, 1e-3, **kwargs),
+                        finite_difference_check(p, which=which, **kwargs)))
+    for f, err in results[1:]:
+        assert np.array_equal(f.view(np.int64), results[0][0].view(np.int64))
+        assert err == results[0][1]
+
+
+def test_finite_difference_check_memory_is_chunked():
+    # the warm-start shape (639 rows per domain, 2 -> 15 -> 3): the whole
+    # stack of 4 * 93 perturbed networks at once peaks near 136 MiB for the
+    # loss and 79 MiB for the CMD; the chunks hold it near 0.5 MiB
+    rng = SeededRng(14)
+    p = init_params(2, 15, 3, rng)
+    Xs, Xt = rng.normal_matrix(639, 2), rng.normal_matrix(639, 2) + 0.5
+    Y = np.eye(3)[np.arange(639) % 3]
+    for which, kwargs in (("loss", dict(X=Xs, Y=Y)), ("cmd", dict(Xs=Xs, Xt=Xt))):
+        tracemalloc.start()
+        try:
+            finite_difference_check(p, which=which, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (which, peak)

@@ -162,6 +162,27 @@ def test_train_input_validation():
         train(Xs[:0], Ys[:0], Xt, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("name, value", [("Xs", np.nan), ("Ys", np.nan), ("Xt", np.inf),
+                                         ("Yt", -np.inf)])
+@pytest.mark.parametrize("entry", [train, warm_start_train])
+def test_train_rejects_non_finite_inputs(entry, name, value):
+    # a NaN in Xs used to give a false divergence with no records, and an
+    # inf in Xt at lambda = 0 trained without complaint
+    data = dict(zip(("Xs", "Ys", "Xt", "Yt"), (np.array(a, dtype=float) for a in small_problem())))
+    data[name][3, 1] = value
+    cfg = TrainConfig(hidden=4, lam=0.0 if name == "Xt" else 1.0, epochs=3, seed=1)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        entry(data["Xs"], data["Ys"], data["Xt"], cfg, Yt=data["Yt"])
+
+
+def test_train_rejects_non_finite_sparse_data():
+    Xs, Ys, Xt, _ = small_problem()
+    sparse = SparseRowMatrix.from_rows([[(0, v), (1, 1.0)] for v in Xt[:, 0]], 2)
+    sparse.data[5] = np.nan
+    with pytest.raises(ValueError, match="^Xt must be finite"):
+        train(Xs, Ys, sparse, TrainConfig(hidden=4, epochs=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(hidden=0)

@@ -66,6 +66,48 @@ def test_gradients_deterministic_in_seed():
     assert [(r.name, r.lhs) for r in a] == [(r.name, r.lhs) for r in b]
 
 
+@pytest.mark.parametrize("seed", [163, 280, 405, 417])
+def test_gradients_suite_green_where_round_off_was_red(seed):
+    # the h = 1e-5 two-point stencil read 1.1e-5 to 3.0e-5 on a tiny
+    # gradient coordinate at these seeds; the O(h^4) stencil at h = 1e-3
+    # reads below 1e-6
+    rows = check_gradients(seed=seed)
+    assert all(r.passed for r in rows), [(r.name, r.lhs) for r in rows if not r.passed]
+    assert max(r.lhs for r in rows) < 1e-6
+
+
+_COTANGENT_MUTANTS = {
+    # mutant -> (text of distances.cmd_cotangents, its replacement, k of the red rows)
+    "dropped c_{j-1} term": (
+        "(D.mean(axis=0) if j == 2 else c[j - 1])", "(D.mean(axis=0) if j == 2 else 0.0)",
+        {3, 5}),
+    "a_3 scaled by 1.05": (
+        "cfg.weight(j) * j * delta", "cfg.weight(j) * (1.05 if j == 3 else 1.0) * j * delta",
+        {3, 5}),
+    "target cotangent sign flipped": (
+        "side(At, ct, [-u for u in coefs])", "side(At, ct, coefs)", {1, 3, 5}),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_COTANGENT_MUTANTS))
+def test_gradients_suite_catches_cotangent_mutants(monkeypatch, mutant):
+    import inspect
+
+    from momentalign import distances, network
+
+    text, replacement, red_ks = _COTANGENT_MUTANTS[mutant]
+    source = inspect.getsource(distances.cmd_cotangents)
+    assert source.count(text) == 1
+    namespace = dict(vars(distances))
+    exec(source.replace(text, replacement), namespace)
+    monkeypatch.setattr(network, "cmd_cotangents", namespace["cmd_cotangents"])
+    rows = check_gradients(seed=0)
+    red = [r for r in rows if not r.passed]
+    want = [r.name for r in rows if r.name.startswith("cmd") and int(r.name[-2]) in red_ks]
+    assert [r.name for r in red] == want
+    assert min(r.lhs for r in red) > 1e-3
+
+
 def test_prop_bound_suite_passes():
     rows = check_prop_bound(cases=300)
     assert len(rows) == 7
