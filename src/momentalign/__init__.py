@@ -72,7 +72,6 @@ from .trainer import (
     TrainResult,
     WarmStartResult,
     evaluate,
-    objective,
     train,
     warm_start_train,
     write_metrics_csv,

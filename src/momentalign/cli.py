@@ -134,6 +134,13 @@ def _write_json(path, obj) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _write_params(path, params: NetworkParams) -> None:
+    """params.json, written piece by piece: no copy of the whole text."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(params.json_pieces())
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -205,8 +212,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(cfg.out, exist_ok=True)
     write_metrics_csv(result.records, os.path.join(cfg.out, "metrics.csv"))
-    with open(os.path.join(cfg.out, "params.json"), "w", newline="\n") as fh:
-        fh.write(result.params.to_json() + "\n")
+    _write_params(os.path.join(cfg.out, "params.json"), result.params)
     report = {
         "command": "train",
         "config": cfg.report_config(),
@@ -227,8 +233,7 @@ def cmd_warm_start(args) -> int:
     write_metrics_csv(result.shallow.records, os.path.join(cfg.out, "metrics-shallow.csv"))
     for name, params in (("params.json", result.mann.params),
                          ("params-shallow.json", result.shallow.params)):
-        with open(os.path.join(cfg.out, name), "w", newline="\n") as fh:
-            fh.write(params.to_json() + "\n")
+        _write_params(os.path.join(cfg.out, name), params)
 
     shallow_align = alignment_report(result.shallow.params, src.features, tgt.features)
     mann_align = alignment_report(result.mann.params, src.features, tgt.features)

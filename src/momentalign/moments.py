@@ -118,20 +118,23 @@ def _stacked_central_moments(S: np.ndarray, k: int, mode: str) -> list:
     """c_1..c_k of every sample in a stack S of shape (g, n, m) at once;
     orders[j-1] has shape (g, n_monomials).
 
-    Two passes over row blocks of at most _BLOCK values per sample (but
-    _MIN_ROWS rows at least), read along the block's longer side through
-    one scratch buffer.  A narrow block (m < rows) is transposed, so each
-    feature's rows are contiguous and summed pairwise; a wide one keeps its
-    rows, summed one after another.  Pass 1 sums the blocks to c_1, each
+    Two passes over row blocks of at most _BLOCK values per sample of the
+    widest monomial matrix, order k's (m columns in marginal mode,
+    comb(m + k - 1, k) in full mode), but _MIN_ROWS rows at least, read
+    along the block's longer side through one scratch buffer.  A narrow
+    block (m < rows) is transposed, so each feature's rows are contiguous
+    and summed pairwise; a wide one keeps its rows, summed one after
+    another.  Pass 1 sums the blocks to c_1, each
     copied into the buffer unless it already has the buffer's layout (a
     wide block of a row-major stack).  Pass 2 writes each centred block
     into the buffer and sums its running products per order.  Block sums
     are added in row order and c_j = sum / n.  The order of every sum
-    depends only on (n, m), not on the memory layout of S, so each
-    sample's moments are bit for bit those of the sample on its own.  S
-    itself is never written."""
+    depends only on (n, m, k, mode), not on the memory layout of S, so
+    each sample's moments are bit for bit those of the sample on its own.
+    S itself is never written."""
     g, n, m = S.shape
-    rows = min(n, max(_MIN_ROWS, _BLOCK // max(m, 1)))
+    widest = m if mode == MARGINAL else math.comb(m + k - 1, k)  # monomials of order k
+    rows = min(n, max(_MIN_ROWS, _BLOCK // max(widest, 1)))
     narrow = m < rows
     axis = -1 if narrow else -2  # the rows of the scratch buffer
     buf = np.empty((g, m, rows) if narrow else (g, rows, m))

@@ -151,14 +151,21 @@ class SparseRowMatrix:
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.cols:
             raise ValueError("dimension mismatch in sparse dot")
-        return _scatter_sum(self.row_ids, self.rows, self.data[:, None] * D[self.indices])
+        out = np.empty((self.rows, D.shape[1]))
+        _run_sums(self.row_ids, None, self.data, self.indices, D, out)
+        return out
 
     def t_dot_dense(self, D: np.ndarray) -> np.ndarray:
-        """self.T @ D for dense D of shape (rows, k)."""
+        """self.T @ D for dense D of shape (rows, k), returned as the
+        transpose of a C-contiguous (k, cols) array."""
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.rows:
             raise ValueError("dimension mismatch in sparse t_dot")
-        return _scatter_sum(self.indices, self.cols, self.data[:, None] * D[self.row_ids])
+        # stable: each column's entries stay in storage order
+        order = np.argsort(self.indices, kind="stable")
+        out = np.empty((D.shape[1], self.cols))
+        _run_sums(self.indices[order], order, self.data, self.row_ids, D, out.T)
+        return out.T
 
     def take_rows(self, idx) -> "SparseRowMatrix":
         idx = np.asarray(idx, dtype=np.int64)
@@ -168,6 +175,30 @@ class SparseRowMatrix:
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return SparseRowMatrix(len(idx), self.cols, indptr, self.indices[pos], self.data[pos])
+
+
+_BLOCK_TERMS = 1 << 15  # product terms per block of output rows: 256 KiB
+
+
+def _run_sums(run, order, data, gather, D: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = sum of data[e] * D[gather[e]] over the entries e of run i.
+    The entries are taken in the given order (None: storage order), and
+    run[j], the run of the j-th of them, does not decrease.  Runs are
+    summed in blocks of consecutive output rows holding at most
+    _BLOCK_TERMS product terms, or one row when a single run holds more,
+    so no temporary grows with the stored values times the width of D."""
+    k, size = D.shape[1], out.shape[0]
+    bounds = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(run, minlength=size), out=bounds[1:])
+    per_block = max(1, _BLOCK_TERMS // max(k, 1))  # entries
+    r0 = 0
+    while r0 < size:
+        fits = int(np.searchsorted(bounds, bounds[r0] + per_block, side="right")) - 1
+        r1 = max(r0 + 1, fits)
+        e0, e1 = bounds[r0], bounds[r1]
+        e = slice(e0, e1) if order is None else order[e0:e1]
+        out[r0:r1] = _scatter_sum(run[e0:e1] - r0, r1 - r0, data[e, None] * D[gather[e]])
+        r0 = r1
 
 
 def _scatter_sum(target, size: int, terms: np.ndarray) -> np.ndarray:

@@ -36,11 +36,13 @@ def _pairs(p: NetworkParams, g: Gradients):
 
 
 def _check(p: NetworkParams, g: Gradients):
-    for _, arr, grad in _pairs(p, g):
+    """Before a step changes anything: ValueError on a gradient of the wrong
+    shape, FloatingPointError naming the first non-finite one."""
+    for name, arr, grad in _pairs(p, g):
         if arr.shape != grad.shape:
             raise ValueError("gradient shape does not match parameters")
         if not np.all(np.isfinite(grad)):
-            raise FloatingPointError("non-finite gradient")
+            raise FloatingPointError(f"non-finite gradient d{name}")
 
 
 @dataclass
@@ -75,6 +77,8 @@ class Adadelta:
     eps: float = 1e-6
     G: dict = field(default=None, repr=False)
     E: dict = field(default=None, repr=False)
+    # two buffers per parameter array for the temporaries of a step
+    scratch: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
@@ -87,15 +91,21 @@ class Adadelta:
         if self.G is None:
             self.G = _zeros_like_params(p)
             self.E = _zeros_like_params(p)
+            self.scratch = {name: (np.empty_like(a), np.empty_like(a)) for name, a in self.G.items()}
+        rest = 1.0 - self.rho
         for name, arr, grad in _pairs(p, g):
-            acc = self.G[name]
+            acc, eacc = self.G[name], self.E[name]
+            u, v = self.scratch[name]
+            # the module docstring's updates in their operation order, each
+            # temporary written into u or v
             acc *= self.rho
-            acc += (1.0 - self.rho) * grad * grad
-            update = np.sqrt(self.E[name] + self.eps) / np.sqrt(acc + self.eps) * grad
+            acc += np.multiply(np.multiply(rest, grad, out=u), grad, out=u)
+            np.sqrt(np.add(eacc, self.eps, out=u), out=u)
+            np.sqrt(np.add(acc, self.eps, out=v), out=v)
+            update = np.multiply(np.divide(u, v, out=u), grad, out=u)
             arr -= update
-            eacc = self.E[name]
             eacc *= self.rho
-            eacc += (1.0 - self.rho) * update * update
+            eacc += np.multiply(np.multiply(rest, update, out=v), update, out=v)
 
 
 # kind -> (class, the settings it takes); each class holds its defaults

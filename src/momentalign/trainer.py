@@ -42,7 +42,6 @@ __all__ = [
     "EpochRecord",
     "TrainResult",
     "WarmStartResult",
-    "objective",
     "step_gradients",
     "train",
     "warm_start_train",
@@ -153,15 +152,6 @@ def _accuracy(outputs: np.ndarray, Y: np.ndarray) -> float:
     return float((outputs.argmax(axis=1) == Y.argmax(axis=1)).mean())
 
 
-def objective(p: NetworkParams, Xs, Ys, Xt, cfg: TrainConfig):
-    """(total, loss, cmd) of the combined objective under cfg."""
-    trace_s = forward(p, Xs)
-    loss = cross_entropy_loss(trace_s, Ys)
-    cmd = cmd_estimate(trace_s.hidden, forward(p, Xt).hidden, CmdConfig(k=cfg.k)).value
-    total = loss if cfg.lam == 0.0 else loss + cfg.lam * cmd
-    return total, loss, cmd
-
-
 def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
     """(accuracy, mean disagreement): argmax match rate and the mean of
     sum_i |h_i - y_i| / 2 per example."""
@@ -185,7 +175,9 @@ def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg)
     dW, db = backprop_hidden(Xs, trace_s.hidden, cotangent + lam * g_s)
     dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, lam * g_t)
-    return Gradients(dW + dW_t, db + db_t, dV, dc)
+    dW += dW_t
+    db += db_t
+    return Gradients(dW, db, dV, dc)
 
 
 def _epoch_perms(seed: int, epoch: int, ns: int, nt: int):
@@ -254,10 +246,11 @@ def train(
             if cfg.lam != 0.0:
                 trace_t = trace_t or forward(p, Xbt)
             grads = step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t)
-            if not grads.all_finite():
+            try:
+                optimizer.step(p, grads)  # checks the gradients before it moves p
+            except FloatingPointError:
                 diverged = True
                 break
-            optimizer.step(p, grads)
             if not all(np.all(np.isfinite(a)) for a in (p.W, p.b, p.V, p.c)):
                 diverged = True
                 break
@@ -299,6 +292,16 @@ def train(
     )
 
 
+def _final_accuracies(result: TrainResult, Xs, Ys, Xt, Yt):
+    """(source, target) accuracy of result.params.  Its last epoch record
+    took them from forward passes of those very parameters; a run with no
+    records is evaluated."""
+    if result.records:
+        return result.records[-1].source_acc, result.records[-1].target_acc
+    src_acc = evaluate(result.params, Xs, Ys)[0]
+    return src_acc, (evaluate(result.params, Xt, Yt)[0] if Yt is not None else None)
+
+
 def warm_start_train(Xs, Ys, Xt, cfg: TrainConfig, Yt=None) -> WarmStartResult:
     """Shallow full-budget run plus a CMD continuation from its snapshot;
     train rejects non-finite inputs before the shallow run starts."""
@@ -327,10 +330,8 @@ def warm_start_train(Xs, Ys, Xt, cfg: TrainConfig, Yt=None) -> WarmStartResult:
     else:
         mann = TrainResult(params=start.copy(), records=[], diverged=False)
 
-    sh_src, _ = evaluate(shallow.params, Xs, Ys)
-    ma_src, _ = evaluate(mann.params, Xs, Ys)
-    sh_tgt = evaluate(shallow.params, Xt, Yt)[0] if Yt is not None else None
-    ma_tgt = evaluate(mann.params, Xt, Yt)[0] if Yt is not None else None
+    sh_src, sh_tgt = _final_accuracies(shallow, Xs, Ys, Xt, Yt)
+    ma_src, ma_tgt = _final_accuracies(mann, Xs, Ys, Xt, Yt)
     return WarmStartResult(
         shallow=shallow,
         mann=mann,

@@ -106,13 +106,16 @@ def test_central_moments_shift_covariance(seed, shift):
         assert np.allclose(a[j], b[j], atol=1e-9)
 
 
-def _blocked_mean(M, m):
+def _blocked_mean(M, m, k, mode):
     """The mean over the rows of M, the monomials of an n x m sample, in the
-    kernel's documented order: blocks of min(n, max(_MIN_ROWS, _BLOCK // m))
-    rows; a narrow block (m < rows) summed pairwise along each column of its
-    transpose, a wide one row after row; block sums added in row order."""
+    kernel's documented order for moments up to order k: blocks of
+    min(n, max(_MIN_ROWS, _BLOCK // w)) rows, w the widest monomial count
+    (m in marginal mode, comb(m + k - 1, k) in full mode); a narrow block
+    (m < rows) summed pairwise along each column of its transpose, a wide
+    one row after row; block sums added in row order."""
     n = len(M)
-    rows = min(n, max(moments._MIN_ROWS, moments._BLOCK // m))
+    w = m if mode == MARGINAL else math.comb(m + k - 1, k)
+    rows = min(n, max(moments._MIN_ROWS, moments._BLOCK // w))
     total = None
     for r0 in range(0, n, rows):
         B = M[r0:r0 + rows]
@@ -155,7 +158,7 @@ def test_central_moments_match_power_reference(seed, n, m, k, mode):
         pure = [exps.index(tuple(j if v == i else 0 for v in range(m))) for i in range(m)]
         M = monomial_matrix(D, j, mode)
         assert np.array_equal(M[:, pure], running), (j, mode)
-        assert np.array_equal(c[j], _blocked_mean(M, m)), (j, mode)
+        assert np.array_equal(c[j], _blocked_mean(M, m, k, mode)), (j, mode)
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,12 +203,12 @@ def test_blocked_kernel_order_across_blocks(seed, n, m, k, mode, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "_BLOCK", block)
         c = central_moments(X, k, mode)
-        assert np.array_equal(c[1], _blocked_mean(X, m))
+        assert np.array_equal(c[1], _blocked_mean(X, m, k, mode))
         # the layout of the caller's array does not change the order
         f = central_moments(np.asfortranarray(X), k, mode)
         assert all(np.array_equal(f[j], c[j]) for j in range(1, k + 1))
         for j in range(2, k + 1):
-            assert np.array_equal(c[j], _blocked_mean(monomial_matrix(X - c[1], j, mode), m)), j
+            assert np.array_equal(c[j], _blocked_mean(monomial_matrix(X - c[1], j, mode), m, k, mode)), j
     # the unblocked kernel's sequential sums differ only in rounding
     ref = _sequential_moments(X, k, mode)
     assert np.all(np.abs(c[1] - ref[0]) <= 1e-12 * np.abs(X).mean(axis=0))
@@ -262,6 +265,20 @@ def test_central_moments_memory_is_one_block():
     tracemalloc.start()
     try:
         central_moments(X, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_full_mode_central_moments_memory_is_one_block():
+    # blocks sized by the width m held 21 order-5 monomials per row of a
+    # 2e4 x 3 sample: 5.0 MiB; sized by the widest order's monomial count,
+    # each running product stays one block
+    X = SeededRng(3).normal_matrix(20_000, 3)
+    tracemalloc.start()
+    try:
+        central_moments(X, 5, FULL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

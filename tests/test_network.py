@@ -11,7 +11,6 @@ from momentalign import network
 from momentalign.distances import CmdConfig, cmd_estimate
 from momentalign.network import (
     ForwardTrace,
-    Gradients,
     NetworkParams,
     cmd_gradients,
     cross_entropy_loss,
@@ -23,6 +22,8 @@ from momentalign.network import (
     softmax_rows,
 )
 from momentalign.numerics import SeededRng, SparseRowMatrix
+
+from helpers import add_scaled, all_finite, zeros_like
 
 
 def tiny_params(seed=0, m=3, h=4, c=2):
@@ -72,6 +73,36 @@ def test_params_json_round_trip():
     doc["shapes"]["input"] = 4999
     with pytest.raises(ValueError):
         NetworkParams.from_json(json.dumps(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 4), st.integers(0, 5), st.integers(1, 3),
+       st.one_of(st.none(), st.integers(0, 2**64 - 1)))
+def test_params_json_pieces_join_to_the_whole_document(data, h, m, c, seed):
+    # one piece per row of W, then the rest: the same text as one json.dumps,
+    # NaN and infinities included
+    values = st.floats(width=64)
+    draw = lambda *shape: np.array(data.draw(st.lists(  # noqa: E731
+        values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    p = NetworkParams(draw(h, m), draw(h), draw(c, h), draw(c), seed)
+    doc = {"W": p.W.tolist(), "b": p.b.tolist(), "V": p.V.tolist(), "c": p.c.tolist(),
+           "shapes": {"hidden": h, "input": m, "classes": c}, "seed": seed}
+    pieces = list(p.json_pieces())
+    assert len(pieces) == h + 2
+    assert "".join(pieces) == p.to_json() == json.dumps(doc)
+
+
+def test_params_json_pieces_are_row_sized():
+    # the text of a 50 x 5000 W is 5.3 MiB; joined and copied with a newline,
+    # as params.json used to be written, it peaked at 18.3 MiB
+    p = init_params(5000, 50, 2, SeededRng(11))
+    tracemalloc.start()
+    try:
+        size = sum(len(piece) for piece in p.json_pieces())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 5 * 2**20 and peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_params_from_json_rejects_bad_shapes():
@@ -169,15 +200,15 @@ def test_cross_entropy_clamps_zero_probability():
 
 def test_gradients_add_scaled_and_finite():
     p = tiny_params()
-    g = Gradients.zeros_like(p)
+    g = zeros_like(p)
     X = SeededRng(2).normal_matrix(4, 3)
     Y = np.eye(2)[SeededRng(3).permutation(4) % 2]
     lg = loss_gradients(p, X, Y)
-    g.add_scaled(lg, 2.0)
+    add_scaled(g, lg, 2.0)
     assert np.allclose(g.dW, 2.0 * lg.dW)
-    assert g.all_finite()
+    assert all_finite(g)
     g.dW[0, 0] = np.nan
-    assert not g.all_finite()
+    assert not all_finite(g)
 
 
 def test_loss_gradients_match_finite_differences():

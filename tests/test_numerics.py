@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentalign import numerics
 from momentalign.numerics import SeededRng, SparseRowMatrix, stream_words, word_uniforms
+
+from helpers import bag_of_words
 
 
 def test_same_seed_same_stream():
@@ -228,6 +233,56 @@ def test_sparse_products_bitwise_equal_add_at(data):
         assert S.dot_dense(D).tobytes() == add_at_dot(S, D).tobytes()
         R = signed_matrix(data.draw, S.rows, width)
         assert S.t_dot_dense(R).tobytes() == add_at_t_dot(S, R).tobytes()
+
+
+# 1 term: every output row is a block of its own, and every row or column
+# with more than one stored value is longer than a block; a huge cap makes
+# the whole matrix one block
+@pytest.mark.parametrize("cap", [1, 6, 1 << 62], ids=["one-term", "six-terms", "one-block"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_blocked_sparse_products_bitwise_equal_add_at(cap, data):
+    S = data.draw(csr_matrices())
+    width = data.draw(st.integers(1, 8))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(numerics, "_BLOCK_TERMS", cap)
+        D = signed_matrix(data.draw, S.cols, width)
+        assert S.dot_dense(D).tobytes() == add_at_dot(S, D).tobytes()
+        R = signed_matrix(data.draw, S.rows, width)
+        got = S.t_dot_dense(R)
+        assert got.tobytes() == add_at_t_dot(S, R).tobytes()
+        assert got.T.flags.c_contiguous  # the (k, cols) array a gradient takes as is
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 62], ids=["one-term", "one-block"])
+def test_blocked_sparse_products_on_long_runs_and_empty_lines(cap, monkeypatch):
+    # a full row and a full column each far longer than a block, empty rows
+    # and columns, and signed zeros among the values and the operand
+    rows = [[(c, 0.1 * c - 1.0) for c in range(40)], [], [(0, -0.0), (7, 2.5)], []]
+    rows += [[(0, 1.0 + r), (39, -0.0)] for r in range(30)]
+    S = SparseRowMatrix.from_rows(rows, cols=45)  # columns 40..44 stay empty
+    D = SeededRng(6).normal_matrix(45, 3)
+    D[::4] = -0.0
+    R = SeededRng(7).normal_matrix(S.rows, 3)
+    R[1::3] = -0.0
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", cap)
+    assert S.dot_dense(D).tobytes() == add_at_dot(S, D).tobytes()
+    assert S.t_dot_dense(R).tobytes() == add_at_t_dot(S, R).tobytes()
+
+
+@pytest.mark.parametrize("product", ["dot_dense", "t_dot_dense"])
+def test_sparse_product_memory_is_its_output_and_a_few_blocks(product):
+    # the products built every term at once, 43-45 MiB at this shape: 1000 x
+    # 5000 with about 56k stored values (the paper's sentiment inputs), k = 50
+    S = bag_of_words()
+    D = SeededRng(5).normal_matrix(S.cols if product == "dot_dense" else S.rows, 50)
+    tracemalloc.start()
+    try:
+        out = getattr(S, product)(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * 2**20, f"{peak / 2**20:.2f} MiB, output {out.nbytes / 2**20:.2f}"
 
 
 def test_sparse_products_keep_signed_zeros_as_add_at():

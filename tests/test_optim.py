@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from momentalign.network import Gradients, NetworkParams
+from momentalign.numerics import SeededRng
 from momentalign.optim import Adadelta, Adagrad, Sgd, make_optimizer
+
+from helpers import zeros_like
 
 
 def scalarish_params():
@@ -11,7 +14,7 @@ def scalarish_params():
 
 
 def unit_grads(p, value=1.0):
-    g = Gradients.zeros_like(p)
+    g = zeros_like(p)
     for arr in (g.dW, g.db, g.dV, g.dc):
         arr += value
     return g
@@ -58,6 +61,31 @@ def test_adadelta_two_steps_recurrence():
     assert p.W[0, 0] == pytest.approx(x, rel=1e-13)
 
 
+def test_adadelta_scratch_buffers_match_the_textbook_formula():
+    # the step writes its temporaries into two buffers per array; the
+    # module docstring's expressions, evaluated afresh, give the same bits
+    rng = SeededRng(21)
+    p = NetworkParams(rng.normal_matrix(50, 5000), rng.normals(50),
+                      rng.normal_matrix(3, 50), rng.normals(3))
+    rho, eps = 0.95, 1e-6
+    opt = Adadelta(rho=rho, eps=eps)
+    theta = {n: getattr(p, n).copy() for n in "WbVc"}
+    G = {n: np.zeros_like(a) for n, a in theta.items()}
+    E = {n: np.zeros_like(a) for n, a in theta.items()}
+    for step in range(12):
+        scale = 10.0 ** (step % 5 - 2)
+        g = Gradients(*(rng.normals(a.size).reshape(a.shape) * scale for a in theta.values()))
+        opt.step(p, g)
+        for n in "WbVc":
+            grad = getattr(g, "d" + n)
+            G[n] = rho * G[n] + (1.0 - rho) * grad * grad
+            update = np.sqrt(E[n] + eps) / np.sqrt(G[n] + eps) * grad
+            theta[n] = theta[n] - update
+            E[n] = rho * E[n] + (1.0 - rho) * update * update
+            for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n]), (opt.E[n], E[n])):
+                assert got.tobytes() == want.tobytes(), (step, n)
+
+
 def test_adadelta_validation():
     with pytest.raises(ValueError):
         Adadelta(rho=1.0)
@@ -76,6 +104,18 @@ def test_step_rejects_bad_gradients():
     g2 = Gradients(np.zeros((2, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
     with pytest.raises(ValueError):
         Sgd().step(p, g2)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adagrad", "adadelta"])
+@pytest.mark.parametrize("name", ["W", "b", "V", "c"])
+def test_step_names_the_non_finite_gradient_and_moves_nothing(kind, name):
+    p = scalarish_params()
+    before = p.copy()
+    g = unit_grads(p)
+    getattr(g, "d" + name)[0] = np.nan
+    with pytest.raises(FloatingPointError, match=f"^non-finite gradient d{name}$"):
+        make_optimizer(kind).step(p, g)
+    assert all(np.array_equal(getattr(p, n), getattr(before, n)) for n in "WbVc")
 
 
 def test_make_optimizer():

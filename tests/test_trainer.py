@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +21,13 @@ from momentalign.optim import Adadelta, Sgd
 from momentalign.trainer import (
     TrainConfig,
     evaluate,
-    objective,
     step_gradients,
     train,
     warm_start_train,
     write_metrics_csv,
 )
+
+from helpers import add_scaled, bag_of_words, objective
 
 
 def small_problem(total=60, seed=0):
@@ -154,6 +158,27 @@ def test_divergence_reverts_to_last_stable():
     assert params_equal(res.params, fresh)
 
 
+def test_non_finite_gradient_reverts_to_last_stable():
+    # the optimizer's own check, which runs before it moves anything, is
+    # the one scan of a step's gradients; train takes its error as divergence
+    Xs, Ys, Xt, _ = small_problem()
+    cfg = TrainConfig(hidden=4, epochs=5, seed=4)
+    calls = []
+
+    def nan_on_third_step(*args):
+        grads = step_gradients(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            grads.db[1] = np.nan
+        return grads
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "step_gradients", nan_on_third_step)
+        res = train(Xs, Ys, Xt, cfg)
+    assert res.diverged and len(calls) == 3 and len(res.records) == 2
+    assert params_equal(res.params, train(Xs, Ys, Xt, replace(cfg, epochs=2)).params)
+
+
 def test_train_input_validation():
     Xs, Ys, Xt, _ = small_problem()
     with pytest.raises(ValueError):
@@ -222,6 +247,31 @@ def test_warm_start_protocol():
         assert 0.0 <= acc <= 1.0
     # the continuation starts from the snapshot, not the shallow end state
     assert not params_equal(res.mann.params, res.shallow.params)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("with_target_labels", [True, False])
+def test_warm_start_accuracies_come_from_the_last_records(lam, with_target_labels):
+    # each phase's last record took its accuracies from forwards of its final
+    # parameters; only a phase with no records (the lambda = 0
+    # continuation) is evaluated
+    Xs, Ys, Xt, Yt = small_problem()
+    Yt = Yt if with_target_labels else None
+    cfg = TrainConfig(hidden=4, lam=lam, epochs=9, seed=6)
+    evaluated = []
+
+    def counting_evaluate(p, X, Y):
+        evaluated.append(X is Xs)
+        return evaluate(p, X, Y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "evaluate", counting_evaluate)
+        res = warm_start_train(Xs, Ys, Xt, cfg, Yt=Yt)
+    assert evaluated == ([] if lam else [True] + ([False] if Yt is not None else []))
+    for phase, src_acc, tgt_acc in ((res.shallow, res.shallow_source_acc, res.shallow_target_acc),
+                                    (res.mann, res.mann_source_acc, res.mann_target_acc)):
+        assert src_acc == evaluate(phase.params, Xs, Ys)[0]
+        assert tgt_acc == (evaluate(phase.params, Xt, Yt)[0] if Yt is not None else None)
 
 
 def test_warm_start_lambda_zero_keeps_snapshot():
@@ -323,7 +373,7 @@ def test_step_gradients_is_loss_plus_lambda_cmd(sparse, lam):
         assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in (
             (got.dW, want.dW), (got.db, want.db), (got.dV, want.dV), (got.dc, want.dc)))
     else:
-        want.add_scaled(cmd_gradients(p, Xs, Xt, cmd_cfg, trace_s, trace_t), lam)
+        add_scaled(want, cmd_gradients(p, Xs, Xt, cmd_cfg, trace_s, trace_t), lam)
         assert gradients_close(got, want)
 
 
@@ -344,3 +394,22 @@ def test_sparse_minibatch_step_makes_one_input_product_per_domain(lam, per_step)
     steps = cfg.epochs * 40 // cfg.batch_size
     assert not res.diverged
     assert calls == [cfg.batch_size] * (per_step * steps)
+
+
+@pytest.mark.parametrize("batch_size", [0, 64], ids=["full-batch", "minibatch"])
+def test_sparse_epoch_memory_is_bounded_by_the_model(batch_size):
+    # the paper's sentiment shape: 1000 x 5000 bag-of-words domains, 50
+    # hidden units, lambda = 1.  The sparse products' nnz x hidden
+    # temporaries and the optimizer's per-step arrays peaked at 53.6 MiB
+    # (full batch) and 55.5 MiB (B = 64); W is 1.9 MiB
+    Xs, Xt = bag_of_words(seed=1), bag_of_words(seed=2)
+    Ys = one_hot(np.arange(Xs.rows) % 2, 2)
+    cfg = TrainConfig(hidden=50, lam=1.0, epochs=1, batch_size=batch_size, seed=3)
+    tracemalloc.start()
+    try:
+        res = train(Xs, Ys, Xt, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.diverged
+    assert peak <= 24 * 2**20, f"{peak / 2**20:.1f} MiB"
