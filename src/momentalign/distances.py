@@ -24,12 +24,12 @@ import numpy as np
 
 from .moments import (
     MARGINAL,
+    CentralMomentVector,
     _check_mode,
     _stacked_central_moments,
     analytic_central_moment,
     analytic_mean,
     analytic_raw_moment,
-    central_moments,
     monomial_matrix,
 )
 from .numerics import as_sample_pair
@@ -60,36 +60,59 @@ class DistanceReport:
     metric: str
     value: float
     terms: list = field(default_factory=list)  # per-order contributions (CMD)
+    # the moment pass of a one-pair CMD estimate, which cmd_cotangents reuses
+    moments: MomentGap | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"metric": self.metric, "value": self.value, "terms": list(self.terms)}
 
 
-def _stacked_cmd(S: np.ndarray, T: np.ndarray, cfg: CmdConfig) -> list:
-    """cmd_estimate of every pair (S[i], T[i]) of two stacks of dense
-    samples, S of shape (g, ns, m) and T of shape (g, nt, m): one stacked
-    moment pass per stack.  Per-order norms are sqrt(vecdot(d, d)), bit for
-    bit np.linalg.norm of each row."""
-    _check_mode(cfg.mode)
-    cs = _stacked_central_moments(S, cfg.k, cfg.mode)
-    ct = _stacked_central_moments(T, cfg.k, cfg.mode)
-    terms = np.empty((S.shape[0], cfg.k))
-    for j, (a, b) in enumerate(zip(cs, ct)):
-        d = a - b
-        terms[:, j] = cfg.weight(j + 1) * np.sqrt(np.vecdot(d, d))
-    return [DistanceReport("cmd", math.fsum(t), t) for t in terms.tolist()]
+@dataclass
+class MomentGap:
+    """One moment pass over two stacks of g dense samples, S of shape
+    (g, ns, m) and T of shape (g, nt, m): c_1..c_k of every sample, each
+    order of shape (g, n_monomials), and the per-order gap norms
+    ||c_j(S[i]) - c_j(T[i])||, shape (g, k).  A norm is sqrt(vecdot(d, d)),
+    bit for bit np.linalg.norm of the gap d.  The CMD's terms and its
+    cotangents are both read off this pass."""
+
+    source: CentralMomentVector
+    target: CentralMomentVector
+    norms: np.ndarray
+
+    @classmethod
+    def of(cls, S: np.ndarray, T: np.ndarray, cfg: CmdConfig) -> "MomentGap":
+        _check_mode(cfg.mode)
+        cs = CentralMomentVector(cfg.k, cfg.mode, _stacked_central_moments(S, cfg.k, cfg.mode))
+        ct = CentralMomentVector(cfg.k, cfg.mode, _stacked_central_moments(T, cfg.k, cfg.mode))
+        norms = np.empty((S.shape[0], cfg.k))
+        for j in range(1, cfg.k + 1):
+            d = cs[j] - ct[j]
+            norms[:, j - 1] = np.sqrt(np.vecdot(d, d))
+        return cls(cs, ct, norms)
+
+    def reports(self, cfg: CmdConfig) -> list:
+        """The cmd DistanceReport of every pair; the report of a single
+        pair keeps this pass."""
+        terms = self.norms * [cfg.weight(j) for j in range(1, cfg.k + 1)]
+        keep = self if len(terms) == 1 else None
+        return [DistanceReport("cmd", math.fsum(t), t, keep) for t in terms.tolist()]
 
 
 def cmd_estimate(src, tgt, cfg: CmdConfig | None = None) -> DistanceReport:
     """Empirical CMD between two samples of equal dimension: the one-pair
-    case of _stacked_cmd."""
+    case of MomentGap."""
+    cfg = cfg or CmdConfig()
     Xs, Xt = as_sample_pair(src, tgt)
-    return _stacked_cmd(Xs[None], Xt[None], cfg or CmdConfig())[0]
+    return MomentGap.of(Xs[None], Xt[None], cfg).reports(cfg)[0]
 
 
-def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig):
+def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig,
+                   moments: MomentGap | None = None):
     """(g_s, g_t): the gradient of the marginal cmd(As, At) with respect to
-    each activation row, times that side's row count.
+    each activation row, times that side's row count.  moments, the
+    MomentGap of As and At themselves (a cmd_estimate report keeps it),
+    spares the moment pass.
 
     With D = A - c_1 and u_j the unit vector along c_j(S) - c_j(T), the
     order-j term a_j ||c_j(S) - c_j(T)|| contributes coef_j * (D^{j-1} -
@@ -102,11 +125,13 @@ def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig):
     """
     if cfg.mode != MARGINAL:
         raise ValueError("cmd gradients are defined for marginal monomials only")
-    cs, ct = central_moments(As, cfg.k), central_moments(At, cfg.k)
+    if moments is None:
+        Xs, Xt = as_sample_pair(As, At)
+        moments = MomentGap.of(Xs[None], Xt[None], cfg)
+    cs, ct = moments.source, moments.target  # each order of shape (1, m)
     coefs = []
     for j in range(1, cfg.k + 1):
-        delta = cs[j] - ct[j]
-        nrm = float(np.linalg.norm(delta))
+        delta, nrm = cs[j] - ct[j], moments.norms[0, j - 1]
         coefs.append(cfg.weight(j) * j * delta / nrm if nrm >= _NORM_EPS else np.zeros_like(delta))
 
     def side(A, c, coefs):

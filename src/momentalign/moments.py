@@ -124,11 +124,12 @@ def _stacked_central_moments(S: np.ndarray, k: int, mode: str) -> list:
     along the block's longer side through one scratch buffer.  A narrow
     block (m < rows) is transposed, so each feature's rows are contiguous
     and summed pairwise; a wide one keeps its rows, summed one after
-    another.  Pass 1 sums the blocks to c_1, each
-    copied into the buffer unless it already has the buffer's layout (a
-    wide block of a row-major stack).  Pass 2 writes each centred block
-    into the buffer and sums its running products per order.  Block sums
-    are added in row order and c_j = sum / n.  The order of every sum
+    another.  Pass 1 sums the blocks to c_1, each copied into the buffer
+    unless it already has the buffer's layout (a wide block of a
+    row-major stack).  Pass 2 writes each centred block into the buffer
+    (a sample of one block copied there in pass 1 is centred where it
+    lies) and sums its running products per order.  Block sums are
+    added in row order and c_j = sum / n.  The order of every sum
     depends only on (n, m, k, mode), not on the memory layout of S, so
     each sample's moments are bit for bit those of the sample on its own.
     S itself is never written."""
@@ -153,14 +154,15 @@ def _stacked_central_moments(S: np.ndarray, k: int, mode: str) -> list:
         if view.strides[1:] != scratch.strides[1:]:  # narrow, or not row-major
             np.copyto(scratch, view)
             view = scratch
-        total = add(total, view.sum(axis=axis))
+        total = add(total, np.add.reduce(view, axis=axis))
     c1 = total / n
     centre = c1[:, :, None] if narrow else c1[:, None]
+    kept = rows == n and view is scratch  # the one block, still in the buffer
     totals = [None] * (k - 1)
     for view, scratch in blocks():
-        D = np.subtract(view, centre, out=scratch)
+        D = np.subtract(scratch if kept else view, centre, out=scratch)
         for j, M in enumerate(_running_monomials(D, k, mode, -2 if narrow else -1)):
-            totals[j] = add(totals[j], M.sum(axis=axis))
+            totals[j] = add(totals[j], np.add.reduce(M, axis=axis))
     return [c1] + [t / n for t in totals]
 
 

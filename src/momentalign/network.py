@@ -23,33 +23,58 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import CmdConfig, _stacked_cmd, cmd_cotangents
+from .distances import CmdConfig, MomentGap, cmd_cotangents
 from .numerics import SparseRowMatrix, as_sample, n_cols
 
 _LOG_CLAMP = 1e-12
 
 
+def _views(flat: np.ndarray, arrays) -> tuple:
+    """Views of the vector flat, back to back, shaped like arrays."""
+    out, start = [], 0
+    for a in arrays:
+        out.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return tuple(out)
+
+
+def _packed(arrays) -> tuple:
+    """(flat, views): a new float64 vector holding arrays back to back,
+    each row-major, and its views shaped like them."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    return flat, _views(flat, arrays)
+
+
 @dataclass
 class NetworkParams:
+    """The parameters as one float64 vector, flat, that holds W, b, V and c
+    back to back, each row-major; the four attributes are views of it.
+    The constructor copies its arrays into a new vector, so write into
+    the views (p.W[...] = ..., p.W -= ...), never rebind them."""
+
     W: np.ndarray  # hidden x input
     b: np.ndarray  # hidden
     V: np.ndarray  # classes x hidden
     c: np.ndarray  # classes
     seed: int | None = None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.V = np.asarray(self.V, dtype=np.float64)
-        self.c = np.asarray(self.c, dtype=np.float64)
+        self.flat, (self.W, self.b, self.V, self.c) = _packed((self.W, self.b, self.V, self.c))
         h, m = self.W.shape
         cls, h2 = self.V.shape
         if self.b.shape != (h,) or h2 != h or self.c.shape != (cls,):
             raise ValueError("inconsistent parameter shapes")
+
+    def views(self, flat: np.ndarray) -> tuple:
+        """(W, b, V, c) laid over flat, a vector of self.flat's size, the
+        way the parameters lie over self.flat."""
+        return _views(flat, (self.W, self.b, self.V, self.c))
 
     @property
     def hidden(self) -> int:
@@ -64,7 +89,10 @@ class NetworkParams:
         return self.V.shape[0]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.W.copy(), self.b.copy(), self.V.copy(), self.c.copy(), self.seed)
+        q = object.__new__(NetworkParams)  # a copy of flat, with no shapes to check
+        q.seed, q.flat = self.seed, self.flat.copy()
+        q.W, q.b, q.V, q.c = self.views(q.flat)
+        return q
 
     def json_pieces(self):
         """The JSON document of the parameters in pieces: one per row of W,
@@ -119,10 +147,25 @@ class ForwardTrace:
 
 @dataclass
 class Gradients:
+    """dW, db, dV and dc as views of one float64 vector, flat, laid out like
+    NetworkParams.flat.  The constructor copies its arrays into a new
+    vector; zeros_like gives one for the producers to fill in place."""
+
     dW: np.ndarray
     db: np.ndarray
     dV: np.ndarray
     dc: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, (self.dW, self.db, self.dV, self.dc) = _packed((self.dW, self.db, self.dV, self.dc))
+
+    @classmethod
+    def zeros_like(cls, p: NetworkParams) -> "Gradients":
+        g = object.__new__(cls)  # no arrays to copy
+        g.flat = np.zeros_like(p.flat)
+        g.dW, g.db, g.dV, g.dc = p.views(g.flat)
+        return g
 
 
 def init_params(input_dim: int, hidden: int, classes: int, rng) -> NetworkParams:
@@ -134,16 +177,28 @@ def init_params(input_dim: int, hidden: int, classes: int, rng) -> NetworkParams
     return NetworkParams(W, np.zeros(hidden), V, np.zeros(classes), seed=rng.seed)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows,
+    written into out (which may be z itself) when given.  With e = e^-|z|
+    in [0, 1], the numerator max(e, z >= 0) is 1 for z >= 0 and e below,
+    bit for bit; a NaN stays NaN."""
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.maximum(e, z >= 0, out=out)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the class-axis max as a running maximum over the class columns: a max
+    # is exact in any order, and a reduction over a few classes is slow
+    top = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    e = np.subtract(z, top[..., None])
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _hidden(X, W, b) -> np.ndarray:
@@ -153,12 +208,15 @@ def _hidden(X, W, b) -> np.ndarray:
         pre = X.dot_dense(W.T)
     else:
         pre = np.asarray(X, dtype=np.float64) @ np.swapaxes(W, -1, -2)
-    return sigmoid(pre + b[..., None, :])
+    pre += b[..., None, :]
+    return sigmoid(pre, out=pre)
 
 
 def _outputs(h0: np.ndarray, V: np.ndarray, c: np.ndarray) -> np.ndarray:
     """h = softmax(h0 V^T + c), stacked like _hidden."""
-    return softmax_rows(h0 @ np.swapaxes(V, -1, -2) + c[..., None, :])
+    z = h0 @ np.swapaxes(V, -1, -2)
+    z += c[..., None, :]
+    return softmax_rows(z)
 
 
 def forward(p: NetworkParams, X) -> ForwardTrace:
@@ -172,7 +230,7 @@ def forward(p: NetworkParams, X) -> ForwardTrace:
 def _cross_entropy(outputs: np.ndarray, Y: np.ndarray):
     """Mean cross-entropy over the rows of outputs, per network of a stack."""
     logs = np.log(np.maximum(outputs, _LOG_CLAMP))
-    return -(Y * logs).sum(axis=-1).mean(axis=-1)
+    return -np.add.reduce((Y * logs).sum(axis=-1), axis=-1) / outputs.shape[-2]
 
 
 def cross_entropy_loss(trace: ForwardTrace, Y: np.ndarray) -> float:
@@ -182,35 +240,49 @@ def cross_entropy_loss(trace: ForwardTrace, Y: np.ndarray) -> float:
     return float(_cross_entropy(trace.outputs, Y))
 
 
-def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray):
+def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray, out=None):
     """(dW, db) of an objective whose per-row gradient with respect to
-    the hidden activations h0 = sigm(X W^T + b) is cotangent / n_rows."""
+    the hidden activations h0 = sigm(X W^T + b) is cotangent / n_rows,
+    written into out, a (dW, db) pair, when given."""
     n = hidden.shape[0]
-    dpre = cotangent * hidden * (1.0 - hidden)  # n x hidden
+    dW, db = (None, None) if out is None else out
+    dpre = cotangent * hidden  # n x hidden
+    dpre *= 1.0 - hidden
     if isinstance(X, SparseRowMatrix):
-        dW = X.t_dot_dense(dpre).T  # C-contiguous: the product fills a (hidden, cols) array
+        # the product fills dW through its (cols, hidden) transpose
+        dW = X.t_dot_dense(dpre, None if dW is None else dW.T).T
     else:
-        dW = dpre.T @ np.asarray(X, dtype=np.float64)
+        dW = np.matmul(dpre.T, np.asarray(X, dtype=np.float64), out=dW)
     dW /= n
-    return dW, dpre.mean(axis=0)
+    db = np.add.reduce(dpre, axis=0, out=db)
+    db /= n
+    return dW, db
 
 
-def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray):
-    """(cotangent on h0, dV, dc) of the mean cross-entropy on trace's rows;
+def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray, out=None):
+    """(cotangent on h0, dV, dc) of the mean cross-entropy on trace's rows,
+    dV and dc written into out, a (dV, dc) pair, when given;
     backprop_hidden turns the cotangent into dW and db."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != trace.outputs.shape:
         raise ValueError("labels do not align with outputs")
+    n = Y.shape[0]
+    dV, dc = (None, None) if out is None else out
     resid = trace.outputs - Y  # n x classes
-    return resid @ p.V, resid.T @ trace.hidden / Y.shape[0], resid.mean(axis=0)
+    dV = np.matmul(resid.T, trace.hidden, out=dV)
+    dV /= n
+    dc = np.add.reduce(resid, axis=0, out=dc)
+    dc /= n
+    return resid @ p.V, dV, dc
 
 
 def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | None = None) -> Gradients:
     """Analytic gradients of the mean cross-entropy on (X, Y)."""
     trace = trace or forward(p, X)
-    cotangent, dV, dc = loss_cotangent(p, trace, Y)
-    dW, db = backprop_hidden(X, trace.hidden, cotangent)
-    return Gradients(dW, db, dV, dc)
+    g = Gradients.zeros_like(p)
+    cotangent = loss_cotangent(p, trace, Y, out=(g.dV, g.dc))[0]
+    backprop_hidden(X, trace.hidden, cotangent, out=(g.dW, g.db))
+    return g
 
 
 def cmd_gradients(
@@ -232,10 +304,13 @@ def cmd_gradients(
     cfg = cfg or CmdConfig()
     trace_s = trace_s or forward(p, Xs)
     trace_t = trace_t or forward(p, Xt)
+    g = Gradients.zeros_like(p)
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cfg)
-    dW, db = backprop_hidden(Xs, trace_s.hidden, g_s)
+    backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
     dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, g_t)
-    return Gradients(dW + dW_t, db + db_t, np.zeros_like(p.V), np.zeros_like(p.c))
+    g.dW += dW_t
+    g.db += db_t
+    return g
 
 
 _STENCIL = (1.0, -1.0, 2.0, -2.0)  # the O(h^4) central difference's offsets, in steps
@@ -261,11 +336,11 @@ def _stencil_values(p: NetworkParams, which: str, step: float, *, X=None, Y=None
         names, rows = ("W", "b"), Xs.shape[0] + Xt.shape[0]
 
         def objective(W, b):
-            reports = _stacked_cmd(_hidden(Xs, W, b), _hidden(Xt, W, b), cfg)
+            reports = MomentGap.of(_hidden(Xs, W, b), _hidden(Xt, W, b), cfg).reports(cfg)
             return [r.value for r in reports]
 
     arrays = [getattr(p, name) for name in names]
-    theta = np.concatenate([a.ravel() for a in arrays])
+    theta = p.flat[:sum(a.size for a in arrays)]  # W and b lead the vector
     cuts = np.cumsum([a.size for a in arrays])[:-1]
     coord = np.repeat(np.arange(theta.size), len(_STENCIL))
     moved = theta[coord] + np.tile(step * np.array(_STENCIL), theta.size)
@@ -300,14 +375,12 @@ def finite_difference_check(
         raise ValueError(f"step must be a finite number > 0, got {step}")
     if which == "loss":
         analytic = loss_gradients(p, X, Y)
-        grads = (analytic.dW, analytic.db, analytic.dV, analytic.dc)
     elif which == "cmd":
         analytic = cmd_gradients(p, Xs, Xt, cfg)
-        grads = (analytic.dW, analytic.db)
     else:
         raise ValueError("which must be 'loss' or 'cmd'")
     f = _stencil_values(p, which, step, X=X, Y=Y, Xs=Xs, Xt=Xt, cfg=cfg)
     fd = (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * step)
-    a = np.concatenate([g.ravel() for g in grads])
+    a = analytic.flat[:len(fd)]  # dW and db lead, the order of f's coordinates
     worst = float((np.abs(a - fd) / np.maximum(1e-8, np.abs(a) + np.abs(fd))).max())
     return worst if math.isfinite(worst) else math.nan

@@ -155,17 +155,20 @@ class SparseRowMatrix:
         _run_sums(self.row_ids, None, self.data, self.indices, D, out)
         return out
 
-    def t_dot_dense(self, D: np.ndarray) -> np.ndarray:
-        """self.T @ D for dense D of shape (rows, k), returned as the
-        transpose of a C-contiguous (k, cols) array."""
+    def t_dot_dense(self, D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """self.T @ D for dense D of shape (rows, k), written into out, a
+        (cols, k) array, and returned; by default out is the transpose of
+        a new C-contiguous (k, cols) array."""
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.rows:
             raise ValueError("dimension mismatch in sparse t_dot")
-        # stable: each column's entries stay in storage order
-        order = np.argsort(self.indices, kind="stable")
-        out = np.empty((D.shape[1], self.cols))
-        _run_sums(self.indices[order], order, self.data, self.row_ids, D, out.T)
-        return out.T
+        if out is None:
+            out = np.empty((D.shape[1], self.cols)).T
+        elif out.shape != (self.cols, D.shape[1]):
+            raise ValueError("out has the wrong shape for sparse t_dot")
+        order = _stable_order(self.indices, self.cols)
+        _run_sums(self.indices[order], order, self.data, self.row_ids, D, out)
+        return out
 
     def take_rows(self, idx) -> "SparseRowMatrix":
         idx = np.asarray(idx, dtype=np.int64)
@@ -175,6 +178,13 @@ class SparseRowMatrix:
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return SparseRowMatrix(len(idx), self.cols, indptr, self.indices[pos], self.data[pos])
+
+
+def _stable_order(ids: np.ndarray, size: int) -> np.ndarray:
+    """np.argsort(ids, kind="stable") for ids in [0, size): the sort runs on
+    the narrowest unsigned dtype that holds size - 1, which NumPy
+    radix-sorts at 16 bits or fewer.  Equal ids keep their order."""
+    return np.argsort(ids.astype(np.min_scalar_type(max(size - 1, 0))), kind="stable")
 
 
 _BLOCK_TERMS = 1 << 15  # product terms per block of output rows: 256 KiB

@@ -15,6 +15,12 @@ updates,
 with alpha fixed at 1.  Note the E update uses a PLUS on the second term;
 an accumulator of squares must stay nonnegative, so a minus there (seen
 in some write-ups) would drive E negative and the square root complex.
+
+Each optimizer acts on the flat vectors NetworkParams.flat and
+Gradients.flat.  At its first step it allocates its accumulators and the
+scratch that every temporary of a step is written into, in the operation
+order of the formulas above; G and E are name -> view dicts over the
+accumulators.
 """
 
 from __future__ import annotations
@@ -26,59 +32,63 @@ import numpy as np
 from .network import Gradients, NetworkParams
 
 
-def _zeros_like_params(p: NetworkParams):
-    return {name: np.zeros_like(getattr(p, name)) for name in "WbVc"}
-
-
-def _pairs(p: NetworkParams, g: Gradients):
-    """(name, parameter, its gradient) for W, b, V and c."""
-    return tuple((name, getattr(p, name), getattr(g, "d" + name)) for name in "WbVc")
-
-
 def _check(p: NetworkParams, g: Gradients):
     """Before a step changes anything: ValueError on a gradient of the wrong
     shape, FloatingPointError naming the first non-finite one."""
-    for name, arr, grad in _pairs(p, g):
-        if arr.shape != grad.shape:
-            raise ValueError("gradient shape does not match parameters")
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"non-finite gradient d{name}")
+    if any(getattr(p, n).shape != getattr(g, "d" + n).shape for n in "WbVc"):
+        raise ValueError("gradient shape does not match parameters")
+    if not np.isfinite(g.flat).all():
+        name = next(n for n in "WbVc" if not np.isfinite(getattr(g, "d" + n)).all())
+        raise FloatingPointError(f"non-finite gradient d{name}")
+
+
+def _buffers(opt, p: NetworkParams, count: int) -> np.ndarray:
+    """opt's count vectors of p.flat's size, zeros at the first step: its
+    accumulators, then scratch for the temporaries of a step."""
+    if opt.buffers is None:
+        opt.buffers = np.zeros((count, p.flat.size))
+    elif opt.buffers.shape[1] != p.flat.size:
+        raise ValueError("the optimizer's state belongs to parameters of another size")
+    return opt.buffers
 
 
 @dataclass
 class Sgd:
     alpha: float = 0.1
+    buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
-        for _, arr, grad in _pairs(p, g):
-            arr -= self.alpha * grad
+        (u,) = _buffers(self, p, 1)
+        p.flat -= np.multiply(self.alpha, g.flat, out=u)
 
 
 @dataclass
 class Adagrad:
     alpha: float = 0.01
     eps: float = 1e-8
-    G: dict = field(default=None, repr=False)
+    G: dict = field(default=None, repr=False)  # name -> view of the accumulator
+    buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
+        acc, u, v = _buffers(self, p, 3)
         if self.G is None:
-            self.G = _zeros_like_params(p)
-        for name, arr, grad in _pairs(p, g):
-            acc = self.G[name]
-            acc += grad * grad
-            arr -= self.alpha * grad / np.sqrt(acc + self.eps)
+            self.G = dict(zip("WbVc", p.views(acc)))
+        grad = g.flat
+        acc += np.multiply(grad, grad, out=u)
+        np.multiply(self.alpha, grad, out=u)
+        np.sqrt(np.add(acc, self.eps, out=v), out=v)
+        p.flat -= np.divide(u, v, out=u)
 
 
 @dataclass
 class Adadelta:
     rho: float = 0.95
     eps: float = 1e-6
-    G: dict = field(default=None, repr=False)
+    G: dict = field(default=None, repr=False)  # name -> view of the accumulator
     E: dict = field(default=None, repr=False)
-    # two buffers per parameter array for the temporaries of a step
-    scratch: dict = field(default=None, init=False, repr=False, compare=False)
+    buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
@@ -88,24 +98,18 @@ class Adadelta:
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
+        acc, eacc, u, v = _buffers(self, p, 4)
         if self.G is None:
-            self.G = _zeros_like_params(p)
-            self.E = _zeros_like_params(p)
-            self.scratch = {name: (np.empty_like(a), np.empty_like(a)) for name, a in self.G.items()}
-        rest = 1.0 - self.rho
-        for name, arr, grad in _pairs(p, g):
-            acc, eacc = self.G[name], self.E[name]
-            u, v = self.scratch[name]
-            # the module docstring's updates in their operation order, each
-            # temporary written into u or v
-            acc *= self.rho
-            acc += np.multiply(np.multiply(rest, grad, out=u), grad, out=u)
-            np.sqrt(np.add(eacc, self.eps, out=u), out=u)
-            np.sqrt(np.add(acc, self.eps, out=v), out=v)
-            update = np.multiply(np.divide(u, v, out=u), grad, out=u)
-            arr -= update
-            eacc *= self.rho
-            eacc += np.multiply(np.multiply(rest, update, out=v), update, out=v)
+            self.G, self.E = dict(zip("WbVc", p.views(acc))), dict(zip("WbVc", p.views(eacc)))
+        rest, grad = 1.0 - self.rho, g.flat
+        acc *= self.rho
+        acc += np.multiply(np.multiply(rest, grad, out=u), grad, out=u)
+        np.sqrt(np.add(eacc, self.eps, out=u), out=u)
+        np.sqrt(np.add(acc, self.eps, out=v), out=v)
+        update = np.multiply(np.divide(u, v, out=u), grad, out=u)
+        p.flat -= update
+        eacc *= self.rho
+        eacc += np.multiply(np.multiply(rest, update, out=v), update, out=v)
 
 
 # kind -> (class, the settings it takes); each class holds its defaults

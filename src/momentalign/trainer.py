@@ -148,8 +148,9 @@ class WarmStartResult:
     mann_target_acc: float | None
 
 
-def _accuracy(outputs: np.ndarray, Y: np.ndarray) -> float:
-    return float((outputs.argmax(axis=1) == Y.argmax(axis=1)).mean())
+def _accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose largest output is at the class index in labels."""
+    return float(np.add.reduce(outputs.argmax(axis=1) == labels) / labels.shape[0])
 
 
 def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
@@ -159,25 +160,30 @@ def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
     if Y.shape[0] == 0:
         raise ValueError("empty sample")
     outputs = forward(p, X).outputs
-    accuracy = _accuracy(outputs, Y)
+    accuracy = _accuracy(outputs, Y.argmax(axis=1))
     disagreement = float(np.abs(outputs - Y).sum(axis=1).mean() / 2.0)
     return accuracy, disagreement
 
 
 def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
-                   trace_s, trace_t=None) -> Gradients:
+                   trace_s, trace_t=None, moments=None) -> Gradients:
     """Gradients of loss(Xs, Ys) + lam * cmd(h0(Xs), h0(Xt)) from the domains'
-    forward traces (trace_t is read only when lam != 0).  The CMD cotangent
-    joins the loss's on the source side: one backprop per domain."""
+    forward traces (trace_t is read only when lam != 0) and, when given,
+    the MomentGap of their hidden activations.  The CMD cotangent joins
+    the loss's on the source side: one backprop per domain."""
     if lam == 0.0:
         return loss_gradients(p, Xs, Ys, trace_s)
-    cotangent, dV, dc = loss_cotangent(p, trace_s, Ys)
-    g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg)
-    dW, db = backprop_hidden(Xs, trace_s.hidden, cotangent + lam * g_s)
-    dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, lam * g_t)
-    dW += dW_t
-    db += db_t
-    return Gradients(dW, db, dV, dc)
+    g = Gradients.zeros_like(p)
+    cotangent = loss_cotangent(p, trace_s, Ys, out=(g.dV, g.dc))[0]
+    g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg, moments)
+    g_s *= lam
+    g_s += cotangent  # cotangent + lam * g_s, in the cotangents' own arrays
+    g_t *= lam
+    backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
+    dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, g_t)
+    g.dW += dW_t
+    g.db += db_t
+    return g
 
 
 def _epoch_perms(seed: int, epoch: int, ns: int, nt: int):
@@ -213,6 +219,8 @@ def train(
     check_finite(Xs=Xs, Ys=Ys, Xt=Xt, Yt=Yt)
     budget = cfg.epochs if epochs is None else epochs
     cmd_cfg = CmdConfig(k=cfg.k)
+    labels_s = Ys.argmax(axis=1)
+    labels_t = None if Yt is None else np.asarray(Yt, dtype=np.float64).argmax(axis=1)
 
     if init is not None:
         p = init.copy()
@@ -225,8 +233,9 @@ def train(
     last_stable = p.copy()
     diverged = False
     # In full-batch mode the traces an epoch's record takes of (Xs, Xt)
-    # after its step are exactly the next step's training traces.
-    record_traces = None
+    # after its step, and the moment pass of its CMD, are exactly the next
+    # step's.
+    carried = None
 
     for e in range(start_epoch, start_epoch + budget):
         if cfg.batch_size == 0:
@@ -242,16 +251,16 @@ def train(
                 batches.append((take_rows(Xs, idx_s), Ys[idx_s], take_rows(Xt, idx_t)))
 
         for Xbs, Ybs, Xbt in batches:
-            trace_s, trace_t = record_traces or (forward(p, Xbs), None)
+            trace_s, trace_t, moments = carried or (forward(p, Xbs), None, None)
             if cfg.lam != 0.0:
                 trace_t = trace_t or forward(p, Xbt)
-            grads = step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t)
+            grads = step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t, moments)
             try:
                 optimizer.step(p, grads)  # checks the gradients before it moves p
             except FloatingPointError:
                 diverged = True
                 break
-            if not all(np.all(np.isfinite(a)) for a in (p.W, p.b, p.V, p.c)):
+            if not np.isfinite(p.flat).all():
                 diverged = True
                 break
         if diverged:
@@ -260,7 +269,8 @@ def train(
 
         trace_s, trace_t = forward(p, Xs), forward(p, Xt)
         loss = cross_entropy_loss(trace_s, Ys)
-        cmd_val = cmd_estimate(trace_s.hidden, trace_t.hidden, cmd_cfg).value
+        report = cmd_estimate(trace_s.hidden, trace_t.hidden, cmd_cfg)
+        cmd_val = report.value
         if not (math.isfinite(loss) and math.isfinite(cmd_val)):
             diverged = True
             p = last_stable
@@ -269,16 +279,12 @@ def train(
             epoch=e + 1,
             loss=loss,
             cmd=cmd_val,
-            source_acc=_accuracy(trace_s.outputs, Ys),
-            target_acc=(
-                _accuracy(trace_t.outputs, np.asarray(Yt, dtype=np.float64))
-                if Yt is not None
-                else None
-            ),
+            source_acc=_accuracy(trace_s.outputs, labels_s),
+            target_acc=None if labels_t is None else _accuracy(trace_t.outputs, labels_t),
         )
         records.append(record)
         if cfg.batch_size == 0:
-            record_traces = (trace_s, trace_t)
+            carried = (trace_s, trace_t, report.moments)
         last_stable = p.copy()
         if snapshot_at is not None and e + 1 == snapshot_at:
             snapshot = p.copy()

@@ -1,5 +1,5 @@
-"""Gradient arithmetic, the combined objective and a bag-of-words matrix,
-which only the tests use."""
+"""Gradient arithmetic, the combined objective, the flat-vector layout
+check and a bag-of-words matrix, which only the tests use."""
 
 import numpy as np
 
@@ -8,8 +8,7 @@ from momentalign.network import Gradients, NetworkParams, cross_entropy_loss, fo
 from momentalign.numerics import SeededRng, SparseRowMatrix
 
 
-def zeros_like(p: NetworkParams) -> Gradients:
-    return Gradients(np.zeros_like(p.W), np.zeros_like(p.b), np.zeros_like(p.V), np.zeros_like(p.c))
+zeros_like = Gradients.zeros_like
 
 
 def add_scaled(g: Gradients, other: Gradients, scale: float) -> Gradients:
@@ -32,6 +31,18 @@ def objective(p: NetworkParams, Xs, Ys, Xt, cfg):
     cmd = cmd_estimate(trace_s.hidden, forward(p, Xt).hidden, CmdConfig(k=cfg.k)).value
     total = loss if cfg.lam == 0.0 else loss + cfg.lam * cmd
     return total, loss, cmd
+
+
+def lie_back_to_back(vector, arrays) -> bool:
+    """Whether arrays are C-contiguous views of vector that fill it in turn."""
+    start = 0
+    for a in arrays:
+        if a.base is not vector or not a.flags.c_contiguous:
+            return False
+        if a.ctypes.data != vector.ctypes.data + vector.itemsize * start:
+            return False
+        start += a.size
+    return start == vector.size
 
 
 def bag_of_words(rows=1000, cols=5000, per_row=56, seed=0) -> SparseRowMatrix:

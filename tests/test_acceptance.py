@@ -243,16 +243,15 @@ def test_criterion_7_linear_time_scaling():
     X2, Y2 = rng.normal_matrix(2 * n, m), rng.normal_matrix(2 * n, m)
     cmd_estimate(X1, Y1)  # warm caches before timing
 
-    def median_time(X, Y):
-        times = []
-        for _ in range(5):
+    # the two sizes take turns, so that drift of a shared host reaches
+    # both medians alike
+    times = {len(X1): [], len(X2): []}
+    for _ in range(5):
+        for X, Y in ((X1, Y1), (X2, Y2)):
             t0 = time.perf_counter()
             cmd_estimate(X, Y)
-            times.append(time.perf_counter() - t0)
-        return sorted(times)[2]
-
-    base = median_time(X1, Y1)
-    doubled = median_time(X2, Y2)
+            times[len(X)].append(time.perf_counter() - t0)
+    base, doubled = (sorted(t)[2] for t in times.values())
     assert doubled <= 2.5 * base, f"{doubled / base:.2f}x at 2x samples"
 
 

@@ -409,6 +409,39 @@ def test_train_report_records_data_source(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+# sha256 of the files a 90-epoch warm-start writes on the default
+# artificial problem: any change to the epoch loop that moves one bit of a
+# record, a parameter or the report shows here
+WARM_START_SHA256 = {
+    0: {"metrics.csv": "450cd76c92501244320510cda3ed46d6d4bee8083a11d04c3b5297653a3a9d66",
+        "metrics-shallow.csv": "cae648cb7ddf791bee62a3e239b7813e448d6ffb3792884acf8bdb178c78425a",
+        "params.json": "10e8047f0f9c26b520903b59fe79252e95d83259c97422e73e3728de4848988d",
+        "params-shallow.json": "5684131f1ee8617fd88031d57bc7a9317d50b3489b72630f78ec3bea6d5dae4e",
+        "report.json": "fa4cc36471bab516409c39efec242ee986853d441fd9d37fe5502222461415b6"},
+    1: {"metrics.csv": "f733bb9b6dc180438bb711b33a97a1e0d3d25d46bf2e7f4cc2d80d138a2df1fa",
+        "metrics-shallow.csv": "f09592cc3c477b95858145f4b2aa87a4572153a2948d62efe94a39cb42b6cadd",
+        "params.json": "963d8f3c2afbe3c79e70b884896aa5caae0bce8dcb6b3e5225182d7d33a5ee42",
+        "params-shallow.json": "2b50d079bb31a2d5ee5b2b293dd05b4689046f94b4d0bb59542376674ab6a721",
+        "report.json": "af7546fa243817ef8335145ae76d869df4fabe7e33f7093857a064c7064f3fe7"},
+    2: {"metrics.csv": "c4686b8480139d03a15baabf5b0081ed54d9fc63fd9b0b98ed2504a6b085ca5f",
+        "metrics-shallow.csv": "794bb12e5c3a9b4c37b003685e0aeb6f7510d0a880ddc926a73c87179e7a234b",
+        "params.json": "8e23f8c39e0e417e83df1511a74069a02ab385cf2481c14fc66a3a14f38c33d9",
+        "params-shallow.json": "1b5ffd1cd017689e1651c23a78ab373f858df0af4c9481be06e1c55c7f855f62",
+        "report.json": "85198b66f24419841663151f9b31638cb5b6a30efc8d4a628b33af4b05c65559"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WARM_START_SHA256))
+def test_warm_start_writes_the_pinned_bytes(tmp_path, capsys, seed):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"artificial": {"seed": seed},
+                                  "train": {"seed": seed, "epochs": 90}, "out": str(out)})
+    assert run(capsys, "warm-start", "--config", cfg)[0] == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in WARM_START_SHA256[seed]}
+    assert got == WARM_START_SHA256[seed]
+
+
 def test_warm_start_artifacts(tmp_path, capsys):
     doc = {
         "artificial": {"total": 60, "seed": 2},

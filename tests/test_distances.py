@@ -89,6 +89,39 @@ def test_cmd_cotangents_shaped_like_activations(k):
     assert np.all(np.isfinite(g_s)) and np.all(np.isfinite(g_t))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**16), st.booleans())
+def test_shared_moments_give_the_fresh_cotangents(k, m, seed, same):
+    # the moment pass an estimate's report keeps is the one cmd_cotangents
+    # makes on its own: same norms as np.linalg.norm, same cotangent bits;
+    # equal samples take the zero subgradient on every order
+    rng = SeededRng(seed)
+    As = rng.uniform_matrix(5 + seed % 40, m)
+    At = As.copy() if same else rng.uniform_matrix(3 + seed % 25, m) * 0.7 + 0.2
+    cfg = CmdConfig(k=k, weights=[0.5 + j % 3 for j in range(k)])
+    report = cmd_estimate(As, At, cfg)
+    gap = report.moments
+    for j in range(1, k + 1):
+        assert gap.norms[0, j - 1] == np.linalg.norm(gap.source[j][0] - gap.target[j][0])
+    fresh = cmd_cotangents(As, At, cfg)
+    shared = cmd_cotangents(As, At, cfg, gap)
+    for got, want in zip(shared, fresh):
+        assert got.tobytes() == want.tobytes()
+    if same:
+        assert not np.any(fresh[0]) and not np.any(fresh[1])
+
+
+def test_only_a_one_pair_report_keeps_its_moments():
+    from momentalign.distances import MomentGap
+
+    rng = SeededRng(2)
+    S, T = rng.uniform_matrix(12, 3).reshape(2, 6, 3), rng.uniform_matrix(10, 3).reshape(2, 5, 3)
+    cfg = CmdConfig(k=3)
+    assert [r.moments for r in MomentGap.of(S, T, cfg).reports(cfg)] == [None, None]
+    assert cmd_estimate(S[0], T[0], cfg).moments.norms.shape == (1, 3)
+    assert cmd_estimate(S[0], T[0], cfg) == MomentGap.of(S, T, cfg).reports(cfg)[0]
+
+
 def test_cmd_cotangents_reject_full_mode():
     with pytest.raises(ValueError):
         cmd_cotangents(np.ones((3, 2)), np.zeros((3, 2)), CmdConfig(mode=FULL))

@@ -11,19 +11,22 @@ from momentalign import network
 from momentalign.distances import CmdConfig, cmd_estimate
 from momentalign.network import (
     ForwardTrace,
+    Gradients,
     NetworkParams,
+    backprop_hidden,
     cmd_gradients,
     cross_entropy_loss,
     finite_difference_check,
     forward,
     init_params,
+    loss_cotangent,
     loss_gradients,
     sigmoid,
     softmax_rows,
 )
 from momentalign.numerics import SeededRng, SparseRowMatrix
 
-from helpers import add_scaled, all_finite, zeros_like
+from helpers import add_scaled, all_finite, lie_back_to_back, zeros_like
 
 
 def tiny_params(seed=0, m=3, h=4, c=2):
@@ -49,6 +52,21 @@ def test_params_copy_is_deep():
     q = p.copy()
     q.W[0, 0] += 1.0
     assert p.W[0, 0] != q.W[0, 0]
+
+
+def test_params_and_gradients_copy_their_arrays_into_one_vector():
+    arrays = [np.arange(6.0).reshape(2, 3), np.ones(2), np.full((4, 2), -1.5), np.zeros(4)]
+    for obj, names in ((NetworkParams(*arrays, seed=3), "W b V c"),
+                       (Gradients(*arrays), "dW db dV dc")):
+        views = [getattr(obj, n) for n in names.split()]
+        assert lie_back_to_back(obj.flat, views)
+        assert np.array_equal(obj.flat, np.concatenate([a.ravel() for a in arrays]))
+        assert not any(np.shares_memory(v, a) for v, a in zip(views, arrays))
+    p = NetworkParams(*arrays)
+    q = p.copy()
+    assert lie_back_to_back(q.flat, (q.W, q.b, q.V, q.c)) and not np.shares_memory(q.flat, p.flat)
+    g = Gradients.zeros_like(p)
+    assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc)) and not g.flat.any()
 
 
 def test_params_json_round_trip():
@@ -163,6 +181,50 @@ def test_softmax_rows():
     assert np.allclose(s.sum(axis=1), 1.0)
     assert np.allclose(s[0], [0.5, 0.5])
     assert np.allclose(s[1], [0.25, 0.75])
+
+
+def _reduction_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 7), st.integers(0, 3), st.data())
+def test_softmax_running_max_equals_the_reduction(classes, rows, stack, data):
+    # a max is exact in any order, so the running column maximum shifts by
+    # the very value z.max(axis=-1) gives, in the oracle's stacked (g, n, c)
+    # calls too; ties, infinities and huge logits included
+    shape = (stack, rows, classes) if stack else (rows, classes)
+    values = st.one_of(st.floats(-1e308, 1e308), st.sampled_from([0.0, -0.0, 3.0, np.inf, -np.inf]))
+    z = np.array(data.draw(st.lists(values, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = softmax_rows(z), _reduction_softmax(z)
+    assert got.shape == z.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gradient_producers_fill_out_with_the_new_arrays_bits(sparse):
+    p = tiny_params(seed=4, m=6, h=5, c=3)
+    X = SeededRng(5).normal_matrix(9, 6)
+    X[X < 0.3] = 0.0
+    if sparse:
+        X = SparseRowMatrix.from_rows([[(i, v) for i, v in enumerate(r) if v] for r in X], 6)
+    Y = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1, 2]]
+    trace = forward(p, X)
+    g = Gradients.zeros_like(p)
+    cotangent, dV, dc = loss_cotangent(p, trace, Y)
+    got = loss_cotangent(p, trace, Y, out=(g.dV, g.dc))
+    assert got[1] is g.dV and got[2] is g.dc
+    dW, db = backprop_hidden(X, trace.hidden, cotangent)
+    got_w, got_b = backprop_hidden(X, trace.hidden, cotangent, out=(g.dW, g.db))
+    assert np.shares_memory(got_w, g.flat) and got_b is g.db
+    assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc))
+    assert got[0].tobytes() == cotangent.tobytes()
+    assert g.flat.tobytes() == Gradients(dW, db, dV, dc).flat.tobytes()
+    assert loss_gradients(p, X, Y).flat.tobytes() == g.flat.tobytes()
 
 
 def test_forward_matches_manual():

@@ -295,6 +295,34 @@ def test_sparse_products_keep_signed_zeros_as_add_at():
     assert S.t_dot_dense(D[[0, 1, 0]]).tobytes() == add_at_t_dot(S, D[[0, 1, 0]]).tobytes()
 
 
+@pytest.mark.parametrize("cols", [255, 256, 65_535, 65_536, 70_000])
+def test_stable_order_equals_the_int64_argsort(cols):
+    # the narrow key (uint8, uint16, then uint32) gives the int64 key's
+    # stable order, ties included; both ends of the id range occur
+    rng = SeededRng(cols)
+    ids = (rng.uniforms(20_000) * cols).astype(np.int64)
+    ids[:50] = cols - 1
+    ids[50:100] = 0
+    ids[100:] = ids[100:][np.argsort(rng.uniforms(ids.size - 100))]
+    want = np.argsort(ids, kind="stable")
+    assert np.array_equal(numerics._stable_order(ids, cols), want)
+
+
+@pytest.mark.parametrize("cols", [255, 256, 65_536, 70_000])
+def test_t_dot_dense_fills_out_with_the_new_arrays_bits(cols):
+    rng = SeededRng(3)
+    rows = [[(int(c), 1.0 + c % 5) for c in np.unique((rng.uniforms(6) * cols).astype(int))]
+            for _ in range(30)]
+    S = SparseRowMatrix.from_rows(rows, cols)
+    R = rng.normal_matrix(S.rows, 4)
+    want = add_at_t_dot(S, R)
+    out = np.full((4, cols), np.nan).T
+    assert S.t_dot_dense(R, out) is out
+    assert out.tobytes() == want.tobytes() == S.t_dot_dense(R).tobytes()
+    with pytest.raises(ValueError, match="wrong shape"):
+        S.t_dot_dense(R, np.empty((cols, 3)))
+
+
 def test_sparse_products_reject_non_matrix_operands():
     S = small_sparse()
     for D in (np.ones(3), np.ones((3, 2, 1)), np.ones((4, 2))):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from momentalign.network import Gradients, NetworkParams
 from momentalign.numerics import SeededRng
 from momentalign.optim import Adadelta, Adagrad, Sgd, make_optimizer
 
-from helpers import zeros_like
+from helpers import lie_back_to_back, zeros_like
 
 
 def scalarish_params():
@@ -84,6 +86,72 @@ def test_adadelta_scratch_buffers_match_the_textbook_formula():
             E[n] = rho * E[n] + (1.0 - rho) * update * update
             for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n]), (opt.E[n], E[n])):
                 assert got.tobytes() == want.tobytes(), (step, n)
+
+
+def random_run(seed):
+    """Parameters with a 50 x 5000 W and 12 steps' gradients of scales 1e-2..1e2."""
+    rng = SeededRng(seed)
+    p = NetworkParams(rng.normal_matrix(50, 5000), rng.normals(50),
+                      rng.normal_matrix(3, 50), rng.normals(3))
+    grads = [Gradients(*(rng.normals(a.size).reshape(a.shape) * 10.0 ** (step % 5 - 2)
+                         for a in (p.W, p.b, p.V, p.c))) for step in range(12)]
+    return p, grads
+
+
+def test_sgd_scratch_buffer_matches_the_textbook_formula():
+    p, grads = random_run(22)
+    alpha = 0.37
+    opt = Sgd(alpha=alpha)
+    theta = {n: getattr(p, n).copy() for n in "WbVc"}
+    for step, g in enumerate(grads):
+        opt.step(p, g)
+        for n in "WbVc":
+            theta[n] = theta[n] - alpha * getattr(g, "d" + n)
+            assert getattr(p, n).tobytes() == theta[n].tobytes(), (step, n)
+
+
+def test_adagrad_scratch_buffers_match_the_textbook_formula():
+    p, grads = random_run(23)
+    alpha, eps = 0.05, 1e-8
+    opt = Adagrad(alpha=alpha, eps=eps)
+    theta = {n: getattr(p, n).copy() for n in "WbVc"}
+    G = {n: np.zeros_like(a) for n, a in theta.items()}
+    for step, g in enumerate(grads):
+        opt.step(p, g)
+        for n in "WbVc":
+            grad = getattr(g, "d" + n)
+            G[n] = G[n] + grad * grad
+            theta[n] = theta[n] - alpha * grad / np.sqrt(G[n] + eps)
+            for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n])):
+                assert got.tobytes() == want.tobytes(), (step, n)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adagrad", "adadelta"])
+def test_step_allocates_no_parameter_sized_array(kind):
+    # after the first step's buffers, a step allocates only the finiteness
+    # scan's booleans, an eighth of the parameter vector
+    p, grads = random_run(24)
+    opt = make_optimizer(kind)
+    opt.step(p, grads[0])
+    tracemalloc.start()
+    try:
+        for g in grads[1:4]:
+            opt.step(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= p.flat.nbytes // 8 + 4096, peak
+    assert lie_back_to_back(p.flat, (p.W, p.b, p.V, p.c))
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adagrad", "adadelta"])
+def test_state_of_one_network_rejects_another_size(kind):
+    opt = make_optimizer(kind)
+    p = scalarish_params()
+    opt.step(p, unit_grads(p))
+    q = NetworkParams(np.ones((2, 1)), np.zeros(2), np.ones((1, 2)), np.zeros(1))
+    with pytest.raises(ValueError, match="another size"):
+        opt.step(q, unit_grads(q))
 
 
 def test_adadelta_validation():

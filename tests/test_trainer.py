@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentalign import network, trainer
+from momentalign import distances, network, trainer
 from momentalign.datasets import ArtificialSpec, generate_artificial, one_hot
 from momentalign.distances import CmdConfig, cmd_estimate
 from momentalign.network import (
@@ -27,7 +27,7 @@ from momentalign.trainer import (
     write_metrics_csv,
 )
 
-from helpers import add_scaled, bag_of_words, objective
+from helpers import add_scaled, bag_of_words, lie_back_to_back, objective
 
 
 def small_problem(total=60, seed=0):
@@ -92,6 +92,47 @@ def test_full_batch_train_equals_fresh_forward_loop(seed, lam):
     assert last.loss == cross_entropy_loss(trace_s, Ys)
     assert last.cmd == cmd_estimate(trace_s.hidden, trace_t.hidden, CmdConfig(k=cfg.k)).value
     assert last.target_acc == evaluate(p, Xt, Yt)[0]
+
+
+@pytest.mark.parametrize("batch_size, per_epoch", [(0, 2), (20, 2 + 2 * 3)])
+def test_lambda_step_reuses_the_records_moment_pass(batch_size, per_epoch):
+    # full batch: the record's pass of (h0(Xs), h0(Xt)) is the next step's,
+    # so only the first step makes its own; a minibatch step (3 an epoch
+    # here) always does
+    Xs, Ys, Xt, _ = small_problem()
+    cfg = TrainConfig(hidden=5, lam=1.0, epochs=6, batch_size=batch_size, seed=2)
+    passes = []
+    kernel = distances._stacked_central_moments
+
+    def counting_kernel(S, k, mode):
+        passes.append(S.shape)
+        return kernel(S, k, mode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distances, "_stacked_central_moments", counting_kernel)
+        res = train(Xs, Ys, Xt, cfg)
+    assert len(res.records) == cfg.epochs
+    first_step = 2 if batch_size == 0 else 0
+    assert len(passes) == per_epoch * cfg.epochs + first_step
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_steps_keep_gradients_and_parameters_views_of_their_vectors(sparse, lam):
+    if sparse:
+        Xs, Ys, Xt = sparse_pair(seed=5)
+        p = init_params(Xs.cols, 4, 2, SeededRng(6))
+    else:
+        Xs, Ys, Xt, _ = small_problem(seed=5)
+        p = init_params(Xs.shape[1], 4, 3, SeededRng(6))
+    params = p.flat
+    opt = Adadelta()
+    for _ in range(3):
+        trace_s, trace_t = forward(p, Xs), forward(p, Xt)
+        g = step_gradients(p, Xs, Ys, Xt, lam, CmdConfig(k=3), trace_s, trace_t)
+        assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc))
+        opt.step(p, g)
+        assert p.flat is params and lie_back_to_back(p.flat, (p.W, p.b, p.V, p.c))
 
 
 def test_train_deterministic():
@@ -330,9 +371,10 @@ def test_sparse_minibatch_train_bitwise_equals_add_at_products():
                   S.data[:, None] * D[S.indices])
         return out
 
-    def add_at_t_dot(S, D):
+    def add_at_t_dot(S, D, out=None):
         calls.append("t_dot")
-        out = np.zeros((S.cols, D.shape[1]))
+        out = np.zeros((S.cols, D.shape[1])) if out is None else out
+        out[...] = 0.0
         np.add.at(out, S.indices,
                   S.data[:, None] * D[np.repeat(np.arange(S.rows), np.diff(S.indptr))])
         return out
@@ -384,9 +426,9 @@ def test_sparse_minibatch_step_makes_one_input_product_per_domain(lam, per_step)
     calls = []
     t_dot = SparseRowMatrix.t_dot_dense
 
-    def counting_t_dot(S, D):
+    def counting_t_dot(S, D, out=None):
         calls.append(S.rows)
-        return t_dot(S, D)
+        return t_dot(S, D, out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SparseRowMatrix, "t_dot_dense", counting_t_dot)
