@@ -286,9 +286,10 @@ def load_sparse(path) -> Sample:
     start = 0
     if lines and lines[0].startswith("#dim"):
         parts = lines[0].split()
-        if len(parts) != 2:
-            raise ValueError("line 1: malformed #dim line")
-        declared_dim = int(parts[1])
+        try:
+            (declared_dim,) = map(int, parts[1:])
+        except ValueError:
+            raise ValueError("line 1: malformed #dim line") from None
         if declared_dim < 1:
             raise ValueError("line 1: dimension must be >= 1")
         start = 1

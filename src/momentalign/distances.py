@@ -210,8 +210,8 @@ def mmd_polynomial_estimate(src, tgt, degree: int) -> float:
 def mmd_gaussian_estimate(src, tgt, bandwidth: float) -> float:
     """Biased V-statistic estimate of squared MMD with the Gaussian kernel
     exp(-||x-y||^2 / (2 bandwidth^2)), clamped at 0 from below."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     Xs, Xt = as_sample_pair(src, tgt)
 
     def mean_kernel(A, B):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distances import CmdConfig, MomentGap, cmd_cotangents
-from .numerics import SparseRowMatrix, as_sample, n_cols
+from .numerics import SparseRowMatrix, as_sample, check_finite, n_cols
 
 _LOG_CLAMP = 1e-12
 
@@ -136,6 +136,7 @@ class NetworkParams:
             or shapes.get("classes") != p.classes
         ):
             raise ValueError("declared shapes disagree with array contents")
+        check_finite(W=p.W, b=p.b, V=p.V, c=p.c)  # json reads NaN and Infinity
         return p
 
 
@@ -240,14 +241,23 @@ def cross_entropy_loss(trace: ForwardTrace, Y: np.ndarray) -> float:
     return float(_cross_entropy(trace.outputs, Y))
 
 
-def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray, out=None):
+def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray, out=None, add=False):
     """(dW, db) of an objective whose per-row gradient with respect to
     the hidden activations h0 = sigm(X W^T + b) is cotangent / n_rows,
-    written into out, a (dW, db) pair, when given."""
+    written into out, a (dW, db) pair, when given, or with add, added
+    into it: out + (dW, db), bit for bit, with no dW-sized temporary for
+    a sparse X."""
     n = hidden.shape[0]
     dW, db = (None, None) if out is None else out
     dpre = cotangent * hidden  # n x hidden
     dpre *= 1.0 - hidden
+    if add:
+        if isinstance(X, SparseRowMatrix):
+            X.t_dot_dense(dpre, dW.T, n)
+        else:
+            dW += np.matmul(dpre.T, np.asarray(X, dtype=np.float64)) / n
+        db += np.add.reduce(dpre, axis=0) / n
+        return dW, db
     if isinstance(X, SparseRowMatrix):
         # the product fills dW through its (cols, hidden) transpose
         dW = X.t_dot_dense(dpre, None if dW is None else dW.T).T
@@ -276,10 +286,12 @@ def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray, out=Non
     return resid @ p.V, dV, dc
 
 
-def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | None = None) -> Gradients:
-    """Analytic gradients of the mean cross-entropy on (X, Y)."""
+def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | None = None,
+                   out: Gradients | None = None) -> Gradients:
+    """Analytic gradients of the mean cross-entropy on (X, Y), written into
+    out, whose every element they overwrite, when given."""
     trace = trace or forward(p, X)
-    g = Gradients.zeros_like(p)
+    g = Gradients.zeros_like(p) if out is None else out
     cotangent = loss_cotangent(p, trace, Y, out=(g.dV, g.dc))[0]
     backprop_hidden(X, trace.hidden, cotangent, out=(g.dW, g.db))
     return g
@@ -307,9 +319,7 @@ def cmd_gradients(
     g = Gradients.zeros_like(p)
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cfg)
     backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
-    dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, g_t)
-    g.dW += dW_t
-    g.db += db_t
+    backprop_hidden(Xt, trace_t.hidden, g_t, out=(g.dW, g.db), add=True)
     return g
 
 

@@ -155,10 +155,13 @@ class SparseRowMatrix:
         _run_sums(self.row_ids, None, self.data, self.indices, D, out)
         return out
 
-    def t_dot_dense(self, D: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def t_dot_dense(self, D: np.ndarray, out: np.ndarray | None = None,
+                    add_divided_by: float | None = None) -> np.ndarray:
         """self.T @ D for dense D of shape (rows, k), written into out, a
         (cols, k) array, and returned; by default out is the transpose of
-        a new C-contiguous (k, cols) array."""
+        a new C-contiguous (k, cols) array.  With add_divided_by = n the
+        product is instead divided by n and added into out, one block of
+        rows at a time: out + (self.T @ D) / n, bit for bit."""
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.rows:
             raise ValueError("dimension mismatch in sparse t_dot")
@@ -167,7 +170,7 @@ class SparseRowMatrix:
         elif out.shape != (self.cols, D.shape[1]):
             raise ValueError("out has the wrong shape for sparse t_dot")
         order = _stable_order(self.indices, self.cols)
-        _run_sums(self.indices[order], order, self.data, self.row_ids, D, out)
+        _run_sums(self.indices[order], order, self.data, self.row_ids, D, out, add_divided_by)
         return out
 
     def take_rows(self, idx) -> "SparseRowMatrix":
@@ -190,8 +193,10 @@ def _stable_order(ids: np.ndarray, size: int) -> np.ndarray:
 _BLOCK_TERMS = 1 << 15  # product terms per block of output rows: 256 KiB
 
 
-def _run_sums(run, order, data, gather, D: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = sum of data[e] * D[gather[e]] over the entries e of run i.
+def _run_sums(run, order, data, gather, D: np.ndarray, out: np.ndarray,
+              add_divided_by: float | None = None) -> None:
+    """out[i] = sum of data[e] * D[gather[e]] over the entries e of run i,
+    or with add_divided_by = n, out[i] += that sum / n.
     The entries are taken in the given order (None: storage order), and
     run[j], the run of the j-th of them, does not decrease.  Runs are
     summed in blocks of consecutive output rows holding at most
@@ -207,7 +212,12 @@ def _run_sums(run, order, data, gather, D: np.ndarray, out: np.ndarray) -> None:
         r1 = max(r0 + 1, fits)
         e0, e1 = bounds[r0], bounds[r1]
         e = slice(e0, e1) if order is None else order[e0:e1]
-        out[r0:r1] = _scatter_sum(run[e0:e1] - r0, r1 - r0, data[e, None] * D[gather[e]])
+        sums = _scatter_sum(run[e0:e1] - r0, r1 - r0, data[e, None] * D[gather[e]])
+        if add_divided_by is None:
+            out[r0:r1] = sums
+        else:
+            sums /= add_divided_by
+            out[r0:r1] += sums
         r0 = r1
 
 
@@ -216,7 +226,8 @@ def _scatter_sum(target, size: int, terms: np.ndarray) -> np.ndarray:
     into zeros gives: bincount too adds each element's terms to 0.0 in j order."""
     k = terms.shape[1]
     flat = ((target * k)[:, None] + np.arange(k)).ravel()
-    return np.bincount(flat, weights=terms.ravel(), minlength=size * k).reshape(size, k)
+    sums = np.bincount(flat, weights=terms.ravel(), minlength=size * k)
+    return sums.astype(np.float64, copy=False).reshape(size, k)  # int64 zeros when no terms
 
 
 def n_rows(features) -> int:

@@ -17,9 +17,11 @@ an accumulator of squares must stay nonnegative, so a minus there (seen
 in some write-ups) would drive E negative and the square root complex.
 
 Each optimizer acts on the flat vectors NetworkParams.flat and
-Gradients.flat.  At its first step it allocates its accumulators and the
-scratch that every temporary of a step is written into, in the operation
-order of the formulas above; G and E are name -> view dicts over the
+Gradients.flat.  At its first step it allocates its accumulators and two
+scratch vectors of _CHUNK doubles; a step runs the formulas above one
+chunk of the vectors at a time, every temporary written into the
+scratch, so each element sees the same operations in the same order as
+a whole-vector step.  G and E are name -> view dicts over the
 accumulators.
 """
 
@@ -42,25 +44,41 @@ def _check(p: NetworkParams, g: Gradients):
         raise FloatingPointError(f"non-finite gradient d{name}")
 
 
+_CHUNK = 1 << 13  # doubles per chunk of a step: 64 KiB a scratch vector
+
+
 def _buffers(opt, p: NetworkParams, count: int) -> np.ndarray:
-    """opt's count vectors of p.flat's size, zeros at the first step: its
-    accumulators, then scratch for the temporaries of a step."""
+    """opt's count accumulators of p.flat's size, zeros at the first step,
+    when its scratch is allocated too.  Sgd has none, and its (0, size)
+    array keeps the size that a later step must match."""
     if opt.buffers is None:
         opt.buffers = np.zeros((count, p.flat.size))
+        opt.scratch = np.empty((2, min(p.flat.size, _CHUNK)))
     elif opt.buffers.shape[1] != p.flat.size:
         raise ValueError("the optimizer's state belongs to parameters of another size")
     return opt.buffers
+
+
+def _chunks(opt, *vectors):
+    """Per chunk of at most _CHUNK elements: the chunk of each vector, then
+    opt's two scratch vectors cut to its length."""
+    size = vectors[0].size
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        yield (*(v[start:stop] for v in vectors), *opt.scratch[:, :stop - start])
 
 
 @dataclass
 class Sgd:
     alpha: float = 0.1
     buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
-        (u,) = _buffers(self, p, 1)
-        p.flat -= np.multiply(self.alpha, g.flat, out=u)
+        _buffers(self, p, 0)
+        for theta, grad, u, _ in _chunks(self, p.flat, g.flat):
+            theta -= np.multiply(self.alpha, grad, out=u)
 
 
 @dataclass
@@ -69,17 +87,18 @@ class Adagrad:
     eps: float = 1e-8
     G: dict = field(default=None, repr=False)  # name -> view of the accumulator
     buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
-        acc, u, v = _buffers(self, p, 3)
+        (acc,) = _buffers(self, p, 1)
         if self.G is None:
             self.G = dict(zip("WbVc", p.views(acc)))
-        grad = g.flat
-        acc += np.multiply(grad, grad, out=u)
-        np.multiply(self.alpha, grad, out=u)
-        np.sqrt(np.add(acc, self.eps, out=v), out=v)
-        p.flat -= np.divide(u, v, out=u)
+        for theta, grad, G, u, v in _chunks(self, p.flat, g.flat, acc):
+            G += np.multiply(grad, grad, out=u)
+            np.multiply(self.alpha, grad, out=u)
+            np.sqrt(np.add(G, self.eps, out=v), out=v)
+            theta -= np.divide(u, v, out=u)
 
 
 @dataclass
@@ -89,6 +108,7 @@ class Adadelta:
     G: dict = field(default=None, repr=False)  # name -> view of the accumulator
     E: dict = field(default=None, repr=False)
     buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
@@ -98,18 +118,19 @@ class Adadelta:
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
-        acc, eacc, u, v = _buffers(self, p, 4)
+        acc, eacc = _buffers(self, p, 2)
         if self.G is None:
             self.G, self.E = dict(zip("WbVc", p.views(acc))), dict(zip("WbVc", p.views(eacc)))
-        rest, grad = 1.0 - self.rho, g.flat
-        acc *= self.rho
-        acc += np.multiply(np.multiply(rest, grad, out=u), grad, out=u)
-        np.sqrt(np.add(eacc, self.eps, out=u), out=u)
-        np.sqrt(np.add(acc, self.eps, out=v), out=v)
-        update = np.multiply(np.divide(u, v, out=u), grad, out=u)
-        p.flat -= update
-        eacc *= self.rho
-        eacc += np.multiply(np.multiply(rest, update, out=v), update, out=v)
+        rest = 1.0 - self.rho
+        for theta, grad, G, E, u, v in _chunks(self, p.flat, g.flat, acc, eacc):
+            G *= self.rho
+            G += np.multiply(np.multiply(rest, grad, out=u), grad, out=u)
+            np.sqrt(np.add(E, self.eps, out=u), out=u)
+            np.sqrt(np.add(G, self.eps, out=v), out=v)
+            update = np.multiply(np.divide(u, v, out=u), grad, out=u)
+            theta -= update
+            E *= self.rho
+            E += np.multiply(np.multiply(rest, update, out=v), update, out=v)
 
 
 # kind -> (class, the settings it takes); each class holds its defaults

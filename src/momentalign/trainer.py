@@ -166,23 +166,23 @@ def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
 
 
 def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
-                   trace_s, trace_t=None, moments=None) -> Gradients:
+                   trace_s, trace_t=None, moments=None, out: Gradients | None = None) -> Gradients:
     """Gradients of loss(Xs, Ys) + lam * cmd(h0(Xs), h0(Xt)) from the domains'
     forward traces (trace_t is read only when lam != 0) and, when given,
-    the MomentGap of their hidden activations.  The CMD cotangent joins
-    the loss's on the source side: one backprop per domain."""
+    the MomentGap of their hidden activations, written into out, whose
+    every element they overwrite, when given.  The CMD cotangent joins
+    the loss's on the source side: one backprop per domain, the target's
+    added into the source's."""
     if lam == 0.0:
-        return loss_gradients(p, Xs, Ys, trace_s)
-    g = Gradients.zeros_like(p)
+        return loss_gradients(p, Xs, Ys, trace_s, out)
+    g = Gradients.zeros_like(p) if out is None else out
     cotangent = loss_cotangent(p, trace_s, Ys, out=(g.dV, g.dc))[0]
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg, moments)
     g_s *= lam
     g_s += cotangent  # cotangent + lam * g_s, in the cotangents' own arrays
     g_t *= lam
     backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
-    dW_t, db_t = backprop_hidden(Xt, trace_t.hidden, g_t)
-    g.dW += dW_t
-    g.db += db_t
+    backprop_hidden(Xt, trace_t.hidden, g_t, out=(g.dW, g.db), add=True)
     return g
 
 
@@ -230,7 +230,8 @@ def train(
 
     records: list[EpochRecord] = []
     snapshot = p.copy() if snapshot_at == start_epoch else None
-    last_stable = p.copy()
+    last_stable = p.copy()  # refreshed in place after each epoch
+    grads = Gradients.zeros_like(p)  # refilled by every step
     diverged = False
     # In full-batch mode the traces an epoch's record takes of (Xs, Xt)
     # after its step, and the moment pass of its CMD, are exactly the next
@@ -254,7 +255,7 @@ def train(
             trace_s, trace_t, moments = carried or (forward(p, Xbs), None, None)
             if cfg.lam != 0.0:
                 trace_t = trace_t or forward(p, Xbt)
-            grads = step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t, moments)
+            step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t, moments, grads)
             try:
                 optimizer.step(p, grads)  # checks the gradients before it moves p
             except FloatingPointError:
@@ -285,7 +286,7 @@ def train(
         records.append(record)
         if cfg.batch_size == 0:
             carried = (trace_s, trace_t, report.moments)
-        last_stable = p.copy()
+        np.copyto(last_stable.flat, p.flat)
         if snapshot_at is not None and e + 1 == snapshot_at:
             snapshot = p.copy()
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from momentalign.cli import main
+from momentalign.network import NetworkParams
 
 
 def run(capsys, *argv):
@@ -194,8 +195,10 @@ def test_distance_rejects_non_finite_csv_cells(two_point_files, tmp_path, capsys
     (["--metric", "mmd-poly", "--degree", "0"], "wide", "degree must be >= 1"),
     (["--metric", "mmd-poly", "--degree", "-1"], "wide", "degree must be >= 1"),
     (["--metric", "mmd-gauss", "--beta", "0"], "wide", "bandwidth must be positive"),
+    (["--metric", "mmd-gauss", "--beta", "nan"], "wide", "bandwidth must be positive and finite"),
+    (["--metric", "mmd-gauss", "--beta", "inf"], "wide", "bandwidth must be positive and finite"),
 ], ids=["raw-ipm-widths", "mmd-poly-widths", "cmd-k0", "raw-ipm-k0", "mmd-poly-degree0",
-        "mmd-poly-degree-1", "mmd-gauss-beta0"])
+        "mmd-poly-degree-1", "mmd-gauss-beta0", "mmd-gauss-beta-nan", "mmd-gauss-beta-inf"])
 def test_distance_rejects_bad_input(tmp_path, capsys, extra, target, message):
     wide = tmp_path / "wide.csv"
     wide.write_text("f1,f2,f3\n0.0,1.0,2.0\n1.0,0.5,0.25\n")
@@ -531,6 +534,24 @@ def test_report_alignment_self_zero(tmp_path, capsys):
     assert lines[-1] == "# significant 0"
     assert len(lines) == 6  # header + 4 nodes + summary
     assert all(line.endswith(",0") for line in lines[1:-1])
+
+
+def test_report_alignment_rejects_non_finite_params(tmp_path, capsys):
+    # a NaN in row 0 of W read as node 0 "not significant" with exit 0
+    doc = dict(SMALL_RUN, out=str(tmp_path / "ra"))
+    run(capsys, "train", "--config", write_config(tmp_path, doc))
+    params = tmp_path / "ra" / "params.json"
+    p = NetworkParams.from_json(params.read_text())
+    p.W[0, 0] = np.nan
+    params.write_text(p.to_json())
+    gen = tmp_path / "gen"
+    run(capsys, "gen-artificial", "--out", str(gen), "--samples", "60")
+    code, out, err = run(capsys, "report-alignment", "--params", str(params),
+                         "--source", str(gen / "source.csv"),
+                         "--target", str(gen / "target.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "W must be finite" in err
 
 
 def test_report_alignment_missing_params(tmp_path, capsys):

@@ -200,6 +200,10 @@ def test_sparse_loader_errors(tmp_path):
     path.write_text("0 1:x\n")
     with pytest.raises(ValueError, match="malformed"):
         load_sparse(path)
+    for header in ("#dim abc", "#dim", "#dim 3 4"):
+        path.write_text(header + "\n0 1:1.0\n")
+        with pytest.raises(ValueError, match="^line 1: malformed #dim line$"):
+            load_sparse(path)
     path.write_text("0 1:1.0\n1 0:nan\n")
     with pytest.raises(ValueError, match="line 2: non-finite"):
         load_sparse(path)

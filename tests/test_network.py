@@ -130,6 +130,17 @@ def test_params_from_json_rejects_bad_shapes():
         NetworkParams.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", ["W", "b", "V", "c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_from_json_rejects_non_finite_values(name, value):
+    # json reads NaN and Infinity; parameters holding them load as an error
+    # naming the array, while to_json still writes them
+    p = tiny_params()
+    getattr(p, name).flat[0] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        NetworkParams.from_json(p.to_json())
+
+
 def test_init_params_deterministic_and_bounded():
     a = init_params(6, 5, 3, SeededRng(4))
     b = init_params(6, 5, 3, SeededRng(4))

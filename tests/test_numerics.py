@@ -254,6 +254,40 @@ def test_blocked_sparse_products_bitwise_equal_add_at(cap, data):
         assert got.T.flags.c_contiguous  # the (k, cols) array a gradient takes as is
 
 
+@pytest.mark.parametrize("cap", [1, 6, 1 << 62], ids=["one-term", "six-terms", "one-block"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_t_dot_dense_adding_into_out_equals_the_sum_of_a_new_product(cap, data):
+    # the accumulate form a gradient takes the second domain's product in:
+    # each block's sums divided by n and added, against the whole product
+    # made first, divided, then added
+    S = data.draw(csr_matrices())
+    width, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 9))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(numerics, "_BLOCK_TERMS", cap)
+        R = signed_matrix(data.draw, S.rows, width)
+        start = signed_matrix(data.draw, width, S.cols).T  # a gradient's transposed dW
+        product = add_at_t_dot(S, R)
+        product /= n
+        want = start + product
+        out = start.copy(order="K")
+        assert S.t_dot_dense(R, out, n) is out
+        assert out.tobytes() == want.tobytes()
+
+
+def test_t_dot_dense_adds_a_block_of_empty_columns(monkeypatch):
+    # column 3 holds more terms than a block, so columns 0-2 form a block
+    # with no terms, whose sums bincount gives as int64 zeros; adding
+    # them still turns -0.0 into 0.0, as adding a whole product does
+    monkeypatch.setattr(numerics, "_BLOCK_TERMS", 6)
+    S = SparseRowMatrix.from_rows([[(3, 1.0 + r)] for r in range(5)], cols=4)
+    R = SeededRng(8).normal_matrix(5, 2)
+    out = np.full((2, 4), -0.0).T
+    S.t_dot_dense(R, out, 5)
+    assert out.tobytes() == (np.full((4, 2), -0.0) + add_at_t_dot(S, R) / 5).tobytes()
+    assert not np.signbit(out[:3]).any()
+
+
 @pytest.mark.parametrize("cap", [1, 1 << 62], ids=["one-term", "one-block"])
 def test_blocked_sparse_products_on_long_runs_and_empty_lines(cap, monkeypatch):
     # a full row and a full column each far longer than a block, empty rows

@@ -5,7 +5,7 @@ import pytest
 
 from momentalign.network import Gradients, NetworkParams
 from momentalign.numerics import SeededRng
-from momentalign.optim import Adadelta, Adagrad, Sgd, make_optimizer
+from momentalign.optim import _CHUNK, Adadelta, Adagrad, Sgd, make_optimizer
 
 from helpers import lie_back_to_back, zeros_like
 
@@ -63,67 +63,74 @@ def test_adadelta_two_steps_recurrence():
     assert p.W[0, 0] == pytest.approx(x, rel=1e-13)
 
 
-def test_adadelta_scratch_buffers_match_the_textbook_formula():
-    # the step writes its temporaries into two buffers per array; the
-    # module docstring's expressions, evaluated afresh, give the same bits
-    rng = SeededRng(21)
-    p = NetworkParams(rng.normal_matrix(50, 5000), rng.normals(50),
-                      rng.normal_matrix(3, 50), rng.normals(3))
-    rho, eps = 0.95, 1e-6
-    opt = Adadelta(rho=rho, eps=eps)
-    theta = {n: getattr(p, n).copy() for n in "WbVc"}
-    G = {n: np.zeros_like(a) for n, a in theta.items()}
-    E = {n: np.zeros_like(a) for n, a in theta.items()}
-    for step in range(12):
-        scale = 10.0 ** (step % 5 - 2)
-        g = Gradients(*(rng.normals(a.size).reshape(a.shape) * scale for a in theta.values()))
-        opt.step(p, g)
-        for n in "WbVc":
-            grad = getattr(g, "d" + n)
-            G[n] = rho * G[n] + (1.0 - rho) * grad * grad
-            update = np.sqrt(E[n] + eps) / np.sqrt(G[n] + eps) * grad
-            theta[n] = theta[n] - update
-            E[n] = rho * E[n] + (1.0 - rho) * update * update
-            for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n]), (opt.E[n], E[n])):
-                assert got.tobytes() == want.tobytes(), (step, n)
-
-
-def random_run(seed):
-    """Parameters with a 50 x 5000 W and 12 steps' gradients of scales 1e-2..1e2."""
+def random_run(seed, size=None):
+    """Parameters with a 50 x 5000 W, or with a 1 x (size - 7) W and 3
+    classes so that the vector holds size values, and 12 steps' gradients
+    of scales 1e-2..1e2."""
     rng = SeededRng(seed)
-    p = NetworkParams(rng.normal_matrix(50, 5000), rng.normals(50),
-                      rng.normal_matrix(3, 50), rng.normals(3))
+    hidden, inputs = (50, 5000) if size is None else (1, size - 7)
+    p = NetworkParams(rng.normal_matrix(hidden, inputs), rng.normals(hidden),
+                      rng.normal_matrix(3, hidden), rng.normals(3))
     grads = [Gradients(*(rng.normals(a.size).reshape(a.shape) * 10.0 ** (step % 5 - 2)
                          for a in (p.W, p.b, p.V, p.c))) for step in range(12)]
     return p, grads
 
 
+# a step runs in chunks of optim._CHUNK values: a vector one short of a
+# chunk, exactly one, one chunk and one value, and the paper's 50 x 5000 W
+SIZES = (_CHUNK - 1, _CHUNK, _CHUNK + 1, None)
+
+
+def test_adadelta_scratch_buffers_match_the_textbook_formula():
+    # the step writes its temporaries into two scratch vectors; the
+    # module docstring's expressions, evaluated afresh, give the same bits
+    for size in SIZES:
+        p, grads = random_run(21, size)
+        rho, eps = 0.95, 1e-6
+        opt = Adadelta(rho=rho, eps=eps)
+        theta = {n: getattr(p, n).copy() for n in "WbVc"}
+        G = {n: np.zeros_like(a) for n, a in theta.items()}
+        E = {n: np.zeros_like(a) for n, a in theta.items()}
+        for step, g in enumerate(grads):
+            opt.step(p, g)
+            for n in "WbVc":
+                grad = getattr(g, "d" + n)
+                G[n] = rho * G[n] + (1.0 - rho) * grad * grad
+                update = np.sqrt(E[n] + eps) / np.sqrt(G[n] + eps) * grad
+                theta[n] = theta[n] - update
+                E[n] = rho * E[n] + (1.0 - rho) * update * update
+                for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n]), (opt.E[n], E[n])):
+                    assert got.tobytes() == want.tobytes(), (size, step, n)
+
+
 def test_sgd_scratch_buffer_matches_the_textbook_formula():
-    p, grads = random_run(22)
-    alpha = 0.37
-    opt = Sgd(alpha=alpha)
-    theta = {n: getattr(p, n).copy() for n in "WbVc"}
-    for step, g in enumerate(grads):
-        opt.step(p, g)
-        for n in "WbVc":
-            theta[n] = theta[n] - alpha * getattr(g, "d" + n)
-            assert getattr(p, n).tobytes() == theta[n].tobytes(), (step, n)
+    for size in SIZES:
+        p, grads = random_run(22, size)
+        alpha = 0.37
+        opt = Sgd(alpha=alpha)
+        theta = {n: getattr(p, n).copy() for n in "WbVc"}
+        for step, g in enumerate(grads):
+            opt.step(p, g)
+            for n in "WbVc":
+                theta[n] = theta[n] - alpha * getattr(g, "d" + n)
+                assert getattr(p, n).tobytes() == theta[n].tobytes(), (size, step, n)
 
 
 def test_adagrad_scratch_buffers_match_the_textbook_formula():
-    p, grads = random_run(23)
-    alpha, eps = 0.05, 1e-8
-    opt = Adagrad(alpha=alpha, eps=eps)
-    theta = {n: getattr(p, n).copy() for n in "WbVc"}
-    G = {n: np.zeros_like(a) for n, a in theta.items()}
-    for step, g in enumerate(grads):
-        opt.step(p, g)
-        for n in "WbVc":
-            grad = getattr(g, "d" + n)
-            G[n] = G[n] + grad * grad
-            theta[n] = theta[n] - alpha * grad / np.sqrt(G[n] + eps)
-            for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n])):
-                assert got.tobytes() == want.tobytes(), (step, n)
+    for size in SIZES:
+        p, grads = random_run(23, size)
+        alpha, eps = 0.05, 1e-8
+        opt = Adagrad(alpha=alpha, eps=eps)
+        theta = {n: getattr(p, n).copy() for n in "WbVc"}
+        G = {n: np.zeros_like(a) for n, a in theta.items()}
+        for step, g in enumerate(grads):
+            opt.step(p, g)
+            for n in "WbVc":
+                grad = getattr(g, "d" + n)
+                G[n] = G[n] + grad * grad
+                theta[n] = theta[n] - alpha * grad / np.sqrt(G[n] + eps)
+                for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n])):
+                    assert got.tobytes() == want.tobytes(), (size, step, n)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adagrad", "adadelta"])
@@ -142,6 +149,21 @@ def test_step_allocates_no_parameter_sized_array(kind):
         tracemalloc.stop()
     assert peak <= p.flat.nbytes // 8 + 4096, peak
     assert lie_back_to_back(p.flat, (p.W, p.b, p.V, p.c))
+
+
+@pytest.mark.parametrize("kind, accumulators", [("sgd", 0), ("adagrad", 1), ("adadelta", 2)])
+def test_first_step_allocates_the_accumulators_and_two_chunks(kind, accumulators):
+    # the scratch of a step is two chunks, not two parameter-sized vectors
+    p, grads = random_run(25)
+    opt = make_optimizer(kind)
+    tracemalloc.start()
+    try:
+        opt.step(p, grads[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt.scratch.shape == (2, _CHUNK)
+    assert peak <= (accumulators + 1 / 8) * p.flat.nbytes + opt.scratch.nbytes + 4096, peak
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adagrad", "adadelta"])
