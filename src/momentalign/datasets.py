@@ -20,8 +20,11 @@ shortest round-trip repr so that save(load(f)) == f byte for byte):
 
 * dense CSV -- header "label,f1,...,fm" or "f1,...,fm"; a headerless
   all-numeric first line is accepted as unlabeled data.
-* sparse    -- optional "#dim N" first line, then lines of
-  "<label> <idx>:<val> ..." with strictly increasing 0-based indices.
+* sparse    -- optional "#dim N" first line (N ASCII digits, 1 <= N <=
+  2**53), then lines of "<label> <idx>:<val> ...": an integer label,
+  tokens of ASCII-digit 0-based indices, strictly increasing within the
+  line, and finite decimal values, separated by spaces or tabs.  Lines
+  of spaces and tabs alone are skipped.
 """
 
 from __future__ import annotations
@@ -226,11 +229,11 @@ def load_dense_csv(path) -> Sample:
     else:
         raise ValueError(f"line 1: unrecognized header {lines[0]!r}")
 
-    rows = []
-    classes = []
+    rows, classes, linenos = [], [], []
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if line == "":
             continue
+        linenos.append(lineno)
         toks = line.split(",")
         if len(toks) != width:
             raise ValueError(f"line {lineno}: expected {width} cells, got {len(toks)}")
@@ -248,7 +251,8 @@ def load_dense_csv(path) -> Sample:
     if labeled:
         classes = np.array(classes)
         if classes.min() < 0:
-            raise ValueError("negative class id")
+            row = int(np.argmax(classes < 0))
+            raise ValueError(f"line {linenos[row]}: negative class id {classes[row]}")
         n_classes = int(classes.max()) + 1
         return Sample(feats, one_hot(classes, n_classes), n_classes)
     return Sample(feats)
@@ -279,65 +283,100 @@ def save_dense_csv(sample: Sample, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+_VALUE = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+_LABEL = re.compile(r"[+-]?[0-9]+")
+_TOKEN = re.compile(rf"([0-9]+):({_VALUE})")
+_SPARSE_LINE = re.compile(rf"[ \t]*(?:{_LABEL.pattern}(?:[ \t]+[0-9]+:{_VALUE})*[ \t]*)?")
+_DIM_HEADER = re.compile(r"#dim[ \t]+([0-9]+)[ \t]*")
+_WIDEST = 2**53  # every index below it is exact as a float64
+
+
+def _line_fault(line: str, limit: int, declared: bool) -> str:
+    """The first fault of a sparse data line, token by token in the order
+    the per-token checks take: the label's form, then each token's form,
+    finiteness, order and bound."""
+    toks = re.split(r"[ \t]+", line.strip(" \t"))
+    if not _LABEL.fullmatch(toks[0]):
+        return f"label {toks[0]!r} is not an integer"
+    prev = -1
+    for tok in toks[1:]:
+        match = _TOKEN.fullmatch(tok)
+        if match is None:
+            return f"malformed token {tok!r}"
+        idx = int(match[1])
+        if not math.isfinite(float(match[2])):
+            return f"non-finite value in token {tok!r}"
+        if idx <= prev:
+            return "indices not strictly increasing"
+        if idx >= limit:
+            return f"index {idx} exceeds {'declared' if declared else 'the largest'} dimension"
+        prev = idx
+    raise AssertionError(f"no fault in {line!r}")
+
+
 def load_sparse(path) -> Sample:
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    """Read the sparse line format.  Each line is checked with one regex, and
+    the lines before the first malformed one are parsed in one np.fromstring
+    call, ':' read as a separator; the value checks then run on the arrays.
+    The first faulty line is reported, and only that line is read again
+    token by token to say what is wrong with it."""
+    with open(path, "r") as fh:
+        lines = fh.read().split("\n")
     declared_dim = None
     start = 0
-    if lines and lines[0].startswith("#dim"):
-        parts = lines[0].split()
-        try:
-            (declared_dim,) = map(int, parts[1:])
-        except ValueError:
-            raise ValueError("line 1: malformed #dim line") from None
-        if declared_dim < 1:
-            raise ValueError("line 1: dimension must be >= 1")
+    if lines[0].startswith("#dim"):
+        header = _DIM_HEADER.fullmatch(lines[0])
+        if header is None:
+            raise ValueError("line 1: malformed #dim line")
+        declared_dim = int(header[1])
+        if not 1 <= declared_dim <= _WIDEST:
+            raise ValueError("line 1: dimension must lie between 1 and 2**53")
         start = 1
+    limit = declared_dim or _WIDEST
 
-    rows = []
-    classes = []
-    max_index = -1
+    rows, linenos, sizes = [], [], []
+    faulty = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        if line.strip() == "":
-            continue
-        toks = line.split()
-        try:
-            classes.append(int(toks[0]))
-        except ValueError:
-            raise ValueError(f"line {lineno}: label {toks[0]!r} is not an integer") from None
-        pairs = []
-        prev = -1
-        for tok in toks[1:]:
-            if ":" not in tok:
-                raise ValueError(f"line {lineno}: malformed token {tok!r}")
-            idx_s, val_s = tok.split(":", 1)
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed token {tok!r}") from None
-            if not math.isfinite(val):
-                raise ValueError(f"line {lineno}: non-finite value in token {tok!r}")
-            if idx <= prev:
-                raise ValueError(f"line {lineno}: indices not strictly increasing")
-            if declared_dim is not None and idx >= declared_dim:
-                raise ValueError(f"line {lineno}: index {idx} exceeds declared dimension")
-            prev = idx
-            pairs.append((idx, val))
-        max_index = max(max_index, prev)
-        rows.append(pairs)
-    if not rows:
+        if _SPARSE_LINE.fullmatch(line) is None:
+            faulty = lineno
+            break
+        if line.strip(" \t"):
+            rows.append(line)
+            linenos.append(lineno)
+            sizes.append(line.count(":"))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    # a row is its label, then index, value per entry; a string of blanks
+    # alone would read as [-1.0]
+    numbers = np.fromstring(" ".join(rows).replace(":", " "), sep=" ") if rows else np.zeros(0)
+    labels_at = 2 * indptr[:-1] + np.arange(len(rows))
+    labels = numbers[labels_at]
+    pairs = np.delete(numbers, labels_at).reshape(-1, 2)
+    del rows, numbers
+    idx, values = pairs[:, 0], pairs[:, 1]
+    fault = np.zeros(len(idx), dtype=bool)
+    np.less_equal(idx[1:], idx[:-1], out=fault[1:])
+    fault[indptr[:-1][indptr[:-1] < len(idx)]] = False  # a row's first index follows none
+    fault |= ~np.isfinite(values)
+    fault |= idx >= limit
+    if fault.any():
+        faulty = linenos[np.searchsorted(indptr, np.argmax(fault), side="right") - 1]
+    if faulty is not None:
+        raise ValueError(f"line {faulty}: {_line_fault(lines[faulty - 1], limit, declared_dim is not None)}")
+
+    if not linenos:
         raise ValueError("file contains no data rows")
-    dim = declared_dim if declared_dim is not None else max_index + 1
+    indices = idx.astype(np.int64)
+    dim = declared_dim if declared_dim is not None else int(indices.max(initial=-1)) + 1
     if dim < 1:
         raise ValueError("cannot infer dimension from an all-empty file")
-    classes = np.array(classes)
-    if classes.min() < 0:
-        raise ValueError("negative class id")
+    if labels.min() < 0:
+        row = int(np.argmax(labels < 0))
+        raise ValueError(f"line {linenos[row]}: negative class id {int(labels[row])}")
+    classes = labels.astype(np.int64)
     n_classes = int(classes.max()) + 1
-    return Sample(
-        SparseRowMatrix.from_rows(rows, dim), one_hot(classes, n_classes), n_classes
-    )
+    features = SparseRowMatrix(len(linenos), dim, indptr, indices, values.copy())
+    return Sample(features, one_hot(classes, n_classes), n_classes)
 
 
 def save_sparse(sample: Sample, path) -> None:

@@ -152,7 +152,7 @@ class SparseRowMatrix:
         if D.ndim != 2 or D.shape[0] != self.cols:
             raise ValueError("dimension mismatch in sparse dot")
         out = np.empty((self.rows, D.shape[1]))
-        _run_sums(self.row_ids, None, self.data, self.indices, D, out)
+        _run_sums(self.indptr, None, self.data, self.indices, D, out)
         return out
 
     def t_dot_dense(self, D: np.ndarray, out: np.ndarray | None = None,
@@ -169,8 +169,10 @@ class SparseRowMatrix:
             out = np.empty((D.shape[1], self.cols)).T
         elif out.shape != (self.cols, D.shape[1]):
             raise ValueError("out has the wrong shape for sparse t_dot")
+        bounds = np.zeros(self.cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.cols), out=bounds[1:])
         order = _stable_order(self.indices, self.cols)
-        _run_sums(self.indices[order], order, self.data, self.row_ids, D, out, add_divided_by)
+        _run_sums(bounds, order, self.data, self.row_ids, D, out, add_divided_by)
         return out
 
     def take_rows(self, idx) -> "SparseRowMatrix":
@@ -190,44 +192,56 @@ def _stable_order(ids: np.ndarray, size: int) -> np.ndarray:
     return np.argsort(ids.astype(np.min_scalar_type(max(size - 1, 0))), kind="stable")
 
 
-_BLOCK_TERMS = 1 << 15  # product terms per block of output rows: 256 KiB
+_BLOCK_TERMS = 1 << 15  # product terms per step of a chunk of runs: 256 KiB
 
 
-def _run_sums(run, order, data, gather, D: np.ndarray, out: np.ndarray,
+def _run_sums(bounds, order, data, gather, D: np.ndarray, out: np.ndarray,
               add_divided_by: float | None = None) -> None:
     """out[i] = sum of data[e] * D[gather[e]] over the entries e of run i,
-    or with add_divided_by = n, out[i] += that sum / n.
-    The entries are taken in the given order (None: storage order), and
-    run[j], the run of the j-th of them, does not decrease.  Runs are
-    summed in blocks of consecutive output rows holding at most
-    _BLOCK_TERMS product terms, or one row when a single run holds more,
-    so no temporary grows with the stored values times the width of D."""
-    k, size = D.shape[1], out.shape[0]
-    bounds = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(run, minlength=size), out=bounds[1:])
-    per_block = max(1, _BLOCK_TERMS // max(k, 1))  # entries
-    r0 = 0
-    while r0 < size:
-        fits = int(np.searchsorted(bounds, bounds[r0] + per_block, side="right")) - 1
-        r1 = max(r0 + 1, fits)
-        e0, e1 = bounds[r0], bounds[r1]
-        e = slice(e0, e1) if order is None else order[e0:e1]
-        sums = _scatter_sum(run[e0:e1] - r0, r1 - r0, data[e, None] * D[gather[e]])
+    or with add_divided_by = n, out[i] += that sum / n.  Run i holds the
+    entries at positions bounds[i]:bounds[i + 1] of the given order (None:
+    storage order).
+
+    Jagged diagonals: the runs with entries are taken longest first, in
+    chunks of at most _BLOCK_TERMS // k runs, and step j adds the j-th
+    term of every run of the chunk longer than j into a prefix of the
+    chunk's zeroed sums.  Each sum is thus 0.0 + t0 + t1 + ... in the
+    entries' order, bit for bit what np.add.at into zeros gives (starting
+    at +0.0, a sum of -0.0 terms is +0.0 in both), and no temporary
+    outgrows one step of a chunk."""
+    D = np.ascontiguousarray(D)  # its rows are gathered: each in one line
+    k = D.shape[1]
+    lengths = np.diff(bounds)
+    longest = int(lengths.max(initial=0))
+    by_length = _stable_order(longest - lengths, longest + 1)
+    by_length, empty = np.split(by_length, [np.count_nonzero(lengths)])
+    if add_divided_by is None:
+        out.fill(0.0)
+    else:
+        out[empty] += 0.0  # x + 0.0: what adding a sum of no terms gives
+    per_chunk = max(1, _BLOCK_TERMS // max(k, 1))
+    sums_buffer = np.empty((min(per_chunk, len(by_length)), k))
+    terms_buffer = np.empty_like(sums_buffer)
+    for c0 in range(0, len(by_length), per_chunk):
+        runs = by_length[c0:c0 + per_chunk]
+        first, size = bounds[runs], lengths[runs]
+        live = np.searchsorted(-size, -np.arange(size[0]), side="left")
+        sums = sums_buffer[:len(runs)]
+        sums.fill(0.0)
+        for j, n in enumerate(live.tolist()):
+            e = first[:n] + j
+            if order is not None:
+                e = order[e]
+            # "clip" spares the copy that "raise" makes; the indices were
+            # checked when the matrix was built
+            terms = D.take(gather[e], axis=0, out=terms_buffer[:n], mode="clip")
+            np.multiply(data[e, None], terms, out=terms)
+            sums[:n] += terms
         if add_divided_by is None:
-            out[r0:r1] = sums
+            out[runs] = sums
         else:
             sums /= add_divided_by
-            out[r0:r1] += sums
-        r0 = r1
-
-
-def _scatter_sum(target, size: int, terms: np.ndarray) -> np.ndarray:
-    """out[i] = sum of terms[j] over target[j] == i, bit for bit what np.add.at
-    into zeros gives: bincount too adds each element's terms to 0.0 in j order."""
-    k = terms.shape[1]
-    flat = ((target * k)[:, None] + np.arange(k)).ravel()
-    sums = np.bincount(flat, weights=terms.ravel(), minlength=size * k)
-    return sums.astype(np.float64, copy=False).reshape(size, k)  # int64 zeros when no terms
+            out[runs] += sums
 
 
 def n_rows(features) -> int:

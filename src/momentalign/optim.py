@@ -61,11 +61,13 @@ def _buffers(opt, p: NetworkParams, count: int) -> np.ndarray:
 
 def _chunks(opt, *vectors):
     """Per chunk of at most _CHUNK elements: the chunk of each vector, then
-    opt's two scratch vectors cut to its length."""
+    opt's two scratch vectors cut to its length.  Vectors that fit one
+    chunk are handed over whole, with scratch of their own length."""
     size = vectors[0].size
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        yield (*(v[start:stop] for v in vectors), *opt.scratch[:, :stop - start])
+    if size <= _CHUNK:
+        return ((*vectors, *opt.scratch),)
+    return ((*(v[start:start + _CHUNK] for v in vectors), *opt.scratch[:, :min(_CHUNK, size - start)])
+            for start in range(0, size, _CHUNK))
 
 
 @dataclass

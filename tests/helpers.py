@@ -1,8 +1,13 @@
 """Gradient arithmetic, the combined objective, the flat-vector layout
-check and a bag-of-words matrix, which only the tests use."""
+check, a bag-of-words matrix and the per-token sparse loader, which only
+the tests use."""
+
+import math
+import re
 
 import numpy as np
 
+from momentalign.datasets import Sample, one_hot
 from momentalign.distances import CmdConfig, cmd_estimate
 from momentalign.network import Gradients, NetworkParams, cross_entropy_loss, forward
 from momentalign.numerics import SeededRng, SparseRowMatrix
@@ -54,3 +59,67 @@ def bag_of_words(rows=1000, cols=5000, per_row=56, seed=0) -> SparseRowMatrix:
     keep[:, 1:] = picks[:, 1:] != picks[:, :-1]
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     return SparseRowMatrix(rows, cols, indptr, picks[keep], rng.uniforms(int(indptr[-1])) + 0.5)
+
+
+def load_sparse_per_token(path) -> Sample:
+    """The sparse loader token by token, with int() and float() on each: the
+    reference the array loader is held to.  Its grammar is wider: float()
+    and int() also take underscores, Unicode digits and a signed index."""
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    declared_dim = None
+    start = 0
+    if lines and lines[0].startswith("#dim"):
+        header = re.fullmatch(r"#dim[ \t]+([0-9]+)[ \t]*", lines[0])
+        if header is None:
+            raise ValueError("line 1: malformed #dim line")
+        declared_dim = int(header[1])
+        if not 1 <= declared_dim <= 2**53:
+            raise ValueError("line 1: dimension must lie between 1 and 2**53")
+        start = 1
+    limit = declared_dim or 2**53
+
+    rows, classes, linenos = [], [], []
+    max_index = -1
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if line.strip() == "":
+            continue
+        toks = line.split()
+        try:
+            classes.append(int(toks[0]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: label {toks[0]!r} is not an integer") from None
+        linenos.append(lineno)
+        pairs = []
+        prev = -1
+        for tok in toks[1:]:
+            if ":" not in tok:
+                raise ValueError(f"line {lineno}: malformed token {tok!r}")
+            idx_s, val_s = tok.split(":", 1)
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ValueError(f"line {lineno}: non-finite value in token {tok!r}")
+            if idx <= prev:
+                raise ValueError(f"line {lineno}: indices not strictly increasing")
+            if idx >= limit:
+                which = "declared" if declared_dim is not None else "the largest"
+                raise ValueError(f"line {lineno}: index {idx} exceeds {which} dimension")
+            prev = idx
+            pairs.append((idx, val))
+        max_index = max(max_index, prev)
+        rows.append(pairs)
+    if not rows:
+        raise ValueError("file contains no data rows")
+    dim = declared_dim if declared_dim is not None else max_index + 1
+    if dim < 1:
+        raise ValueError("cannot infer dimension from an all-empty file")
+    classes = np.array(classes)
+    if classes.min() < 0:
+        row = int(np.argmax(classes < 0))
+        raise ValueError(f"line {linenos[row]}: negative class id {classes[row]}")
+    n_classes = int(classes.max()) + 1
+    return Sample(SparseRowMatrix.from_rows(rows, dim), one_hot(classes, n_classes), n_classes)

@@ -148,6 +148,18 @@ def test_distance_sparse_format(tmp_path, capsys):
     assert json.loads(out)["value"] == 0.0
 
 
+@pytest.mark.parametrize("header", ["#dimension 2", "#dim 1_000"])
+def test_distance_rejects_a_malformed_dim_header(tmp_path, capsys, header):
+    src = tmp_path / "a.sparse"
+    tgt = tmp_path / "b.sparse"
+    src.write_text(f"{header}\n0 0:1.0\n0 1:1.0\n")
+    tgt.write_text("#dim 2\n0 0:1.0\n0 1:1.0\n")
+    code, out, err = run(capsys, "distance", "--metric", "cmd", "--format",
+                         "sparse", "--source", str(src), "--target", str(tgt))
+    assert code == 2
+    assert out == "" and err == "error: line 1: malformed #dim line\n"
+
+
 def test_distance_sparse_matches_dense_for_every_metric(tmp_path, capsys):
     rows = {"a": [[1.5, 0.0, -0.5, 0.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.25]],
             "b": [[0.5, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 2.0], [0.0, 0.0, 1.25, 0.0]]}

@@ -1,5 +1,13 @@
+import pathlib
+import re
+import sys
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentalign.datasets import (
     ArtificialSpec,
@@ -13,6 +21,8 @@ from momentalign.datasets import (
     split,
 )
 from momentalign.numerics import SparseRowMatrix
+
+from helpers import bag_of_words, load_sparse_per_token
 
 
 def test_sample_basics():
@@ -200,7 +210,7 @@ def test_sparse_loader_errors(tmp_path):
     path.write_text("0 1:x\n")
     with pytest.raises(ValueError, match="malformed"):
         load_sparse(path)
-    for header in ("#dim abc", "#dim", "#dim 3 4"):
+    for header in ("#dim abc", "#dim", "#dim 3 4", "#dimension 4", "#dim 1_000", "#dim +3"):
         path.write_text(header + "\n0 1:1.0\n")
         with pytest.raises(ValueError, match="^line 1: malformed #dim line$"):
             load_sparse(path)
@@ -210,6 +220,179 @@ def test_sparse_loader_errors(tmp_path):
     with pytest.raises(ValueError):
         save_sparse(Sample(np.ones((2, 2)), one_hot(np.array([0, 1]), 2)),
                     path)
+
+
+def test_loaders_name_the_line_of_a_negative_class(tmp_path):
+    path = tmp_path / "neg.sparse"
+    path.write_text("0 1:1.0\n\n-1 0:1.0\n-2 0:1.0\n")
+    with pytest.raises(ValueError, match="^line 3: negative class id -1$"):
+        load_sparse(path)
+    path = tmp_path / "neg.csv"
+    path.write_text("label,f1\n0,1.0\n\n-1,2.0\n-2,2.0\n")
+    with pytest.raises(ValueError, match="^line 4: negative class id -1$"):
+        load_dense_csv(path)
+
+
+def same_sample(a, b) -> bool:
+    S, T = a.features, b.features
+    return (S.shape == T.shape and a.n_classes == b.n_classes
+            and all(getattr(S, n).dtype == getattr(T, n).dtype
+                    and getattr(S, n).tobytes() == getattr(T, n).tobytes()
+                    for n in ("indptr", "indices", "data"))
+            and a.labels.tobytes() == b.labels.tobytes())
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+# -0.0, subnormals, huge and tiny exponents, and 17-digit mantissas, each
+# written in a few of the forms float() reads
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.integers(-2**52, 2**52).map(lambda i: i * 2.0**-42),
+)
+FORMS = st.sampled_from([repr, "{:.17g}".format, "{:.17e}".format, "{:.25E}".format,
+                         "{:+.3f}".format, "{:.0f}".format, lambda v: repr(v).lstrip("0")])
+BLANK = st.sampled_from(["", " ", "\t", " \t "])
+SEP = st.sampled_from([" ", "\t", "  ", " \t"])
+
+
+@st.composite
+def sparse_files(draw):
+    """The text of a valid sparse file: an optional #dim header, rows of
+    strictly increasing indices (some with leading zeros), blank lines,
+    and space or tab separators."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append(draw(BLANK))
+            continue
+        cols = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
+        toks = [draw(st.sampled_from(["0", "1", "2", "+1", "03"]))]
+        for c in cols:
+            idx = draw(st.sampled_from([str(c), f"{c:03d}"]))
+            value = draw(VALUES)
+            text = draw(FORMS)(value)
+            if value == int(value) and abs(value) < 1e15:
+                text = draw(st.sampled_from([text, str(int(value))]))
+            toks.append(f"{idx}:{text}")
+        seps = [draw(SEP) for _ in toks]
+        rows.append(draw(BLANK) + "".join(t + sep for t, sep in zip(toks, seps)).rstrip(" \t")
+                    + draw(BLANK))
+    header = draw(st.sampled_from([[], ["#dim 41"], ["#dim\t50 "]]))
+    return "\n".join(header + rows) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_files())
+def test_sparse_loader_equals_the_per_token_loader_bitwise(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("files") / "data.sparse"
+    path.write_text(text)
+    want, got = outcome(load_sparse_per_token, path), outcome(load_sparse, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_sample(got, want)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 3:1.0 2:1.0\n", "line 1: indices not strictly increasing"),
+    ("0 1:1.0 1:2.0\n", "line 1: indices not strictly increasing"),
+    ("#dim 3\n0 5:1.0\n", "line 2: index 5 exceeds declared dimension"),
+    ("0 2:1.0 9007199254740993:1.0\n", "line 1: index 9007199254740993 exceeds the largest dimension"),
+    ("0 oops\n", "line 1: malformed token 'oops'"),
+    ("0 1:x\n", "line 1: malformed token '1:x'"),
+    ("0 1:\n", "line 1: malformed token '1:'"),
+    ("0 :1.0\n", "line 1: malformed token ':1.0'"),
+    ("0 1:2:3\n", "line 1: malformed token '1:2:3'"),
+    ("0 1:0x1p3\n", "line 1: malformed token '1:0x1p3'"),
+    ("x 1:1.0\n", "line 1: label 'x' is not an integer"),
+    ("1.5 1:1.0\n", "line 1: label '1.5' is not an integer"),
+    ("0 1:1.0\n1 0:nan\n", "line 2: non-finite value in token '0:nan'"),
+    ("0 1:-Infinity\n", "line 1: non-finite value in token '1:-Infinity'"),
+    ("0 1:1e999\n", "line 1: non-finite value in token '1:1e999'"),
+    ("0 1:1\n\n\t\n0 2:x\n", "line 4: malformed token '2:x'"),
+    ("0 1:nan\n0 oops\n", "line 1: non-finite value in token '1:nan'"),
+    ("0 oops\n0 1:nan\n", "line 1: malformed token 'oops'"),
+    ("-1 1:1\n0 x\n", "line 2: malformed token 'x'"),
+    ("0 1:1.0\n-1 0:1.0\n", "line 2: negative class id -1"),
+    ("#dim abc\n0 1:1\n", "line 1: malformed #dim line"),
+    ("#dimension 4\n0 1:1\n", "line 1: malformed #dim line"),
+    ("#dim 0\n0 1:1\n", "line 1: dimension must lie between 1 and 2**53"),
+    ("#dim 9007199254740993\n0 1:1\n", "line 1: dimension must lie between 1 and 2**53"),
+    ("", "file contains no data rows"),
+    ("#dim 4\n \n\n", "file contains no data rows"),
+    ("0\n1\n", "cannot infer dimension from an all-empty file"),
+])
+def test_both_sparse_loaders_raise_the_same_message(tmp_path, text, message):
+    path = tmp_path / "bad.sparse"
+    path.write_text(text)
+    for load in (load_sparse, load_sparse_per_token):
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == message, load.__name__
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0 +3:1.0", "malformed token '+3:1.0'"),
+    ("0 3:1_0.5", "malformed token '3:1_0.5'"),
+    ("1_0 3:1.0", "label '1_0' is not an integer"),
+    ("０ 3:1.0", "label '０' is not an integer"),
+    ("0 3:１", "malformed token '3:１'"),
+    ("0 3:1.0\u20034:1.0", "malformed token " + repr("3:1.0\u20034:1.0")),
+    ("0 3:1.0\xa04:1.0", "malformed token " + repr("3:1.0\xa04:1.0")),
+])
+def test_sparse_grammar_is_stricter_than_int_and_float(tmp_path, line, message):
+    # digits are ASCII, an index has no sign, a number no underscore, and
+    # only spaces and tabs separate tokens; the per-token loader takes each
+    path = tmp_path / "strict.sparse"
+    path.write_text(f"0 1:1.0\n{line}\n", encoding="utf-8")
+    load_sparse_per_token(path)
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+        load_sparse(path)
+
+
+def test_sparse_loader_memory_on_a_bag_of_words(tmp_path):
+    # 1000 x 5000 with about 56k stored values: a Python tuple, int and
+    # float per token read 9.5 MiB
+    S = bag_of_words()
+    path = tmp_path / "bow.sparse"
+    save_sparse(Sample(S, one_hot(np.arange(S.rows) % 3, 3), 3), path)
+    tracemalloc.start()
+    try:
+        back = load_sparse(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.features.data, S.data)
+    assert peak <= 6 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+SPARSE_GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "sparse_gen.py"
+
+
+def test_sparse_loader_reads_back_the_benchmark_domains(tmp_path, monkeypatch):
+    # bench/sparse_gen.py, compiled from its text, writes the seed-0
+    # domains of the sparse-minibatch workload (1000 documents over 5000
+    # words, 60 tokens a document) with save_sparse
+    gen = types.ModuleType("bench_sparse_gen")
+    monkeypatch.setitem(sys.modules, gen.__name__, gen)  # its dataclass looks itself up
+    exec(compile(SPARSE_GEN.read_text(), str(SPARSE_GEN), "exec"), gen.__dict__)
+    for i, domain in enumerate(gen.two_domains(0, 1000, 5000, 60)):
+        path = tmp_path / f"domain{i}.txt"
+        domain.save(path)
+        back = load_sparse(path)
+        S = back.features
+        assert S.shape == (len(domain.indptr) - 1, domain.vocab)
+        for name in ("indptr", "indices", "data"):
+            want = getattr(domain, name)
+            assert getattr(S, name).dtype == want.dtype and getattr(S, name).tobytes() == want.tobytes()
+        assert back.labels.tobytes() == domain.one_hot().tobytes() and back.n_classes == 2
 
 
 def test_split_stratified():

@@ -329,6 +329,20 @@ def test_sparse_products_keep_signed_zeros_as_add_at():
     assert S.t_dot_dense(D[[0, 1, 0]]).tobytes() == add_at_t_dot(S, D[[0, 1, 0]]).tobytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_dot_dense_of_an_f_ordered_operand_equals_the_c_ordered_one(data):
+    # the forward passes W.T, an F-ordered view; the product gathers rows
+    # from a C-ordered copy of it
+    S = data.draw(csr_matrices())
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = signed_matrix(data.draw, S.cols, data.draw(st.integers(1, 8)))
+        want = add_at_dot(S, D)
+        assert S.dot_dense(np.asfortranarray(D)).tobytes() == want.tobytes()
+        assert S.dot_dense(np.ascontiguousarray(D)).tobytes() == want.tobytes()
+        assert S.dot_dense(np.ascontiguousarray(D.T).T).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("cols", [255, 256, 65_535, 65_536, 70_000])
 def test_stable_order_equals_the_int64_argsort(cols):
     # the narrow key (uint8, uint16, then uint32) gives the int64 key's

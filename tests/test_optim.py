@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from momentalign import optim
 from momentalign.network import Gradients, NetworkParams
 from momentalign.numerics import SeededRng
 from momentalign.optim import _CHUNK, Adadelta, Adagrad, Sgd, make_optimizer
@@ -131,6 +132,21 @@ def test_adagrad_scratch_buffers_match_the_textbook_formula():
                 theta[n] = theta[n] - alpha * grad / np.sqrt(G[n] + eps)
                 for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n])):
                     assert got.tobytes() == want.tobytes(), (size, step, n)
+
+
+def test_a_vector_of_one_chunk_is_handed_over_whole():
+    p, grads = random_run(26, _CHUNK)
+    opt = make_optimizer("adagrad")
+    opt.step(p, grads[0])
+    (acc_vector,) = opt.buffers
+    ((theta, grad, acc, u, v),) = optim._chunks(opt, p.flat, grads[1].flat, acc_vector)
+    assert theta is p.flat and grad is grads[1].flat and acc is acc_vector
+    assert u.base is opt.scratch and v.base is opt.scratch and u.size == v.size == _CHUNK
+    p, grads = random_run(26, _CHUNK + 1)
+    opt = make_optimizer("adagrad")
+    opt.step(p, grads[0])
+    (*_, u, v), (theta, _, _, u1, v1) = optim._chunks(opt, p.flat, grads[1].flat, opt.buffers[0])
+    assert u.size == _CHUNK and theta.base is p.flat and u1.size == v1.size == theta.size == 1
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adagrad", "adadelta"])

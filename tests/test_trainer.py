@@ -472,7 +472,8 @@ def test_sparse_epoch_memory_is_bounded_by_the_model(batch_size):
     # (full batch) and 55.5 MiB (B = 64); W is 1.9 MiB.  Nine
     # parameter-sized arrays alive in a step read 16.1 and 21.0 MiB; the
     # five a step needs (parameters, rollback copy, Adadelta's G and E,
-    # one gradient) read 11.9 and 13.9 MiB
+    # one gradient) read 11.9 and 13.9 MiB, and 13.8 and 15.7 MiB with the
+    # C-ordered copy of W.T that each sparse forward gathers from
     Xs, Xt = bag_of_words(seed=1), bag_of_words(seed=2)
     Ys = one_hot(np.arange(Xs.rows) % 2, 2)
     cfg = TrainConfig(hidden=50, lam=1.0, epochs=1, batch_size=batch_size, seed=3)
