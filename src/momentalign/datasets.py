@@ -19,12 +19,14 @@ File formats (all LF line endings, '.' decimals, floats written with
 shortest round-trip repr so that save(load(f)) == f byte for byte):
 
 * dense CSV -- header "label,f1,...,fm" or "f1,...,fm"; a headerless
-  all-numeric first line is accepted as unlabeled data.
+  first line of values is unlabeled data.  Cells, padded with spaces
+  or tabs, hold labels and values of the sparse grammar.
 * sparse    -- optional "#dim N" first line (N ASCII digits, 1 <= N <=
   2**53), then lines of "<label> <idx>:<val> ...": an integer label,
   tokens of ASCII-digit 0-based indices, strictly increasing within the
   line, and finite decimal values, separated by spaces or tabs.  Lines
   of spaces and tabs alone are skipped.
+* both      -- class ids are >= 0, at most 2**27 one-hot cells in all.
 """
 
 from __future__ import annotations
@@ -196,36 +198,44 @@ def generate_artificial(spec: ArtificialSpec) -> tuple[Sample, Sample]:
 # Dense CSV
 # ---------------------------------------------------------------------------
 
-_FEATURE_HEADER = re.compile(r"f[0-9]+")
-_NUMBER = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?(nan|inf)")
+# the grammar of both formats, as patterns that compile on first use
+_VALUE = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+_LABEL = r"[+-]?[0-9]+"
+_ONE_HOT_CELLS = 2**27  # the most cells of one-hot labels: 1 GiB of float64
 
 
-def _is_number(tok: str) -> bool:
-    return bool(_NUMBER.fullmatch(tok.strip()))
-
-
-def _parse_float(tok: str, lineno: int) -> float:
-    try:
-        value = float(tok)
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-numeric cell {tok!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"line {lineno}: non-finite cell {tok!r}")
-    return value
+def _labeled(features, labels: np.ndarray, linenos) -> Sample:
+    """features with the one-hot labels of the class ids labels, floats
+    read from the lines linenos.  No id may be negative, and the largest
+    must leave the one-hot labels within _ONE_HOT_CELLS cells."""
+    row = int(np.argmax(labels < 0))
+    if labels[row] < 0:
+        raise ValueError(f"line {linenos[row]}: negative class id {labels[row]:.0f}")
+    row = int(np.argmax(labels))
+    if (labels[row] + 1) * len(labels) > _ONE_HOT_CELLS:
+        raise ValueError(f"line {linenos[row]}: class id {labels[row]:.0f} needs one-hot "
+                         f"labels of over 2**27 cells")
+    n_classes = int(labels[row]) + 1
+    return Sample(features, one_hot(labels.astype(np.int64), n_classes), n_classes)
 
 
 def load_dense_csv(path) -> Sample:
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """Read the dense CSV format.  Lines end as sparse lines do, cells are
+    stripped of spaces and tabs, and a label must match _LABEL and a
+    feature _VALUE, the sparse format's grammar, before float() reads it."""
+    with open(path, "r") as fh:
+        lines = fh.read().split("\n")
+    if lines == [""]:
         raise ValueError("empty file")
-    head = [t.strip() for t in lines[0].split(",")]
-    if head and head[0] == "label" and all(_FEATURE_HEADER.fullmatch(t) for t in head[1:]):
-        labeled, start, width = True, 1, len(head)
-    elif head and all(_FEATURE_HEADER.fullmatch(t) for t in head):
-        labeled, start, width = False, 1, len(head)
-    elif head and all(_is_number(t) for t in head):
-        labeled, start, width = False, 0, len(head)
+    value = re.compile(_VALUE).fullmatch
+    head = [t.strip(" \t") for t in lines[0].split(",")]
+    names = [bool(re.fullmatch("f[0-9]+", t)) for t in head]
+    if head[0] == "label" and all(names[1:]):
+        labeled, start = True, 1
+    elif all(names):
+        labeled, start = False, 1
+    elif all(value(t) for t in head):
+        labeled, start = False, 0
     else:
         raise ValueError(f"line 1: unrecognized header {lines[0]!r}")
 
@@ -234,28 +244,22 @@ def load_dense_csv(path) -> Sample:
         if line == "":
             continue
         linenos.append(lineno)
-        toks = line.split(",")
-        if len(toks) != width:
-            raise ValueError(f"line {lineno}: expected {width} cells, got {len(toks)}")
+        toks = [t.strip(" \t") for t in line.split(",")]
+        if len(toks) != len(head):
+            raise ValueError(f"line {lineno}: expected {len(head)} cells, got {len(toks)}")
         if labeled:
-            cls_tok = toks[0].strip()
-            try:
-                classes.append(int(cls_tok))
-            except ValueError:
-                raise ValueError(f"line {lineno}: label {cls_tok!r} is not an integer") from None
-            toks = toks[1:]
-        rows.append([_parse_float(t, lineno) for t in toks])
+            if not re.fullmatch(_LABEL, toks[0]):
+                raise ValueError(f"line {lineno}: label {toks[0]!r} is not an integer")
+            classes.append(float(toks.pop(0)))
+        for tok in toks:
+            if not value(tok):
+                raise ValueError(f"line {lineno}: non-numeric cell {tok!r}")
+            if not math.isfinite(float(tok)):
+                raise ValueError(f"line {lineno}: non-finite cell {tok!r}")
+        rows.append([float(t) for t in toks])
     if not rows:
         raise ValueError("file contains no data rows")
-    feats = np.array(rows)
-    if labeled:
-        classes = np.array(classes)
-        if classes.min() < 0:
-            row = int(np.argmax(classes < 0))
-            raise ValueError(f"line {linenos[row]}: negative class id {classes[row]}")
-        n_classes = int(classes.max()) + 1
-        return Sample(feats, one_hot(classes, n_classes), n_classes)
-    return Sample(feats)
+    return _labeled(np.array(rows), np.array(classes), linenos) if labeled else Sample(np.array(rows))
 
 
 def save_dense_csv(sample: Sample, path) -> None:
@@ -282,12 +286,9 @@ def save_dense_csv(sample: Sample, path) -> None:
 # Sparse line format
 # ---------------------------------------------------------------------------
 
-
-_VALUE = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
-_LABEL = re.compile(r"[+-]?[0-9]+")
-_TOKEN = re.compile(rf"([0-9]+):({_VALUE})")
-_SPARSE_LINE = re.compile(rf"[ \t]*(?:{_LABEL.pattern}(?:[ \t]+[0-9]+:{_VALUE})*[ \t]*)?")
-_DIM_HEADER = re.compile(r"#dim[ \t]+([0-9]+)[ \t]*")
+_TOKEN = rf"([0-9]+):({_VALUE})"
+_SPARSE_LINE = rf"[ \t]*(?:{_LABEL}(?:[ \t]+[0-9]+:{_VALUE})*[ \t]*)?"
+_DIM_HEADER = r"#dim[ \t]+([0-9]+)[ \t]*"
 _WIDEST = 2**53  # every index below it is exact as a float64
 
 
@@ -296,11 +297,11 @@ def _line_fault(line: str, limit: int, declared: bool) -> str:
     the per-token checks take: the label's form, then each token's form,
     finiteness, order and bound."""
     toks = re.split(r"[ \t]+", line.strip(" \t"))
-    if not _LABEL.fullmatch(toks[0]):
+    if not re.fullmatch(_LABEL, toks[0]):
         return f"label {toks[0]!r} is not an integer"
     prev = -1
     for tok in toks[1:]:
-        match = _TOKEN.fullmatch(tok)
+        match = re.fullmatch(_TOKEN, tok)
         if match is None:
             return f"malformed token {tok!r}"
         idx = int(match[1])
@@ -325,7 +326,7 @@ def load_sparse(path) -> Sample:
     declared_dim = None
     start = 0
     if lines[0].startswith("#dim"):
-        header = _DIM_HEADER.fullmatch(lines[0])
+        header = re.fullmatch(_DIM_HEADER, lines[0])
         if header is None:
             raise ValueError("line 1: malformed #dim line")
         declared_dim = int(header[1])
@@ -336,8 +337,9 @@ def load_sparse(path) -> Sample:
 
     rows, linenos, sizes = [], [], []
     faulty = None
+    fullmatch = re.compile(_SPARSE_LINE).fullmatch
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        if _SPARSE_LINE.fullmatch(line) is None:
+        if fullmatch(line) is None:
             faulty = lineno
             break
         if line.strip(" \t"):
@@ -370,13 +372,8 @@ def load_sparse(path) -> Sample:
     dim = declared_dim if declared_dim is not None else int(indices.max(initial=-1)) + 1
     if dim < 1:
         raise ValueError("cannot infer dimension from an all-empty file")
-    if labels.min() < 0:
-        row = int(np.argmax(labels < 0))
-        raise ValueError(f"line {linenos[row]}: negative class id {int(labels[row])}")
-    classes = labels.astype(np.int64)
-    n_classes = int(classes.max()) + 1
-    features = SparseRowMatrix(len(linenos), dim, indptr, indices, values.copy())
-    return Sample(features, one_hot(classes, n_classes), n_classes)
+    return _labeled(SparseRowMatrix(len(linenos), dim, indptr, indices, values.copy()),
+                    labels, linenos)
 
 
 def save_sparse(sample: Sample, path) -> None:

@@ -2,21 +2,21 @@
 
 Architecture: h0(x) = sigm(W x + b) with a hidden layer of n nodes, and
 h(x) = softmax(V h0(x) + c) over the classes.  The loss is the mean
-negative log probability of the correct label.  Besides the loss
-gradients, this module provides the analytic gradient of the empirical
-CMD between source and target hidden activations with respect to W and b,
-which is what moment-alignment training adds to backpropagation.
+negative log probability of the correct label.  Every training step
+takes step_gradients: the gradient of loss + lambda * CMD, the CMD
+between source and target hidden activations being what
+moment-alignment training adds to backpropagation.
 
 Both objectives are differentiated as a per-row cotangent on h0
 (loss_cotangent here, distances.cmd_cotangents for the CMD), pushed
 through the sigmoid by one backprop_hidden per input matrix; a step on
 loss + lambda * CMD sums the source cotangents first, so it makes one
-input product per domain.
-
-In the loss gradients for V, b and W, the chain rule requires the hidden
-activations h0 (as the transposed factor and inside the sigmoid
-derivative h0*(1-h0)) rather than the network outputs, as the
-finite-difference oracle in this module confirms.
+input product per domain.  The finite-difference oracle checks
+step_gradients itself: at lambda = 0 against the loss, and its change
+with lambda against the CMD.  In the loss gradients for V, b and W, the
+chain rule requires the hidden activations h0 (as the transposed factor
+and inside the sigmoid derivative h0*(1-h0)) rather than the network
+outputs.
 """
 
 from __future__ import annotations
@@ -297,6 +297,27 @@ def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | Non
     return g
 
 
+def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
+                   trace_s, trace_t=None, moments=None, out: Gradients | None = None) -> Gradients:
+    """Gradients of loss(Xs, Ys) + lam * cmd(h0(Xs), h0(Xt)) from the domains'
+    forward traces (trace_t is read only when lam != 0) and, when given,
+    the MomentGap of their hidden activations, written into out, whose
+    every element they overwrite, when given.  The CMD cotangent joins
+    the loss's on the source side: one backprop per domain, the target's
+    added into the source's."""
+    if lam == 0.0:
+        return loss_gradients(p, Xs, Ys, trace_s, out)
+    g = Gradients.zeros_like(p) if out is None else out
+    cotangent = loss_cotangent(p, trace_s, Ys, out=(g.dV, g.dc))[0]
+    g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg, moments)
+    g_s *= lam
+    g_s += cotangent  # cotangent + lam * g_s, in the cotangents' own arrays
+    g_t *= lam
+    backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
+    backprop_hidden(Xt, trace_t.hidden, g_t, out=(g.dW, g.db), add=True)
+    return g
+
+
 def cmd_gradients(
     p: NetworkParams,
     Xs,
@@ -305,7 +326,8 @@ def cmd_gradients(
     trace_s: ForwardTrace | None = None,
     trace_t: ForwardTrace | None = None,
 ) -> Gradients:
-    """Analytic gradient of cmd(h0(Xs), h0(Xt)) w.r.t. W and b.
+    """Analytic gradient of cmd(h0(Xs), h0(Xt)) w.r.t. W and b; training
+    takes it inside step_gradients and never calls this.
 
     Only marginal monomials are supported (the estimator the trainer
     minimizes).  dV and dc are zero: the CMD term reads the hidden layer
@@ -365,32 +387,33 @@ def _stencil_values(p: NetworkParams, which: str, step: float, *, X=None, Y=None
     return f.reshape(theta.size, len(_STENCIL))
 
 
-def finite_difference_check(
-    p: NetworkParams,
-    *,
-    which: str,
-    X=None,
-    Y=None,
-    Xs=None,
-    Xt=None,
-    cfg: CmdConfig | None = None,
-    step: float = 1e-3,
-) -> float:
-    """Max relative error |a - f| / max(1e-8, |a| + |f|) over all parameter
-    coordinates between the analytic gradient a and the O(h^4) central
-    difference f = (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h, h =
-    step; NaN when any coordinate's error is not finite.  which is 'loss'
-    or 'cmd'.  Sparse inputs are densified once for the differences."""
+_FD_LAMBDA = 0.5  # the oracle's lambda: neither 0 nor 1, so a lost scaling by lambda shows
+
+
+def _worst(analytic: list, f: np.ndarray, step: float) -> float:
+    """Max relative error |a - d| / max(1e-8, |a| + |d|) between the leading
+    coordinates a of the analytic gradient vectors and the O(h^4) central
+    difference d = (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h of the
+    stencil values f, h = step; NaN when any coordinate's is NaN."""
+    d = (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * step)
+    a = np.array(analytic)[:, :len(d)]  # dW and db lead, the order of f's coordinates
+    return float((np.abs(a - d) / np.maximum(1e-8, np.abs(a) + np.abs(d))).max())
+
+
+def finite_difference_check(p: NetworkParams, *, X, Y, Xt, cfg: CmdConfig | None = None,
+                            step: float = 1e-3) -> tuple[float, float]:
+    """(loss_err, cmd_err), each the _worst of step_gradients on source
+    (X, Y) and target Xt: at lambda = 0 against the loss's central
+    difference, and (at _FD_LAMBDA minus at 0) / _FD_LAMBDA against the
+    CMD's, the worse of two forms: with the MomentGap train carries (a
+    cmd_estimate's) and without one.  Sparse inputs are densified once."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite number > 0, got {step}")
-    if which == "loss":
-        analytic = loss_gradients(p, X, Y)
-    elif which == "cmd":
-        analytic = cmd_gradients(p, Xs, Xt, cfg)
-    else:
-        raise ValueError("which must be 'loss' or 'cmd'")
-    f = _stencil_values(p, which, step, X=X, Y=Y, Xs=Xs, Xt=Xt, cfg=cfg)
-    fd = (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * step)
-    a = analytic.flat[:len(fd)]  # dW and db lead, the order of f's coordinates
-    worst = float((np.abs(a - fd) / np.maximum(1e-8, np.abs(a) + np.abs(fd))).max())
-    return worst if math.isfinite(worst) else math.nan
+    cfg = cfg or CmdConfig()
+    trace_s, trace_t = forward(p, X), forward(p, Xt)
+    loss = step_gradients(p, X, Y, Xt, 0.0, cfg, trace_s).flat
+    carried = MomentGap.of(trace_s.hidden[None], trace_t.hidden[None], cfg)
+    cmd = [(step_gradients(p, X, Y, Xt, _FD_LAMBDA, cfg, trace_s, trace_t, moments).flat - loss)
+           / _FD_LAMBDA for moments in (carried, None)]
+    return (_worst([loss], _stencil_values(p, "loss", step, X=X, Y=Y), step),
+            _worst(cmd, _stencil_values(p, "cmd", step, Xs=X, Xt=Xt, cfg=cfg), step))

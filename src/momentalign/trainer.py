@@ -2,12 +2,13 @@
 lambda times the CMD between source and target hidden activations.
 
 The loop follows the stochastic update scheme: forward both domains,
-take the analytic gradients of loss + lambda*cmd (step_gradients), and
-apply the chosen optimizer.  Stopping is a fixed epoch budget.  Runs are
-deterministic functions of the config: initialization and every
-per-epoch shuffle come from streams derived from the config seed, and
-with lambda = 0 the CMD gradient path is skipped entirely, so a
-lambda = 0 run is bitwise equal to a plain cross-entropy trainer.
+take the analytic gradients of loss + lambda*cmd (network.step_gradients,
+which the gradient oracle checks), and apply the chosen optimizer.
+Stopping is a fixed epoch budget.  Runs are deterministic functions of
+the config: initialization and every per-epoch shuffle come from streams
+derived from the config seed, and with lambda = 0 the CMD gradient path
+is skipped entirely, so a lambda = 0 run is bitwise equal to a plain
+cross-entropy trainer.
 
 The warm-start protocol trains the shallow (lambda = 0) network for the
 full budget, snapshots its weights at a fraction of the epochs, and
@@ -23,16 +24,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distances import CmdConfig, cmd_cotangents, cmd_estimate
+from .distances import CmdConfig, cmd_estimate
 from .network import (
     Gradients,
     NetworkParams,
-    backprop_hidden,
     cross_entropy_loss,
     forward,
     init_params,
-    loss_cotangent,
-    loss_gradients,
+    step_gradients,
 )
 from .numerics import SeededRng, check_finite, check_json_types, n_cols, n_rows, take_rows
 from .optim import OPTIMIZERS, make_optimizer
@@ -163,27 +162,6 @@ def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
     accuracy = _accuracy(outputs, Y.argmax(axis=1))
     disagreement = float(np.abs(outputs - Y).sum(axis=1).mean() / 2.0)
     return accuracy, disagreement
-
-
-def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
-                   trace_s, trace_t=None, moments=None, out: Gradients | None = None) -> Gradients:
-    """Gradients of loss(Xs, Ys) + lam * cmd(h0(Xs), h0(Xt)) from the domains'
-    forward traces (trace_t is read only when lam != 0) and, when given,
-    the MomentGap of their hidden activations, written into out, whose
-    every element they overwrite, when given.  The CMD cotangent joins
-    the loss's on the source side: one backprop per domain, the target's
-    added into the source's."""
-    if lam == 0.0:
-        return loss_gradients(p, Xs, Ys, trace_s, out)
-    g = Gradients.zeros_like(p) if out is None else out
-    cotangent = loss_cotangent(p, trace_s, Ys, out=(g.dV, g.dc))[0]
-    g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg, moments)
-    g_s *= lam
-    g_s += cotangent  # cotangent + lam * g_s, in the cotangents' own arrays
-    g_t *= lam
-    backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
-    backprop_hidden(Xt, trace_t.hidden, g_t, out=(g.dW, g.db), add=True)
-    return g
 
 
 def _epoch_perms(seed: int, epoch: int, ns: int, nt: int):

@@ -187,6 +187,30 @@ def test_distance_sparse_matches_dense_for_every_metric(tmp_path, capsys):
         assert docs[0]["value"] > 0.0, extra
 
 
+@pytest.mark.parametrize("fmt, text, message", [
+    ("dense", "label,f0,f1\n1_0,1_5.0,３\n", "line 2: label '1_0' is not an integer"),
+    ("dense", "label,f0,f1\n1,1_5.0,３\n", "line 2: non-numeric cell '1_5.0'"),
+    ("dense", "label,f0,f1\n1,1.0,３\n", "line 2: non-numeric cell '３'"),
+    ("dense", "NaN,1\n", "line 1: non-finite cell 'NaN'"),
+    ("dense", "label,f1\n0,1.0\n\n10000000000000,1.0\n",
+     "line 4: class id 10000000000000 needs one-hot labels of over 2**27 cells"),
+    ("dense", "label,f1\n0,1.0\n\n100000000000000000000,1.0\n",
+     "line 4: class id 100000000000000000000 needs one-hot labels of over 2**27 cells"),
+    ("sparse", "0 0:1.0\n\n10000000000000 0:1.0\n",
+     "line 3: class id 10000000000000 needs one-hot labels of over 2**27 cells"),
+    ("sparse", "0 0:1.0\n\n100000000000000000000 0:1.0\n",
+     "line 3: class id 100000000000000000000 needs one-hot labels of over 2**27 cells"),
+])
+def test_distance_rejects_bad_cells_and_class_ids(tmp_path, capsys, fmt, text, message):
+    # each used to load, or to end in a MemoryError or OverflowError traceback
+    bad = tmp_path / "bad.data"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "distance", "--metric", "cmd", "--format", fmt,
+                         "--source", str(bad), "--target", str(bad))
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_distance_rejects_non_finite_csv_cells(two_point_files, tmp_path, capsys, cell):
     src, _ = two_point_files

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentalign import datasets
 from momentalign.datasets import (
     ArtificialSpec,
     Sample,
@@ -172,6 +173,10 @@ def test_dense_csv_errors_carry_line_numbers(tmp_path):
         path.write_text(f"label,f1\n0,1.0\n1,{cell}\n")
         with pytest.raises(ValueError, match="line 3: non-finite"):
             load_dense_csv(path)
+    # a headerless first line is data: it used to be an unrecognized header
+    path.write_text("NaN,1\n")
+    with pytest.raises(ValueError, match="^line 1: non-finite cell 'NaN'$"):
+        load_dense_csv(path)
 
 
 def test_sparse_round_trip(tmp_path):
@@ -355,6 +360,42 @@ def test_sparse_grammar_is_stricter_than_int_and_float(tmp_path, line, message):
     load_sparse_per_token(path)
     with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
         load_sparse(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("０,1.0", "label '０' is not an integer"),
+    ("0,1.0\xa0", "non-numeric cell " + repr("1.0\xa0")),
+    ("0,\u20031.0", "non-numeric cell " + repr("\u20031.0")),
+    ("0,1.0\x0c2.0", "non-numeric cell " + repr("1.0\x0c2.0")),
+    ("0,1.0\x1c2.0", "non-numeric cell " + repr("1.0\x1c2.0")),
+])
+def test_dense_grammar_is_stricter_than_int_and_float(tmp_path, line, message):
+    # a dense cell, stripped of spaces and tabs, reads as the sparse grammar
+    # reads a label or a value, and only LF, CR LF and CR end a line;
+    # int(), float() and str.splitlines() take each of these
+    label, cell = line.split(",")
+    int(label), [float(c) for c in cell.splitlines()]
+    path = tmp_path / "strict.csv"
+    path.write_text(f"label,f0\n0, 1.0\t\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^line 3: {re.escape(message)}$"):
+        load_dense_csv(path)
+
+
+def test_one_hot_cell_bound_is_inclusive(tmp_path, monkeypatch):
+    # three rows of ids up to 3 fill 12 cells
+    monkeypatch.setattr(datasets, "_ONE_HOT_CELLS", 12)
+    path = tmp_path / "ids.csv"
+    path.write_text("label,f1\n0,1.0\n3,2.0\n1,3.0\n")
+    assert load_dense_csv(path).n_classes == 4
+    path.write_text("label,f1\n0,1.0\n4,2.0\n1,3.0\n")
+    with pytest.raises(ValueError, match="^line 3: class id 4 needs"):
+        load_dense_csv(path)
+
+
+def test_loader_patterns_compile_on_first_use():
+    # a compiled pattern at import costs every command its memory, and most
+    # commands read no file
+    assert not [name for name, v in vars(datasets).items() if isinstance(v, re.Pattern)]
 
 
 def test_sparse_loader_memory_on_a_bag_of_words(tmp_path):

@@ -288,18 +288,17 @@ def test_loss_gradients_match_finite_differences():
     p = tiny_params(seed=5, m=3, h=4, c=3)
     X = SeededRng(6).normal_matrix(8, 3)
     Y = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]]
-    err = finite_difference_check(p, which="loss", X=X, Y=Y)
-    assert err < 1e-6
+    loss_err, _ = finite_difference_check(p, X=X, Y=Y, Xt=X[:6] + 0.4)
+    assert loss_err < 1e-6
 
 
 def test_cmd_gradients_match_finite_differences():
     p = tiny_params(seed=7, m=2, h=3, c=2)
     Xs = SeededRng(8).normal_matrix(6, 2)
     Xt = SeededRng(9).normal_matrix(7, 2) + 0.4
-    err = finite_difference_check(
-        p, which="cmd", Xs=Xs, Xt=Xt, cfg=CmdConfig(k=3)
-    )
-    assert err < 1e-6
+    Y = np.eye(2)[np.arange(6) % 2]
+    _, cmd_err = finite_difference_check(p, X=Xs, Y=Y, Xt=Xt, cfg=CmdConfig(k=3))
+    assert cmd_err < 1e-6
 
 
 def test_cmd_gradients_zero_on_identical_activations():
@@ -392,29 +391,33 @@ def test_finite_difference_check_validation():
     p = tiny_params()
     for step in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step must be a finite number > 0"):
-            finite_difference_check(p, which="loss", X=np.ones((2, 3)), Y=np.eye(2), step=step)
-    with pytest.raises(ValueError):
-        finite_difference_check(p, which="asdf")
+            finite_difference_check(p, X=np.ones((2, 3)), Y=np.eye(2), Xt=np.ones((2, 3)),
+                                    step=step)
 
 
 @pytest.mark.parametrize("which", ["loss", "cmd"])
 def test_finite_difference_check_nan_gradient_coordinate_is_nan(monkeypatch, which):
     # one NaN analytic coordinate makes the whole check NaN, which no bound
-    # passes; Python's max used to skip it and report the other coordinates
+    # passes; Python's max used to skip it and report the other coordinates.
+    # The loss gradient enters both errors, the CMD cotangent only cmd_err.
     p = tiny_params(seed=5, m=3, h=4, c=3)
     X = SeededRng(6).normal_matrix(8, 3)
     Y = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]]
-    name = "loss_gradients" if which == "loss" else "cmd_gradients"
+    name = "loss_gradients" if which == "loss" else "cmd_cotangents"
     real = getattr(network, name)
 
     def poisoned(*args, **kwargs):
-        g = real(*args, **kwargs)
-        g.db[2] = np.nan
-        return g
+        out = real(*args, **kwargs)
+        if which == "loss":
+            out.db[2] = np.nan
+        else:
+            out[0][:, 2] = np.nan
+        return out
 
     monkeypatch.setattr(network, name, poisoned)
-    kwargs = dict(X=X, Y=Y) if which == "loss" else dict(Xs=X, Xt=X[:5] + 0.3)
-    assert math.isnan(finite_difference_check(p, which=which, **kwargs))
+    loss_err, cmd_err = finite_difference_check(p, X=X, Y=Y, Xt=X[:5] + 0.3)
+    assert math.isnan(cmd_err)
+    assert math.isnan(loss_err) if which == "loss" else loss_err < 1e-6
 
 
 def test_finite_difference_check_densifies_sparse_input():
@@ -423,9 +426,10 @@ def test_finite_difference_check_densifies_sparse_input():
     Xs[SeededRng(9).uniform_matrix(6, 3) < 0.4] = 0.0
     Xt = np.abs(SeededRng(10).normal_matrix(5, 3))
     Y = np.eye(2)[np.arange(6) % 2]
+    errs = finite_difference_check(p, X=sparse_copy(Xs), Y=Y, Xt=sparse_copy(Xt))
+    assert max(errs) < 1e-8
     for which, kw in (("loss", dict(X=Xs, Y=Y)), ("cmd", dict(Xs=Xs, Xt=Xt))):
         sparse = {k: sparse_copy(v) if k != "Y" else v for k, v in kw.items()}
-        assert finite_difference_check(p, which=which, **sparse) < 1e-8
         dense = network._stencil_values(p, which, 1e-3, **kw)
         assert np.array_equal(network._stencil_values(p, which, 1e-3, **sparse), dense)
 
@@ -475,14 +479,14 @@ def test_stencil_values_match_scalar_objectives(seed, m, h, c, ns, nt, k, unit):
 @pytest.mark.parametrize("which", ["loss", "cmd"])
 def test_stencil_values_independent_of_chunk_cap(monkeypatch, which):
     p = tiny_params(seed=11, m=3, h=5, c=3)
-    Xs = SeededRng(12).normal_matrix(9, 3)
-    kwargs = dict(X=Xs, Y=np.eye(3)[np.arange(9) % 3]) if which == "loss" else dict(
-        Xs=Xs, Xt=SeededRng(13).normal_matrix(7, 3) + 0.2, cfg=CmdConfig(k=5))
+    X, Y = SeededRng(12).normal_matrix(9, 3), np.eye(3)[np.arange(9) % 3]
+    Xt, cfg = SeededRng(13).normal_matrix(7, 3) + 0.2, CmdConfig(k=5)
+    kwargs = dict(X=X, Y=Y) if which == "loss" else dict(Xs=X, Xt=Xt, cfg=cfg)
     results = []
     for cap in (1, 100, 1 << 30):
         monkeypatch.setattr(network, "_FD_CHUNK", cap)
         results.append((network._stencil_values(p, which, 1e-3, **kwargs),
-                        finite_difference_check(p, which=which, **kwargs)))
+                        finite_difference_check(p, X=X, Y=Y, Xt=Xt, cfg=cfg)))
     for f, err in results[1:]:
         assert np.array_equal(f.view(np.int64), results[0][0].view(np.int64))
         assert err == results[0][1]
@@ -496,11 +500,10 @@ def test_finite_difference_check_memory_is_chunked():
     p = init_params(2, 15, 3, rng)
     Xs, Xt = rng.normal_matrix(639, 2), rng.normal_matrix(639, 2) + 0.5
     Y = np.eye(3)[np.arange(639) % 3]
-    for which, kwargs in (("loss", dict(X=Xs, Y=Y)), ("cmd", dict(Xs=Xs, Xt=Xt))):
-        tracemalloc.start()
-        try:
-            finite_difference_check(p, which=which, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, (which, peak)
+    tracemalloc.start()
+    try:
+        finite_difference_check(p, X=Xs, Y=Y, Xt=Xt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

@@ -108,6 +108,37 @@ def test_gradients_suite_catches_cotangent_mutants(monkeypatch, mutant):
     assert min(r.lhs for r in red) > 1e-3
 
 
+_STEP_MUTANTS = {
+    # mutant -> (text of network.step_gradients, its replacement)
+    "source cotangent not scaled by lambda": ("    g_s *= lam\n", ""),
+    "target cotangent not scaled by lambda": ("    g_t *= lam\n", ""),
+    "target product overwrites the source's": (
+        "out=(g.dW, g.db), add=True)", "out=(g.dW, g.db))"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_STEP_MUTANTS))
+def test_gradients_suite_catches_step_gradients_mutants(monkeypatch, mutant):
+    # the oracle checks the training step's own gradient: every cmd row
+    # goes red, and the loss rows, read at lambda = 0, stay green
+    import inspect
+
+    from momentalign import network
+
+    text, replacement = _STEP_MUTANTS[mutant]
+    source = inspect.getsource(network.step_gradients)
+    assert source.count(text) == 1
+    namespace = dict(vars(network))
+    exec(source.replace(text, replacement), namespace)
+    monkeypatch.setattr(network, "step_gradients", namespace["step_gradients"])
+    rows = check_gradients(seed=0)
+    cmd = [r for r in rows if r.name.startswith("cmd")]
+    loss = [r for r in rows if r.name.startswith("loss")]
+    assert len(cmd) == len(loss) == 20
+    assert min(r.lhs for r in cmd) > 1e-3
+    assert all(r.passed for r in loss)
+
+
 def test_prop_bound_suite_passes():
     rows = check_prop_bound(cases=300)
     assert len(rows) == 7
