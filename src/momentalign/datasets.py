@@ -204,16 +204,17 @@ _LABEL = r"[+-]?[0-9]+"
 _ONE_HOT_CELLS = 2**27  # the most cells of one-hot labels: 1 GiB of float64
 
 
-def _labeled(features, labels: np.ndarray, linenos) -> Sample:
+def _labeled(features, labels: np.ndarray, linenos, token) -> Sample:
     """features with the one-hot labels of the class ids labels, floats
-    read from the lines linenos.  No id may be negative, and the largest
-    must leave the one-hot labels within _ONE_HOT_CELLS cells."""
+    read from the lines linenos; token(lineno) is the id as that line
+    holds it, which a message quotes.  No id may be negative, and the
+    largest must leave the one-hot labels within _ONE_HOT_CELLS cells."""
     row = int(np.argmax(labels < 0))
     if labels[row] < 0:
-        raise ValueError(f"line {linenos[row]}: negative class id {labels[row]:.0f}")
+        raise ValueError(f"line {linenos[row]}: negative class id {token(linenos[row])}")
     row = int(np.argmax(labels))
     if (labels[row] + 1) * len(labels) > _ONE_HOT_CELLS:
-        raise ValueError(f"line {linenos[row]}: class id {labels[row]:.0f} needs one-hot "
+        raise ValueError(f"line {linenos[row]}: class id {token(linenos[row])} needs one-hot "
                          f"labels of over 2**27 cells")
     n_classes = int(labels[row]) + 1
     return Sample(features, one_hot(labels.astype(np.int64), n_classes), n_classes)
@@ -259,7 +260,10 @@ def load_dense_csv(path) -> Sample:
         rows.append([float(t) for t in toks])
     if not rows:
         raise ValueError("file contains no data rows")
-    return _labeled(np.array(rows), np.array(classes), linenos) if labeled else Sample(np.array(rows))
+    if not labeled:
+        return Sample(np.array(rows))
+    return _labeled(np.array(rows), np.array(classes), linenos,
+                    lambda n: lines[n - 1].split(",", 1)[0].strip(" \t"))
 
 
 def save_dense_csv(sample: Sample, path) -> None:
@@ -373,7 +377,7 @@ def load_sparse(path) -> Sample:
     if dim < 1:
         raise ValueError("cannot infer dimension from an all-empty file")
     return _labeled(SparseRowMatrix(len(linenos), dim, indptr, indices, values.copy()),
-                    labels, linenos)
+                    labels, linenos, lambda n: lines[n - 1].split(None, 1)[0])
 
 
 def save_sparse(sample: Sample, path) -> None:

@@ -85,6 +85,9 @@ class MomentGap:
         _check_mode(cfg.mode)
         cs = CentralMomentVector(cfg.k, cfg.mode, _stacked_central_moments(S, cfg.k, cfg.mode))
         ct = CentralMomentVector(cfg.k, cfg.mode, _stacked_central_moments(T, cfg.k, cfg.mode))
+        if cfg.mode == MARGINAL:  # every order has width m: one (k, g, m) gap
+            d = np.subtract(cs.orders, ct.orders)
+            return cls(cs, ct, np.sqrt(np.vecdot(d, d)).T)
         norms = np.empty((S.shape[0], cfg.k))
         for j in range(1, cfg.k + 1):
             d = cs[j] - ct[j]

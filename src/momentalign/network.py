@@ -168,6 +168,15 @@ class Gradients:
         g.dW, g.db, g.dV, g.dc = p.views(g.flat)
         return g
 
+    def weights_t(self, p: NetworkParams) -> np.ndarray:
+        """p.W.T in C order, the layout a sparse forward gathers rows from,
+        written over this vector's first p.W.size elements and returned.
+        Training writes it after each optimizer step, which has read the
+        gradients, for the forwards before step_gradients overwrites it."""
+        wt = self.flat[:p.W.size].reshape(p.input_dim, p.hidden)
+        np.copyto(wt, p.W.T)
+        return wt
+
 
 def init_params(input_dim: int, hidden: int, classes: int, rng) -> NetworkParams:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
@@ -202,11 +211,13 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _hidden(X, W, b) -> np.ndarray:
+def _hidden(X, W, b, wt=None) -> np.ndarray:
     """h0 = sigm(X W^T + b).  W and b may carry a leading stack axis of g
-    networks, run on one dense X as a (g, n_rows, hidden) array."""
+    networks, run on one dense X as a (g, n_rows, hidden) array.  A sparse
+    X gathers rows of W^T from wt, W^T in C order, when given, and else
+    from a C-ordered copy of W^T that its product makes."""
     if isinstance(X, SparseRowMatrix):
-        pre = X.dot_dense(W.T)
+        pre = X.dot_dense(W.T if wt is None else wt)
     else:
         pre = np.asarray(X, dtype=np.float64) @ np.swapaxes(W, -1, -2)
     pre += b[..., None, :]
@@ -220,11 +231,12 @@ def _outputs(h0: np.ndarray, V: np.ndarray, c: np.ndarray) -> np.ndarray:
     return softmax_rows(z)
 
 
-def forward(p: NetworkParams, X) -> ForwardTrace:
-    """The one-network case of _hidden and _outputs."""
+def forward(p: NetworkParams, X, *, wt: np.ndarray | None = None) -> ForwardTrace:
+    """The one-network case of _hidden and _outputs; wt, when given, is
+    p.W.T in C order (see Gradients.weights_t)."""
     if n_cols(X) != p.input_dim:
         raise ValueError("input dimension does not match W")
-    h0 = _hidden(X, p.W, p.b)
+    h0 = _hidden(X, p.W, p.b, wt)
     return ForwardTrace(h0, _outputs(h0, p.V, p.c))
 
 

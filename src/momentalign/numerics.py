@@ -213,12 +213,13 @@ def _run_sums(bounds, order, data, gather, D: np.ndarray, out: np.ndarray,
     k = D.shape[1]
     lengths = np.diff(bounds)
     longest = int(lengths.max(initial=0))
-    by_length = _stable_order(longest - lengths, longest + 1)
-    by_length, empty = np.split(by_length, [np.count_nonzero(lengths)])
+    by_length = _stable_order(longest - lengths, longest + 1)[:np.count_nonzero(lengths)]
     if add_divided_by is None:
         out.fill(0.0)
     else:
-        out[empty] += 0.0  # x + 0.0: what adding a sum of no terms gives
+        # x + 0.0 in the rows without entries, what adding a sum of no terms
+        # gives, and x + -0.0 = x in the rest: one pass in out's own order
+        out += np.where(lengths, -0.0, 0.0)[:, None]
     per_chunk = max(1, _BLOCK_TERMS // max(k, 1))
     sums_buffer = np.empty((min(per_chunk, len(by_length)), k))
     terms_buffer = np.empty_like(sums_buffer)

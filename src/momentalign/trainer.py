@@ -33,7 +33,7 @@ from .network import (
     init_params,
     step_gradients,
 )
-from .numerics import SeededRng, check_finite, check_json_types, n_cols, n_rows, take_rows
+from .numerics import SeededRng, SparseRowMatrix, check_finite, check_json_types, n_cols, n_rows, take_rows
 from .optim import OPTIMIZERS, make_optimizer
 
 __all__ = [
@@ -169,6 +169,23 @@ def _epoch_perms(seed: int, epoch: int, ns: int, nt: int):
     return rng.permutation(ns), rng.permutation(nt)
 
 
+def _batches(Xs, Ys, Xt, cfg: TrainConfig, epoch: int):
+    """The (Xs, Ys, Xt) of each step of an epoch: the whole domains at full
+    batch, else minibatches of the epoch's permutations, each built when
+    its step asks for it, the smaller domain wrapping around.  A minibatch
+    has no target rows (None) at lambda = 0, where no step reads them."""
+    if cfg.batch_size == 0:
+        yield Xs, Ys, Xt
+        return
+    ns, nt = n_rows(Xs), n_rows(Xt)
+    perm_s, perm_t = _epoch_perms(cfg.seed, epoch, ns, nt)
+    B = cfg.batch_size
+    for t in range(math.ceil(max(ns, nt) / B)):
+        idx = t * B + np.arange(B)
+        idx_s, idx_t = perm_s[idx % ns], perm_t[idx % nt]
+        yield take_rows(Xs, idx_s), Ys[idx_s], None if cfg.lam == 0.0 else take_rows(Xt, idx_t)
+
+
 def train(
     Xs,
     Ys,
@@ -210,6 +227,10 @@ def train(
     snapshot = p.copy() if snapshot_at == start_epoch else None
     last_stable = p.copy()  # refreshed in place after each epoch
     grads = Gradients.zeros_like(p)  # refilled by every step
+    # A sparse forward gathers rows of W.T.  Each update writes W.T in C
+    # order into the gradients' storage, which is dead until the next
+    # step_gradients, and every forward until then reads it.
+    wt = grads.weights_t(p) if any(isinstance(X, SparseRowMatrix) for X in (Xs, Xt)) else None
     diverged = False
     # In full-batch mode the traces an epoch's record takes of (Xs, Xt)
     # after its step, and the moment pass of its CMD, are exactly the next
@@ -217,22 +238,10 @@ def train(
     carried = None
 
     for e in range(start_epoch, start_epoch + budget):
-        if cfg.batch_size == 0:
-            batches = [(Xs, Ys, Xt)]
-        else:
-            perm_s, perm_t = _epoch_perms(cfg.seed, e, ns, nt)
-            B = cfg.batch_size
-            steps = math.ceil(max(ns, nt) / B)
-            batches = []
-            for t in range(steps):
-                idx = t * B + np.arange(B)
-                idx_s, idx_t = perm_s[idx % ns], perm_t[idx % nt]
-                batches.append((take_rows(Xs, idx_s), Ys[idx_s], take_rows(Xt, idx_t)))
-
-        for Xbs, Ybs, Xbt in batches:
-            trace_s, trace_t, moments = carried or (forward(p, Xbs), None, None)
+        for Xbs, Ybs, Xbt in _batches(Xs, Ys, Xt, cfg, e):
+            trace_s, trace_t, moments = carried or (forward(p, Xbs, wt=wt), None, None)
             if cfg.lam != 0.0:
-                trace_t = trace_t or forward(p, Xbt)
+                trace_t = trace_t or forward(p, Xbt, wt=wt)
             step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t, moments, grads)
             try:
                 optimizer.step(p, grads)  # checks the gradients before it moves p
@@ -242,11 +251,14 @@ def train(
             if not np.isfinite(p.flat).all():
                 diverged = True
                 break
+            if wt is not None:
+                wt = grads.weights_t(p)
+            del Xbs, Ybs, Xbt  # gone before the next batch is built
         if diverged:
             p = last_stable
             break
 
-        trace_s, trace_t = forward(p, Xs), forward(p, Xt)
+        trace_s, trace_t = forward(p, Xs, wt=wt), forward(p, Xt, wt=wt)
         loss = cross_entropy_loss(trace_s, Ys)
         report = cmd_estimate(trace_s.hidden, trace_t.hidden, cmd_cfg)
         cmd_val = report.value

@@ -1,9 +1,10 @@
 """Gradient arithmetic, the combined objective, the flat-vector layout
-check, a bag-of-words matrix and the per-token sparse loader, which only
-the tests use."""
+check, a bag-of-words matrix, the per-token sparse loader and a memory
+probe, which only the tests use."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 
@@ -36,6 +37,17 @@ def objective(p: NetworkParams, Xs, Ys, Xt, cfg):
     cmd = cmd_estimate(trace_s.hidden, forward(p, Xt).hidden, CmdConfig(k=cfg.k)).value
     total = loss if cfg.lam == 0.0 else loss + cfg.lam * cmd
     return total, loss, cmd
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak in bytes of the memory tracemalloc
+    traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def lie_back_to_back(vector, arrays) -> bool:

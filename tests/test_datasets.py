@@ -1,7 +1,6 @@
 import pathlib
 import re
 import sys
-import tracemalloc
 import types
 
 import numpy as np
@@ -23,7 +22,7 @@ from momentalign.datasets import (
 )
 from momentalign.numerics import SparseRowMatrix
 
-from helpers import bag_of_words, load_sparse_per_token
+from helpers import bag_of_words, load_sparse_per_token, traced_peak
 
 
 def test_sample_basics():
@@ -381,6 +380,27 @@ def test_dense_grammar_is_stricter_than_int_and_float(tmp_path, line, message):
         load_dense_csv(path)
 
 
+@pytest.mark.parametrize("fmt", ["dense", "sparse"])
+@pytest.mark.parametrize("label, message", [
+    ("1" + "0" * 400, "class id 1" + "0" * 400 + " needs one-hot labels of over 2**27 cells"),
+    ("123456789012345678901", "class id 123456789012345678901 needs one-hot labels of over 2**27 cells"),
+    ("-" + "9" * 400, "negative class id -" + "9" * 400),
+])
+def test_loaders_quote_a_class_id_as_the_file_holds_it(tmp_path, fmt, label, message):
+    # read as a float, the first id was quoted as inf and the second as
+    # 123456789012345683968
+    path = tmp_path / "ids.data"
+    if fmt == "dense":
+        path.write_text(f"label,f1\n0,1.0\n\n {label}\t,2.0\n")
+        load = load_dense_csv
+    else:
+        path.write_text(f"0 0:1.0\n\n\t{label}  0:2.0\n")
+        load = load_sparse
+    lineno = 4 if fmt == "dense" else 3
+    with pytest.raises(ValueError, match=f"^line {lineno}: {re.escape(message)}$"):
+        load(path)
+
+
 def test_one_hot_cell_bound_is_inclusive(tmp_path, monkeypatch):
     # three rows of ids up to 3 fill 12 cells
     monkeypatch.setattr(datasets, "_ONE_HOT_CELLS", 12)
@@ -404,12 +424,7 @@ def test_sparse_loader_memory_on_a_bag_of_words(tmp_path):
     S = bag_of_words()
     path = tmp_path / "bow.sparse"
     save_sparse(Sample(S, one_hot(np.arange(S.rows) % 3, 3), 3), path)
-    tracemalloc.start()
-    try:
-        back = load_sparse(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(load_sparse, path)
     assert np.array_equal(back.features.data, S.data)
     assert peak <= 6 * 2**20, f"{peak / 2**20:.2f} MiB"
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from momentalign.distances import (
     CmdConfig,
+    MomentGap,
     cmd_analytic,
     cmd_cotangents,
     cmd_estimate,
@@ -13,7 +14,7 @@ from momentalign.distances import (
     mmd_polynomial_analytic,
     raw_moment_ipm,
 )
-from momentalign.moments import FULL, AffineBeta, Normal
+from momentalign.moments import FULL, MARGINAL, AffineBeta, Normal
 from momentalign.numerics import SeededRng, SparseRowMatrix
 
 TWO_POINT_SRC = np.array([[0.0], [1.0]])
@@ -109,6 +110,21 @@ def test_shared_moments_give_the_fresh_cotangents(k, m, seed, same):
         assert got.tobytes() == want.tobytes()
     if same:
         assert not np.any(fresh[0]) and not np.any(fresh[1])
+
+
+@pytest.mark.parametrize("mode", [MARGINAL, FULL])
+def test_moment_gap_norms_of_a_stack_are_each_pairs_own(mode):
+    # marginal mode takes the norms of every order and pair in one vecdot
+    rng = SeededRng(5)
+    S, T = rng.uniform_matrix(21, 4).reshape(3, 7, 4), rng.uniform_matrix(27, 4).reshape(3, 9, 4)
+    cfg = CmdConfig(k=4, mode=mode)
+    gap = MomentGap.of(S, T, cfg)
+    assert gap.norms.shape == (3, 4)
+    for i in range(3):
+        alone = MomentGap.of(S[i:i + 1], T[i:i + 1], cfg)
+        assert alone.norms.tobytes() == gap.norms[i:i + 1].tobytes()
+        for j in range(1, 5):
+            assert gap.norms[i, j - 1] == np.linalg.norm(gap.source[j][i] - gap.target[j][i])
 
 
 def test_only_a_one_pair_report_keeps_its_moments():

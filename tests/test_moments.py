@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from momentalign.moments import (
     sample_analytic,
 )
 from momentalign.numerics import SeededRng, SparseRowMatrix
+
+from helpers import traced_peak
 
 
 def test_exponents_m2_k3():
@@ -262,12 +263,7 @@ def test_central_moments_of_a_zero_width_sample_are_empty():
 def test_central_moments_memory_is_one_block():
     # the unblocked kernel peaked at 15.3 MiB here: two n x m temporaries
     X = SeededRng(3).normal_matrix(100_000, 10)
-    tracemalloc.start()
-    try:
-        central_moments(X, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(central_moments, X, 5)[1]
     assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
@@ -276,12 +272,7 @@ def test_full_mode_central_moments_memory_is_one_block():
     # 2e4 x 3 sample: 5.0 MiB; sized by the widest order's monomial count,
     # each running product stays one block
     X = SeededRng(3).normal_matrix(20_000, 3)
-    tracemalloc.start()
-    try:
-        central_moments(X, 5, FULL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(central_moments, X, 5, FULL)[1]
     assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from momentalign.network import (
 )
 from momentalign.numerics import SeededRng, SparseRowMatrix
 
-from helpers import add_scaled, all_finite, lie_back_to_back, zeros_like
+from helpers import add_scaled, all_finite, lie_back_to_back, traced_peak, zeros_like
 
 
 def tiny_params(seed=0, m=3, h=4, c=2):
@@ -67,6 +66,32 @@ def test_params_and_gradients_copy_their_arrays_into_one_vector():
     assert lie_back_to_back(q.flat, (q.W, q.b, q.V, q.c)) and not np.shares_memory(q.flat, p.flat)
     g = Gradients.zeros_like(p)
     assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc)) and not g.flat.any()
+
+
+def test_sparse_forward_from_weights_t_held_in_the_gradient():
+    # training gathers W.T from the gradient's storage: the same bits as
+    # the forward's own copy, and no copy made
+    p = tiny_params(seed=6, m=7, h=4, c=3)
+    X = SeededRng(7).normal_matrix(5, 7)
+    X[X < 0.2] = 0.0
+    S = SparseRowMatrix.from_rows([[(i, v) for i, v in enumerate(r) if v] for r in X], 7)
+    g = Gradients.zeros_like(p)
+    wt = g.weights_t(p)
+    assert wt.flags.c_contiguous and np.shares_memory(wt, g.flat)
+    assert wt.tobytes() == p.W.T.tobytes()
+    dot_dense, operands = SparseRowMatrix.dot_dense, []
+
+    def recording_dot(S, D):
+        operands.append(D)
+        return dot_dense(S, D)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SparseRowMatrix, "dot_dense", recording_dot)
+        got = forward(p, S, wt=wt)
+    assert operands[0] is wt
+    want = forward(p, S)
+    assert got.hidden.tobytes() == want.hidden.tobytes()
+    assert got.outputs.tobytes() == want.outputs.tobytes()
 
 
 def test_params_json_round_trip():
@@ -114,12 +139,7 @@ def test_params_json_pieces_are_row_sized():
     # the text of a 50 x 5000 W is 5.3 MiB; joined and copied with a newline,
     # as params.json used to be written, it peaked at 18.3 MiB
     p = init_params(5000, 50, 2, SeededRng(11))
-    tracemalloc.start()
-    try:
-        size = sum(len(piece) for piece in p.json_pieces())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    size, peak = traced_peak(lambda: sum(len(piece) for piece in p.json_pieces()))
     assert size > 5 * 2**20 and peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
@@ -500,10 +520,5 @@ def test_finite_difference_check_memory_is_chunked():
     p = init_params(2, 15, 3, rng)
     Xs, Xt = rng.normal_matrix(639, 2), rng.normal_matrix(639, 2) + 0.5
     Y = np.eye(3)[np.arange(639) % 3]
-    tracemalloc.start()
-    try:
-        finite_difference_check(p, X=Xs, Y=Y, Xt=Xt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(finite_difference_check, p, X=Xs, Y=Y, Xt=Xt)[1]
     assert peak < 2**20, peak

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 from momentalign import numerics
 from momentalign.numerics import SeededRng, SparseRowMatrix, stream_words, word_uniforms
 
-from helpers import bag_of_words
+from helpers import bag_of_words, traced_peak
 
 
 def test_same_seed_same_stream():
@@ -275,6 +273,17 @@ def test_t_dot_dense_adding_into_out_equals_the_sum_of_a_new_product(cap, data):
         assert out.tobytes() == want.tobytes()
 
 
+def test_t_dot_dense_keeps_minus_zero_plus_an_underflowed_sum():
+    # a sum of -5e-324 divided by 2 is -0.0, and -0.0 + -0.0 stays -0.0:
+    # a column with entries must not get the + 0.0 of the empty ones
+    S = SparseRowMatrix.from_rows([[(0, 1.0)]], cols=2)
+    R = np.array([[-5e-324]])
+    out = np.full((1, 2), -0.0).T
+    S.t_dot_dense(R, out, 2)
+    assert out.tobytes() == (np.full((2, 1), -0.0) + add_at_t_dot(S, R) / 2).tobytes()
+    assert np.signbit(out[:, 0]).tolist() == [True, False]
+
+
 def test_t_dot_dense_adds_a_block_of_empty_columns(monkeypatch):
     # column 3 holds more terms than a block, so columns 0-2 form a block
     # with no terms, whose sums bincount gives as int64 zeros; adding
@@ -310,12 +319,7 @@ def test_sparse_product_memory_is_its_output_and_a_few_blocks(product):
     # 5000 with about 56k stored values (the paper's sentiment inputs), k = 50
     S = bag_of_words()
     D = SeededRng(5).normal_matrix(S.cols if product == "dot_dense" else S.rows, 50)
-    tracemalloc.start()
-    try:
-        out = getattr(S, product)(D)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(getattr(S, product), D)
     assert peak - out.nbytes <= 4 * 2**20, f"{peak / 2**20:.2f} MiB, output {out.nbytes / 2**20:.2f}"
 
 

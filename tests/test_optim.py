@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from momentalign.network import Gradients, NetworkParams
 from momentalign.numerics import SeededRng
 from momentalign.optim import _CHUNK, Adadelta, Adagrad, Sgd, make_optimizer
 
-from helpers import lie_back_to_back, zeros_like
+from helpers import lie_back_to_back, traced_peak, zeros_like
 
 
 def scalarish_params():
@@ -156,13 +154,7 @@ def test_step_allocates_no_parameter_sized_array(kind):
     p, grads = random_run(24)
     opt = make_optimizer(kind)
     opt.step(p, grads[0])
-    tracemalloc.start()
-    try:
-        for g in grads[1:4]:
-            opt.step(p, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: [opt.step(p, g) for g in grads[1:4]])[1]
     assert peak <= p.flat.nbytes // 8 + 4096, peak
     assert lie_back_to_back(p.flat, (p.W, p.b, p.V, p.c))
 
@@ -172,12 +164,7 @@ def test_first_step_allocates_the_accumulators_and_two_chunks(kind, accumulators
     # the scratch of a step is two chunks, not two parameter-sized vectors
     p, grads = random_run(25)
     opt = make_optimizer(kind)
-    tracemalloc.start()
-    try:
-        opt.step(p, grads[0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(opt.step, p, grads[0])[1]
     assert opt.scratch.shape == (2, _CHUNK)
     assert peak <= (accumulators + 1 / 8) * p.flat.nbytes + opt.scratch.nbytes + 4096, peak
 

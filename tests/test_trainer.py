@@ -1,4 +1,5 @@
-import tracemalloc
+import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentalign import distances, network, trainer
+from momentalign import distances, network, numerics, trainer
 from momentalign.datasets import ArtificialSpec, generate_artificial, one_hot
 from momentalign.distances import CmdConfig, cmd_estimate
 from momentalign.network import (
@@ -27,7 +28,7 @@ from momentalign.trainer import (
     write_metrics_csv,
 )
 
-from helpers import add_scaled, bag_of_words, lie_back_to_back, objective
+from helpers import add_scaled, bag_of_words, lie_back_to_back, objective, traced_peak
 
 
 def small_problem(total=60, seed=0):
@@ -70,9 +71,9 @@ def test_full_batch_train_equals_fresh_forward_loop(seed, lam):
     cfg = TrainConfig(hidden=5, lam=lam, epochs=20, seed=seed)
     calls = []
 
-    def counting_forward(p, X):
+    def counting_forward(p, X, wt=None):
         calls.append(X is Xs)
-        return network.forward(p, X)
+        return network.forward(p, X, wt=wt)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "forward", counting_forward)
@@ -464,24 +465,78 @@ def test_a_run_allocates_one_gradient_and_one_rollback_copy(sparse, lam):
     assert sorted(made) == ["copy", "gradient"]
 
 
-@pytest.mark.parametrize("batch_size", [0, 64], ids=["full-batch", "minibatch"])
-def test_sparse_epoch_memory_is_bounded_by_the_model(batch_size):
-    # the paper's sentiment shape: 1000 x 5000 bag-of-words domains, 50
-    # hidden units, lambda = 1.  The sparse products' nnz x hidden
-    # temporaries and the optimizer's per-step arrays peaked at 53.6 MiB
-    # (full batch) and 55.5 MiB (B = 64); W is 1.9 MiB.  Nine
-    # parameter-sized arrays alive in a step read 16.1 and 21.0 MiB; the
-    # five a step needs (parameters, rollback copy, Adadelta's G and E,
-    # one gradient) read 11.9 and 13.9 MiB, and 13.8 and 15.7 MiB with the
-    # C-ordered copy of W.T that each sparse forward gathers from
+def paper_shape_epoch(batch_size):
+    """(result, tracemalloc peak) of one lambda = 1 epoch at the paper's
+    sentiment shape: 1000 x 5000 bag-of-words domains, 50 hidden units."""
     Xs, Xt = bag_of_words(seed=1), bag_of_words(seed=2)
     Ys = one_hot(np.arange(Xs.rows) % 2, 2)
     cfg = TrainConfig(hidden=50, lam=1.0, epochs=1, batch_size=batch_size, seed=3)
-    tracemalloc.start()
-    try:
-        res = train(Xs, Ys, Xt, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(train, Xs, Ys, Xt, cfg)
+
+
+@pytest.mark.parametrize("batch_size", [0, 64], ids=["full-batch", "minibatch"])
+def test_sparse_epoch_memory_is_bounded_by_the_model(batch_size):
+    # the sparse products' nnz x hidden temporaries and the optimizer's
+    # per-step arrays peaked at 53.6 MiB (full batch) and 55.5 MiB (B =
+    # 64); W is 1.9 MiB.  Nine parameter-sized arrays alive in a step read
+    # 16.1 and 21.0 MiB
+    res, peak = paper_shape_epoch(batch_size)
     assert not res.diverged
     assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("batch_size", [0, 64], ids=["full-batch", "minibatch"])
+def test_sparse_epoch_memory_is_five_arrays_and_one_forward(batch_size):
+    # the five parameter-sized arrays a step needs (parameters, rollback
+    # copy, Adadelta's G and E, one gradient) are 9.6 MiB; with one
+    # forward's working set the epoch reads 11.9 and 11.2 MiB.  A C-ordered
+    # copy of W.T made by each sparse forward read 13.8 and 15.7 MiB, 2.2
+    # MiB of the latter being every minibatch of the epoch built up front
+    res, peak = paper_shape_epoch(batch_size)
+    assert not res.diverged
+    assert peak <= 12.5 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def tracking_take_rows(Xs):
+    """A take_rows double and, per domain ("source" is Xs, "target" any
+    other), what it saw: a weak reference to each batch it gave out, and
+    the most of them alive at once."""
+    taken = {"source": [], "target": []}
+    most_alive = {"source": 0, "target": 0}
+
+    def take_rows(X, idx):
+        batch = numerics.take_rows(X, idx)
+        taken["source" if X is Xs else "target"].append(weakref.ref(batch))
+        for side, refs in taken.items():
+            most_alive[side] = max(most_alive[side], sum(r() is not None for r in refs))
+        return batch
+
+    return taken, most_alive, take_rows
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_minibatch_epoch_holds_one_batch_per_domain_at_a_time(sparse):
+    if sparse:
+        Xs, Ys, Xt = sparse_pair(seed=3)
+    else:
+        Xs, Ys, Xt, _ = small_problem(seed=3)
+    cfg = TrainConfig(hidden=4, lam=1.0, epochs=2, batch_size=8, seed=1)
+    taken, most_alive, take_rows = tracking_take_rows(Xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "take_rows", take_rows)
+        res = train(Xs, Ys, Xt, cfg)
+    steps = cfg.epochs * math.ceil(max(numerics.n_rows(Xs), numerics.n_rows(Xt)) / cfg.batch_size)
+    assert not res.diverged
+    assert [len(taken["source"]), len(taken["target"])] == [steps, steps]
+    assert most_alive == {"source": 1, "target": 1}
+
+
+def test_a_lambda_0_minibatch_run_takes_no_target_rows():
+    Xs, Ys, Xt = sparse_pair(seed=3)
+    cfg = TrainConfig(hidden=4, lam=0.0, epochs=2, batch_size=8, seed=1)
+    taken, _, take_rows = tracking_take_rows(Xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "take_rows", take_rows)
+        res = train(Xs, Ys, Xt, cfg)
+    assert not res.diverged
+    assert taken["source"] and not taken["target"]
