@@ -57,7 +57,6 @@ from .network import (
     ForwardTrace,
     Gradients,
     NetworkParams,
-    cmd_gradients,
     cross_entropy_loss,
     finite_difference_check,
     forward,

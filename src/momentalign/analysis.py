@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .distances import CmdConfig, cmd_estimate
+from .distances import CmdConfig, MomentGap, cmd_estimate
 from .moments import FULL, central_moments, monomial_matrix
 from .network import NetworkParams, forward
 from .numerics import SeededRng, as_sample_pair
@@ -215,12 +215,11 @@ def dual_equivalence_check(
     """
     cfg = cfg or CmdConfig()
     src, tgt = as_sample_pair(src, tgt)
-    cs = central_moments(src, cfg.k, cfg.mode)
-    ct = central_moments(tgt, cfg.k, cfg.mode)
+    gap = MomentGap.of(src[None], tgt[None], cfg)  # one moment pass for both sides
     rng = SeededRng(seed)
     lhs = 0.0
     for j in range(1, cfg.k + 1):
-        delta = cs[j] - ct[j]
+        delta = gap.source[j][0] - gap.target[j][0]
         if delta.size == 1:
             best = abs(float(delta[0]))
         else:
@@ -229,7 +228,7 @@ def dual_equivalence_check(
             norms[norms == 0.0] = 1.0
             best = float((W @ delta / norms).max())
         lhs += cfg.weight(j) * max(best, 0.0)
-    rhs = cmd_estimate(src, tgt, cfg).value
+    rhs = gap.reports(cfg)[0].value
     tol = 1e-12 if src.shape[1] == 1 else 1e-10
     return BoundCheck.of("dual-form agreement", lhs, rhs, tol)
 

@@ -11,12 +11,13 @@ Both objectives are differentiated as a per-row cotangent on h0
 (loss_cotangent here, distances.cmd_cotangents for the CMD), pushed
 through the sigmoid by one backprop_hidden per input matrix; a step on
 loss + lambda * CMD sums the source cotangents first, so it makes one
-input product per domain.  The finite-difference oracle checks
-step_gradients itself: at lambda = 0 against the loss, and its change
-with lambda against the CMD.  In the loss gradients for V, b and W, the
-chain rule requires the hidden activations h0 (as the transposed factor
-and inside the sigmoid derivative h0*(1-h0)) rather than the network
-outputs.
+input product per domain.  Every producer adds its part into one
+Gradients vector, which loss_gradients and step_gradients zero once.
+The finite-difference oracle checks step_gradients itself: at lambda = 0
+against the loss, and its change with lambda against the CMD.  In the
+loss gradients for V, b and W, the chain rule requires the hidden
+activations h0 (as the transposed factor and inside the sigmoid
+derivative h0*(1-h0)) rather than the network outputs.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class ForwardTrace:
 class Gradients:
     """dW, db, dV and dc as views of one float64 vector, flat, laid out like
     NetworkParams.flat.  The constructor copies its arrays into a new
-    vector; zeros_like gives one for the producers to fill in place."""
+    vector; zeros_like gives one for the producers to add into."""
 
     dW: np.ndarray
     db: np.ndarray
@@ -172,7 +173,7 @@ class Gradients:
         """p.W.T in C order, the layout a sparse forward gathers rows from,
         written over this vector's first p.W.size elements and returned.
         Training writes it after each optimizer step, which has read the
-        gradients, for the forwards before step_gradients overwrites it."""
+        gradients, for the forwards before step_gradients zeroes it."""
         wt = self.flat[:p.W.size].reshape(p.input_dim, p.hidden)
         np.copyto(wt, p.W.T)
         return wt
@@ -253,49 +254,46 @@ def cross_entropy_loss(trace: ForwardTrace, Y: np.ndarray) -> float:
     return float(_cross_entropy(trace.outputs, Y))
 
 
-def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray, out=None, add=False):
-    """(dW, db) of an objective whose per-row gradient with respect to
-    the hidden activations h0 = sigm(X W^T + b) is cotangent / n_rows,
-    written into out, a (dW, db) pair, when given, or with add, added
-    into it: out + (dW, db), bit for bit, with no dW-sized temporary for
-    a sparse X."""
+def backprop_hidden(X, hidden: np.ndarray, cotangent: np.ndarray, out) -> None:
+    """Adds into out, a (dW, db) pair, the (dW, db) of an objective whose
+    per-row gradient with respect to the hidden activations
+    h0 = sigm(X W^T + b) is cotangent / n_rows: out + (dW, db), bit for
+    bit, with no dW-sized temporary for a sparse X."""
     n = hidden.shape[0]
-    dW, db = (None, None) if out is None else out
+    dW, db = out
     dpre = cotangent * hidden  # n x hidden
     dpre *= 1.0 - hidden
-    if add:
-        if isinstance(X, SparseRowMatrix):
-            X.t_dot_dense(dpre, dW.T, n)
-        else:
-            dW += np.matmul(dpre.T, np.asarray(X, dtype=np.float64)) / n
-        db += np.add.reduce(dpre, axis=0) / n
-        return dW, db
     if isinstance(X, SparseRowMatrix):
-        # the product fills dW through its (cols, hidden) transpose
-        dW = X.t_dot_dense(dpre, None if dW is None else dW.T).T
+        X.t_dot_dense(dpre, dW.T, n)  # adds into dW through its (cols, hidden) transpose
     else:
-        dW = np.matmul(dpre.T, np.asarray(X, dtype=np.float64), out=dW)
-    dW /= n
-    db = np.add.reduce(dpre, axis=0, out=db)
-    db /= n
-    return dW, db
+        prod = np.matmul(dpre.T, np.asarray(X, dtype=np.float64))
+        prod /= n
+        dW += prod
+    db += np.add.reduce(dpre, axis=0) / n
 
 
-def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray, out=None):
-    """(cotangent on h0, dV, dc) of the mean cross-entropy on trace's rows,
-    dV and dc written into out, a (dV, dc) pair, when given;
-    backprop_hidden turns the cotangent into dW and db."""
+def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray, out) -> np.ndarray:
+    """The cotangent on h0 of the mean cross-entropy on trace's rows, after
+    adding its dV and dc into out, a (dV, dc) pair; backprop_hidden turns
+    the cotangent into dW and db."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != trace.outputs.shape:
         raise ValueError("labels do not align with outputs")
     n = Y.shape[0]
-    dV, dc = (None, None) if out is None else out
+    dV, dc = out
     resid = trace.outputs - Y  # n x classes
-    dV = np.matmul(resid.T, trace.hidden, out=dV)
-    dV /= n
-    dc = np.add.reduce(resid, axis=0, out=dc)
-    dc /= n
-    return resid @ p.V, dV, dc
+    dV += np.matmul(resid.T, trace.hidden) / n
+    dc += np.add.reduce(resid, axis=0) / n
+    return resid @ p.V
+
+
+def _zeroed(p: NetworkParams, out: Gradients | None) -> Gradients:
+    """out with every element set to 0.0, or new zeros shaped like p: the
+    vector a step's producers add their parts into."""
+    if out is None:
+        return Gradients.zeros_like(p)
+    out.flat.fill(0.0)
+    return out
 
 
 def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | None = None,
@@ -303,9 +301,9 @@ def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | Non
     """Analytic gradients of the mean cross-entropy on (X, Y), written into
     out, whose every element they overwrite, when given."""
     trace = trace or forward(p, X)
-    g = Gradients.zeros_like(p) if out is None else out
-    cotangent = loss_cotangent(p, trace, Y, out=(g.dV, g.dc))[0]
-    backprop_hidden(X, trace.hidden, cotangent, out=(g.dW, g.db))
+    g = _zeroed(p, out)
+    cotangent = loss_cotangent(p, trace, Y, (g.dV, g.dc))
+    backprop_hidden(X, trace.hidden, cotangent, (g.dW, g.db))
     return g
 
 
@@ -315,18 +313,18 @@ def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
     forward traces (trace_t is read only when lam != 0) and, when given,
     the MomentGap of their hidden activations, written into out, whose
     every element they overwrite, when given.  The CMD cotangent joins
-    the loss's on the source side: one backprop per domain, the target's
-    added into the source's."""
+    the loss's on the source side: one backprop per domain, each added
+    into the zeroed vector."""
     if lam == 0.0:
         return loss_gradients(p, Xs, Ys, trace_s, out)
-    g = Gradients.zeros_like(p) if out is None else out
-    cotangent = loss_cotangent(p, trace_s, Ys, out=(g.dV, g.dc))[0]
+    g = _zeroed(p, out)
+    cotangent = loss_cotangent(p, trace_s, Ys, (g.dV, g.dc))
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg, moments)
     g_s *= lam
     g_s += cotangent  # cotangent + lam * g_s, in the cotangents' own arrays
     g_t *= lam
-    backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
-    backprop_hidden(Xt, trace_t.hidden, g_t, out=(g.dW, g.db), add=True)
+    backprop_hidden(Xs, trace_s.hidden, g_s, (g.dW, g.db))
+    backprop_hidden(Xt, trace_t.hidden, g_t, (g.dW, g.db))
     return g
 
 
@@ -352,8 +350,8 @@ def cmd_gradients(
     trace_t = trace_t or forward(p, Xt)
     g = Gradients.zeros_like(p)
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cfg)
-    backprop_hidden(Xs, trace_s.hidden, g_s, out=(g.dW, g.db))
-    backprop_hidden(Xt, trace_t.hidden, g_t, out=(g.dW, g.db), add=True)
+    backprop_hidden(Xs, trace_s.hidden, g_s, (g.dW, g.db))
+    backprop_hidden(Xt, trace_t.hidden, g_t, (g.dW, g.db))
     return g
 
 

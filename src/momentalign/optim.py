@@ -21,8 +21,8 @@ Gradients.flat.  At its first step it allocates its accumulators and two
 scratch vectors of _CHUNK doubles; a step runs the formulas above one
 chunk of the vectors at a time, every temporary written into the
 scratch, so each element sees the same operations in the same order as
-a whole-vector step.  G and E are name -> view dicts over the
-accumulators.
+a whole-vector step.  The accumulators are the rows of buffers: G,
+then E; NetworkParams.views lays W, b, V and c over each.
 """
 
 from __future__ import annotations
@@ -87,15 +87,12 @@ class Sgd:
 class Adagrad:
     alpha: float = 0.01
     eps: float = 1e-8
-    G: dict = field(default=None, repr=False)  # name -> view of the accumulator
     buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
         (acc,) = _buffers(self, p, 1)
-        if self.G is None:
-            self.G = dict(zip("WbVc", p.views(acc)))
         for theta, grad, G, u, v in _chunks(self, p.flat, g.flat, acc):
             G += np.multiply(grad, grad, out=u)
             np.multiply(self.alpha, grad, out=u)
@@ -107,8 +104,6 @@ class Adagrad:
 class Adadelta:
     rho: float = 0.95
     eps: float = 1e-6
-    G: dict = field(default=None, repr=False)  # name -> view of the accumulator
-    E: dict = field(default=None, repr=False)
     buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
@@ -121,8 +116,6 @@ class Adadelta:
     def step(self, p: NetworkParams, g: Gradients) -> None:
         _check(p, g)
         acc, eacc = _buffers(self, p, 2)
-        if self.G is None:
-            self.G, self.E = dict(zip("WbVc", p.views(acc))), dict(zip("WbVc", p.views(eacc)))
         rest = 1.0 - self.rho
         for theta, grad, G, E, u, v in _chunks(self, p.flat, g.flat, acc, eacc):
             G *= self.rho

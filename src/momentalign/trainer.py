@@ -4,11 +4,14 @@ lambda times the CMD between source and target hidden activations.
 The loop follows the stochastic update scheme: forward both domains,
 take the analytic gradients of loss + lambda*cmd (network.step_gradients,
 which the gradient oracle checks), and apply the chosen optimizer.
-Stopping is a fixed epoch budget.  Runs are deterministic functions of
-the config: initialization and every per-epoch shuffle come from streams
-derived from the config seed, and with lambda = 0 the CMD gradient path
-is skipped entirely, so a lambda = 0 run is bitwise equal to a plain
-cross-entropy trainer.
+Stopping is a fixed epoch budget, cfg.epochs.  A non-finite gradient,
+parameter, loss or CMD raises FloatingPointError, and train leaves
+through one handler that flags the run as diverged and restores the
+parameters of its last recorded epoch, or its start.  Runs are
+deterministic functions of the config: initialization and every
+per-epoch shuffle come from streams derived from the config seed, and
+with lambda = 0 the CMD gradient path is skipped entirely, so a
+lambda = 0 run is bitwise equal to a plain cross-entropy trainer.
 
 The warm-start protocol trains the shallow (lambda = 0) network for the
 full budget, snapshots its weights at a fraction of the epochs, and
@@ -158,6 +161,8 @@ def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape[0] == 0:
         raise ValueError("empty sample")
+    if Y.shape[0] != n_rows(X):
+        raise ValueError("labels do not align with features")
     outputs = forward(p, X).outputs
     accuracy = _accuracy(outputs, Y.argmax(axis=1))
     disagreement = float(np.abs(outputs - Y).sum(axis=1).mean() / 2.0)
@@ -194,16 +199,16 @@ def train(
     Yt=None,
     init: NetworkParams | None = None,
     start_epoch: int = 0,
-    epochs: int | None = None,
     snapshot_at: int | None = None,
 ) -> TrainResult:
-    """Run the training loop for a fixed epoch budget.
+    """Run the training loop for cfg.epochs epochs.
 
     init/start_epoch let a caller continue from a snapshot while keeping
     the per-epoch shuffle streams aligned with a single longer run.
     snapshot_at=j stores a copy of the parameters as they stood after
-    j epochs (0 = the initialization).  Non-finite features or labels
-    raise ValueError before the first epoch.
+    j epochs (0 = the initialization).  Non-finite features or labels,
+    and labels whose rows do not match their features', raise ValueError
+    before the first epoch.
     """
     Ys = np.asarray(Ys, dtype=np.float64)
     ns, nt = n_rows(Xs), n_rows(Xt)
@@ -211,11 +216,13 @@ def train(
         raise ValueError("empty sample")
     if Ys.shape[0] != ns:
         raise ValueError("source labels do not align with features")
+    Yt = None if Yt is None else np.asarray(Yt, dtype=np.float64)
+    if Yt is not None and Yt.shape[0] != nt:
+        raise ValueError("target labels do not align with features")
     check_finite(Xs=Xs, Ys=Ys, Xt=Xt, Yt=Yt)
-    budget = cfg.epochs if epochs is None else epochs
     cmd_cfg = CmdConfig(k=cfg.k)
     labels_s = Ys.argmax(axis=1)
-    labels_t = None if Yt is None else np.asarray(Yt, dtype=np.float64).argmax(axis=1)
+    labels_t = None if Yt is None else Yt.argmax(axis=1)
 
     if init is not None:
         p = init.copy()
@@ -226,7 +233,7 @@ def train(
     records: list[EpochRecord] = []
     snapshot = p.copy() if snapshot_at == start_epoch else None
     last_stable = p.copy()  # refreshed in place after each epoch
-    grads = Gradients.zeros_like(p)  # refilled by every step
+    grads = Gradients.zeros_like(p)  # zeroed and refilled by every step
     # A sparse forward gathers rows of W.T.  Each update writes W.T in C
     # order into the gradients' storage, which is dead until the next
     # step_gradients, and every forward until then reads it.
@@ -237,48 +244,39 @@ def train(
     # step's.
     carried = None
 
-    for e in range(start_epoch, start_epoch + budget):
-        for Xbs, Ybs, Xbt in _batches(Xs, Ys, Xt, cfg, e):
-            trace_s, trace_t, moments = carried or (forward(p, Xbs, wt=wt), None, None)
-            if cfg.lam != 0.0:
-                trace_t = trace_t or forward(p, Xbt, wt=wt)
-            step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t, moments, grads)
-            try:
+    try:
+        for e in range(start_epoch, start_epoch + cfg.epochs):
+            for Xbs, Ybs, Xbt in _batches(Xs, Ys, Xt, cfg, e):
+                trace_s, trace_t, moments = carried or (forward(p, Xbs, wt=wt), None, None)
+                if cfg.lam != 0.0:
+                    trace_t = trace_t or forward(p, Xbt, wt=wt)
+                step_gradients(p, Xbs, Ybs, Xbt, cfg.lam, cmd_cfg, trace_s, trace_t, moments, grads)
                 optimizer.step(p, grads)  # checks the gradients before it moves p
-            except FloatingPointError:
-                diverged = True
-                break
-            if not np.isfinite(p.flat).all():
-                diverged = True
-                break
-            if wt is not None:
-                wt = grads.weights_t(p)
-            del Xbs, Ybs, Xbt  # gone before the next batch is built
-        if diverged:
-            p = last_stable
-            break
+                if not np.isfinite(p.flat).all():
+                    raise FloatingPointError("non-finite parameters")
+                if wt is not None:
+                    wt = grads.weights_t(p)
+                del Xbs, Ybs, Xbt  # gone before the next batch is built
 
-        trace_s, trace_t = forward(p, Xs, wt=wt), forward(p, Xt, wt=wt)
-        loss = cross_entropy_loss(trace_s, Ys)
-        report = cmd_estimate(trace_s.hidden, trace_t.hidden, cmd_cfg)
-        cmd_val = report.value
-        if not (math.isfinite(loss) and math.isfinite(cmd_val)):
-            diverged = True
-            p = last_stable
-            break
-        record = EpochRecord(
-            epoch=e + 1,
-            loss=loss,
-            cmd=cmd_val,
-            source_acc=_accuracy(trace_s.outputs, labels_s),
-            target_acc=None if labels_t is None else _accuracy(trace_t.outputs, labels_t),
-        )
-        records.append(record)
-        if cfg.batch_size == 0:
-            carried = (trace_s, trace_t, report.moments)
-        np.copyto(last_stable.flat, p.flat)
-        if snapshot_at is not None and e + 1 == snapshot_at:
-            snapshot = p.copy()
+            trace_s, trace_t = forward(p, Xs, wt=wt), forward(p, Xt, wt=wt)
+            loss = cross_entropy_loss(trace_s, Ys)
+            report = cmd_estimate(trace_s.hidden, trace_t.hidden, cmd_cfg)
+            if not (math.isfinite(loss) and math.isfinite(report.value)):
+                raise FloatingPointError("non-finite loss or CMD")
+            records.append(EpochRecord(
+                epoch=e + 1,
+                loss=loss,
+                cmd=report.value,
+                source_acc=_accuracy(trace_s.outputs, labels_s),
+                target_acc=None if labels_t is None else _accuracy(trace_t.outputs, labels_t),
+            ))
+            if cfg.batch_size == 0:
+                carried = (trace_s, trace_t, report.moments)
+            np.copyto(last_stable.flat, p.flat)
+            if snapshot_at is not None and e + 1 == snapshot_at:
+                snapshot = p.copy()
+    except FloatingPointError:
+        diverged, p = True, last_stable
 
     return TrainResult(
         params=p,
@@ -314,16 +312,10 @@ def warm_start_train(Xs, Ys, Xt, cfg: TrainConfig, Yt=None) -> WarmStartResult:
     else:
         start = shallow.snapshot
     if remaining > 0 and cfg.lam != 0.0 and not (shallow.diverged and shallow.snapshot is None):
-        mann = train(
-            Xs,
-            Ys,
-            Xt,
-            cfg,
-            Yt=Yt,
-            init=start,
-            start_epoch=snap_epoch,
-            epochs=remaining,
-        )
+        # the budget rides in the config, the fourth argument, where
+        # bench/tracer.py counts a train call's epochs
+        mann = train(Xs, Ys, Xt, replace(cfg, epochs=remaining), Yt=Yt, init=start,
+                     start_epoch=snap_epoch)
     else:
         mann = TrainResult(params=start.copy(), records=[], diverged=False)
 

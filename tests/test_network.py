@@ -22,6 +22,7 @@ from momentalign.network import (
     loss_gradients,
     sigmoid,
     softmax_rows,
+    step_gradients,
 )
 from momentalign.numerics import SeededRng, SparseRowMatrix
 
@@ -236,26 +237,70 @@ def test_softmax_running_max_equals_the_reduction(classes, rows, stack, data):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_gradient_producers_fill_out_with_the_new_arrays_bits(sparse):
-    p = tiny_params(seed=4, m=6, h=5, c=3)
-    X = SeededRng(5).normal_matrix(9, 6)
+def small_inputs(sparse, rows=9, m=6, seed=5):
+    """A dense (rows, m) matrix with about a third of its entries zero, or
+    the SparseRowMatrix of its nonzero entries."""
+    X = SeededRng(seed).normal_matrix(rows, m)
     X[X < 0.3] = 0.0
     if sparse:
-        X = SparseRowMatrix.from_rows([[(i, v) for i, v in enumerate(r) if v] for r in X], 6)
+        X = SparseRowMatrix.from_rows([[(i, v) for i, v in enumerate(r) if v] for r in X], m)
+    return X
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gradient_producers_fill_out_with_the_new_arrays_bits(sparse):
+    # loss_cotangent and backprop_hidden add their parts into views of one
+    # zeroed vector; the sums are the textbook expressions, bit for bit
+    p = tiny_params(seed=4, m=6, h=5, c=3)
+    X = small_inputs(sparse)
     Y = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1, 2]]
     trace = forward(p, X)
+    h, n = trace.hidden, 9
+    resid = trace.outputs - Y
+    cotangent = resid @ p.V
+    dpre = cotangent * h * (1.0 - h)
+    if sparse:  # the sparse product sums each column's terms in row order, as add.at does
+        product = np.zeros((6, 5))
+        np.add.at(product, X.indices, X.data[:, None] * dpre[np.repeat(np.arange(n), np.diff(X.indptr))])
+        product = product.T
+    else:
+        product = dpre.T @ X
+    want = Gradients(product / n, np.add.reduce(dpre, axis=0) / n,
+                     (resid.T @ h) / n, np.add.reduce(resid, axis=0) / n)
     g = Gradients.zeros_like(p)
-    cotangent, dV, dc = loss_cotangent(p, trace, Y)
-    got = loss_cotangent(p, trace, Y, out=(g.dV, g.dc))
-    assert got[1] is g.dV and got[2] is g.dc
-    dW, db = backprop_hidden(X, trace.hidden, cotangent)
-    got_w, got_b = backprop_hidden(X, trace.hidden, cotangent, out=(g.dW, g.db))
-    assert np.shares_memory(got_w, g.flat) and got_b is g.db
+    got = loss_cotangent(p, trace, Y, (g.dV, g.dc))
+    backprop_hidden(X, trace.hidden, got, (g.dW, g.db))
     assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc))
-    assert got[0].tobytes() == cotangent.tobytes()
-    assert g.flat.tobytes() == Gradients(dW, db, dV, dc).flat.tobytes()
+    assert got.tobytes() == cotangent.tobytes()
+    assert g.flat.tobytes() == want.flat.tobytes()
     assert loss_gradients(p, X, Y).flat.tobytes() == g.flat.tobytes()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("lam", [None, 0.0, 1.0])  # None: loss_gradients
+def test_gradients_written_into_out_ignore_what_it_held(sparse, lam):
+    # every producer adds into out, so loss_gradients and step_gradients
+    # must zero it first: NaN, or the W.T that train leaves there between
+    # steps (Gradients.weights_t), gives the bits of fresh zeros
+    p = tiny_params(seed=6, m=6, h=5, c=3)
+    Xs, Xt = small_inputs(sparse), small_inputs(sparse, rows=7, seed=8)
+    Ys = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1, 2]]
+    trace_s, trace_t = forward(p, Xs), forward(p, Xt)
+
+    def produce(out):
+        if lam is None:
+            return loss_gradients(p, Xs, Ys, trace_s, out)
+        return step_gradients(p, Xs, Ys, Xt, lam, CmdConfig(), trace_s, trace_t, None, out)
+
+    want = produce(None).flat.tobytes()
+    for held in ("zeros", "nan", "weights_t"):
+        out = Gradients.zeros_like(p)
+        if held == "nan":
+            out.flat.fill(np.nan)
+        elif held == "weights_t":
+            assert np.any(out.weights_t(p))
+        assert produce(out) is out
+        assert out.flat.tobytes() == want, held
 
 
 def test_forward_matches_manual():

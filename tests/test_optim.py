@@ -92,13 +92,14 @@ def test_adadelta_scratch_buffers_match_the_textbook_formula():
         E = {n: np.zeros_like(a) for n, a in theta.items()}
         for step, g in enumerate(grads):
             opt.step(p, g)
+            acc, eacc = (dict(zip("WbVc", p.views(b))) for b in opt.buffers)
             for n in "WbVc":
                 grad = getattr(g, "d" + n)
                 G[n] = rho * G[n] + (1.0 - rho) * grad * grad
                 update = np.sqrt(E[n] + eps) / np.sqrt(G[n] + eps) * grad
                 theta[n] = theta[n] - update
                 E[n] = rho * E[n] + (1.0 - rho) * update * update
-                for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n]), (opt.E[n], E[n])):
+                for got, want in ((getattr(p, n), theta[n]), (acc[n], G[n]), (eacc[n], E[n])):
                     assert got.tobytes() == want.tobytes(), (size, step, n)
 
 
@@ -124,11 +125,12 @@ def test_adagrad_scratch_buffers_match_the_textbook_formula():
         G = {n: np.zeros_like(a) for n, a in theta.items()}
         for step, g in enumerate(grads):
             opt.step(p, g)
+            acc = dict(zip("WbVc", p.views(opt.buffers[0])))
             for n in "WbVc":
                 grad = getattr(g, "d" + n)
                 G[n] = G[n] + grad * grad
                 theta[n] = theta[n] - alpha * grad / np.sqrt(G[n] + eps)
-                for got, want in ((getattr(p, n), theta[n]), (opt.G[n], G[n])):
+                for got, want in ((getattr(p, n), theta[n]), (acc[n], G[n])):
                     assert got.tobytes() == want.tobytes(), (size, step, n)
 
 

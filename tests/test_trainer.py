@@ -172,7 +172,7 @@ def test_continuation_epoch_numbering():
     Xs, Ys, Xt, _ = small_problem()
     cfg = TrainConfig(hidden=4, epochs=5, seed=2)
     base = train(Xs, Ys, Xt, cfg, snapshot_at=3)
-    cont = train(Xs, Ys, Xt, cfg, init=base.snapshot, start_epoch=3, epochs=2)
+    cont = train(Xs, Ys, Xt, replace(cfg, epochs=2), init=base.snapshot, start_epoch=3)
     assert [r.epoch for r in cont.records] == [4, 5]
 
 
@@ -227,6 +227,26 @@ def test_train_input_validation():
         train(Xs, Ys[:-1], Xt, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
         train(Xs[:0], Ys[:0], Xt, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_train_rejects_target_labels_of_another_row_count(monkeypatch, rows):
+    # one row of class 2 used to broadcast against every target output and
+    # record a target accuracy of len(Xt); five failed at the first record
+    Xs, Ys, Xt, _ = small_problem()
+    forwards = []
+    monkeypatch.setattr(trainer, "forward", lambda *a, **kw: forwards.append(1))
+    with pytest.raises(ValueError, match="^target labels do not align with features$"):
+        train(Xs, Ys, Xt, TrainConfig(hidden=4, epochs=2), Yt=one_hot([2] * rows, 3))
+    assert forwards == []
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_evaluate_rejects_labels_of_another_row_count(rows):
+    Xs, _, _, _ = small_problem()
+    p = init_params(Xs.shape[1], 4, 3, SeededRng(0))
+    with pytest.raises(ValueError, match="^labels do not align with features$"):
+        evaluate(p, Xs, one_hot([2] * rows, 3))
 
 
 @pytest.mark.parametrize("name, value", [("Xs", np.nan), ("Ys", np.nan), ("Xt", np.inf),

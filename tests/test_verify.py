@@ -112,8 +112,7 @@ _STEP_MUTANTS = {
     # mutant -> (text of network.step_gradients, its replacement)
     "source cotangent not scaled by lambda": ("    g_s *= lam\n", ""),
     "target cotangent not scaled by lambda": ("    g_t *= lam\n", ""),
-    "target product overwrites the source's": (
-        "out=(g.dW, g.db), add=True)", "out=(g.dW, g.db))"),
+    "loss cotangent left out of the source's": ("g_s += cotangent", "pass"),
 }
 
 
