@@ -21,6 +21,7 @@ from .datasets import (
     generate_artificial,
     load_dense_csv,
     load_sparse,
+    one_hot,
     save_dense_csv,
 )
 from .distances import (
@@ -99,12 +100,16 @@ class RunConfig:
         self.doc = doc
 
     def load_pair(self) -> tuple[Sample, Sample]:
-        if self.source is not None:
-            return (
-                _load_sample(self.source, self.format),
-                _load_sample(self.target, self.format),
-            )
-        return generate_artificial(self.artificial)
+        """The source and target samples.  Target labels that lack the
+        source's top classes get the source's columns; train rejects a
+        target class the source does not have."""
+        if self.source is None:
+            return generate_artificial(self.artificial)
+        src = _load_sample(self.source, self.format)
+        tgt = _load_sample(self.target, self.format)
+        if tgt.labels is not None and tgt.n_classes < src.n_classes:
+            tgt = Sample(tgt.features, one_hot(tgt.label_ints, src.n_classes), src.n_classes)
+        return src, tgt
 
     def report_config(self) -> dict:
         """The "config" block of report.json: the train settings and the

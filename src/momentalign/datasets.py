@@ -269,19 +269,12 @@ def load_dense_csv(path) -> Sample:
 def save_dense_csv(sample: Sample, path) -> None:
     if isinstance(sample.features, SparseRowMatrix):
         raise ValueError("dense CSV writer needs dense features")
-    cols = [f"f{i + 1}" for i in range(sample.dim)]
-    out = []
-    if sample.labels is not None:
-        out.append(",".join(["label"] + cols))
-        ints = sample.label_ints
-        for i in range(sample.n_rows):
-            out.append(
-                ",".join([str(int(ints[i]))] + [repr(float(v)) for v in sample.features[i]])
-            )
-    else:
-        out.append(",".join(cols))
-        for i in range(sample.n_rows):
-            out.append(",".join(repr(float(v)) for v in sample.features[i]))
+    labeled = sample.labels is not None
+    ints = sample.label_ints.tolist() if labeled else []
+    out = [",".join((["label"] if labeled else []) + [f"f{i + 1}" for i in range(sample.dim)])]
+    for r, row in enumerate(sample.features.tolist()):
+        cells = ",".join([repr(v) for v in row])
+        out.append(f"{ints[r]},{cells}" if labeled else cells)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
 
@@ -386,13 +379,11 @@ def save_sparse(sample: Sample, path) -> None:
     if sample.labels is None:
         raise ValueError("sparse format carries labels; sample has none")
     S = sample.features
-    ints = sample.label_ints
+    tokens = [f"{i}:{v!r}" for i, v in zip(S.indices.tolist(), S.data.tolist())]
+    bounds = S.indptr.tolist()
     out = [f"#dim {S.cols}"]
-    for r in range(S.rows):
-        lo, hi = S.indptr[r], S.indptr[r + 1]
-        toks = [str(int(ints[r]))]
-        toks += [f"{int(i)}:{repr(float(v))}" for i, v in zip(S.indices[lo:hi], S.data[lo:hi])]
-        out.append(" ".join(toks))
+    for r, label in enumerate(sample.label_ints.tolist()):
+        out.append(" ".join([str(label)] + tokens[bounds[r]:bounds[r + 1]]))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
 

@@ -2,10 +2,11 @@
 
 Everything downstream (moments, distances, the trainer) works on plain
 float64 numpy arrays: a vector is a 1-D array, a dense matrix is a 2-D
-array holding one example per row.  Sparse inputs use the small CSR-style
-container below.  Randomness comes exclusively from :class:`SeededRng`, a
-counter-based SplitMix64 generator, so that identical seeds give bitwise
-identical streams on every platform.
+array holding one example per row.  Sparse inputs use the small CSR
+container below, whose two products run through one kernel that adds
+each sum divided by n into its output.  Randomness comes exclusively
+from :class:`SeededRng`, a counter-based SplitMix64 generator, so that
+identical seeds give bitwise identical streams on every platform.
 """
 
 from __future__ import annotations
@@ -97,9 +98,11 @@ class SeededRng:
 
 
 class SparseRowMatrix:
-    """CSR-style row-sparse matrix: per row, strictly increasing column
-    indices with float64 values. Only the handful of products the trainer
-    needs are implemented."""
+    """CSR row-sparse matrix: per row, strictly increasing column indices
+    with float64 values.  It stores indptr, indices and data and nothing
+    per entry besides; the row of each entry is derived from indptr where
+    it is read.  Only the handful of products the trainer needs are
+    implemented."""
 
     def __init__(self, rows: int, cols: int, indptr, indices, data):
         self.rows = int(rows)
@@ -116,12 +119,11 @@ class SparseRowMatrix:
         lengths = np.diff(self.indptr)
         if np.any(lengths < 0):
             raise ValueError(f"row {np.argmax(lengths < 0)}: indptr decreases")
-        # the row of each stored entry, kept for the products below
-        self.row_ids = np.repeat(np.arange(self.rows), lengths)
+        row_ids = self._row_ids()
         bad = (self.indices < 0) | (self.indices >= self.cols)
-        bad[1:] |= (np.diff(self.indices) <= 0) & (self.row_ids[1:] == self.row_ids[:-1])
+        bad[1:] |= (np.diff(self.indices) <= 0) & (row_ids[1:] == row_ids[:-1])
         if np.any(bad):
-            r = self.row_ids[np.argmax(bad)]
+            r = row_ids[np.argmax(bad)]
             raise ValueError(f"row {r}: indices must be strictly increasing and < cols")
 
     @classmethod
@@ -141,38 +143,40 @@ class SparseRowMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
+    def _row_ids(self) -> np.ndarray:
+        """The row of each stored entry, derived from indptr where it is read."""
+        return np.repeat(np.arange(self.rows), np.diff(self.indptr))
+
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        out[self.row_ids, self.indices] = self.data
+        out[self._row_ids(), self.indices] = self.data
         return out
 
     def dot_dense(self, D: np.ndarray) -> np.ndarray:
-        """self @ D for dense D of shape (cols, k)."""
+        """self @ D for dense D of shape (cols, k): each row's sum divided by
+        1.0 and added into zeros, which is the sum bit for bit (x / 1.0 is
+        x, and 0.0 + x is x unless x is -0.0, which no sum from +0.0 is)."""
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.cols:
             raise ValueError("dimension mismatch in sparse dot")
-        out = np.empty((self.rows, D.shape[1]))
-        _run_sums(self.indptr, None, self.data, self.indices, D, out)
+        out = np.zeros((self.rows, D.shape[1]))
+        _run_sums(self.indptr, None, self.data, self.indices, D, out, 1.0)
         return out
 
-    def t_dot_dense(self, D: np.ndarray, out: np.ndarray | None = None,
-                    add_divided_by: float | None = None) -> np.ndarray:
-        """self.T @ D for dense D of shape (rows, k), written into out, a
-        (cols, k) array, and returned; by default out is the transpose of
-        a new C-contiguous (k, cols) array.  With add_divided_by = n the
-        product is instead divided by n and added into out, one block of
-        rows at a time: out + (self.T @ D) / n, bit for bit."""
+    def t_dot_dense(self, D: np.ndarray, out: np.ndarray, n: float) -> np.ndarray:
+        """out + (self.T @ D) / n, bit for bit, written into out, a (cols, k)
+        array, and returned; D is dense of shape (rows, k).  The product is
+        divided and added one block of rows at a time, so no (cols, k)
+        temporary is made."""
         D = np.asarray(D, dtype=np.float64)
         if D.ndim != 2 or D.shape[0] != self.rows:
             raise ValueError("dimension mismatch in sparse t_dot")
-        if out is None:
-            out = np.empty((D.shape[1], self.cols)).T
-        elif out.shape != (self.cols, D.shape[1]):
+        if out.shape != (self.cols, D.shape[1]):
             raise ValueError("out has the wrong shape for sparse t_dot")
         bounds = np.zeros(self.cols + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=self.cols), out=bounds[1:])
         order = _stable_order(self.indices, self.cols)
-        _run_sums(bounds, order, self.data, self.row_ids, D, out, add_divided_by)
+        _run_sums(bounds, order, self.data, self._row_ids(), D, out, n)
         return out
 
     def take_rows(self, idx) -> "SparseRowMatrix":
@@ -196,11 +200,10 @@ _BLOCK_TERMS = 1 << 15  # product terms per step of a chunk of runs: 256 KiB
 
 
 def _run_sums(bounds, order, data, gather, D: np.ndarray, out: np.ndarray,
-              add_divided_by: float | None = None) -> None:
-    """out[i] = sum of data[e] * D[gather[e]] over the entries e of run i,
-    or with add_divided_by = n, out[i] += that sum / n.  Run i holds the
-    entries at positions bounds[i]:bounds[i + 1] of the given order (None:
-    storage order).
+              divisor: float) -> None:
+    """out[i] += (sum of data[e] * D[gather[e]] over the entries e of run
+    i) / divisor.  Run i holds the entries at positions bounds[i]:bounds[i + 1]
+    of the given order (None: storage order).
 
     Jagged diagonals: the runs with entries are taken longest first, in
     chunks of at most _BLOCK_TERMS // k runs, and step j adds the j-th
@@ -214,12 +217,9 @@ def _run_sums(bounds, order, data, gather, D: np.ndarray, out: np.ndarray,
     lengths = np.diff(bounds)
     longest = int(lengths.max(initial=0))
     by_length = _stable_order(longest - lengths, longest + 1)[:np.count_nonzero(lengths)]
-    if add_divided_by is None:
-        out.fill(0.0)
-    else:
-        # x + 0.0 in the rows without entries, what adding a sum of no terms
-        # gives, and x + -0.0 = x in the rest: one pass in out's own order
-        out += np.where(lengths, -0.0, 0.0)[:, None]
+    # x + 0.0 in the runs without entries, what adding a sum of no terms
+    # gives, and x + -0.0 = x in the rest: one pass in out's own order
+    out += np.where(lengths, -0.0, 0.0)[:, None]
     per_chunk = max(1, _BLOCK_TERMS // max(k, 1))
     sums_buffer = np.empty((min(per_chunk, len(by_length)), k))
     terms_buffer = np.empty_like(sums_buffer)
@@ -238,11 +238,8 @@ def _run_sums(bounds, order, data, gather, D: np.ndarray, out: np.ndarray,
             terms = D.take(gather[e], axis=0, out=terms_buffer[:n], mode="clip")
             np.multiply(data[e, None], terms, out=terms)
             sums[:n] += terms
-        if add_divided_by is None:
-            out[runs] = sums
-        else:
-            sums /= add_divided_by
-            out[runs] += sums
+        sums /= divisor
+        out[runs] += sums
 
 
 def n_rows(features) -> int:

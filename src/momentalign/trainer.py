@@ -163,6 +163,8 @@ def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
         raise ValueError("empty sample")
     if Y.shape[0] != n_rows(X):
         raise ValueError("labels do not align with features")
+    if Y.shape[1:] != (p.classes,):
+        raise ValueError(f"labels must have {p.classes} columns, one per class of the network")
     outputs = forward(p, X).outputs
     accuracy = _accuracy(outputs, Y.argmax(axis=1))
     disagreement = float(np.abs(outputs - Y).sum(axis=1).mean() / 2.0)
@@ -207,7 +209,8 @@ def train(
     the per-epoch shuffle streams aligned with a single longer run.
     snapshot_at=j stores a copy of the parameters as they stood after
     j epochs (0 = the initialization).  Non-finite features or labels,
-    and labels whose rows do not match their features', raise ValueError
+    labels whose rows do not match their features', and target labels
+    whose columns do not match the source labels' raise ValueError
     before the first epoch.
     """
     Ys = np.asarray(Ys, dtype=np.float64)
@@ -219,6 +222,8 @@ def train(
     Yt = None if Yt is None else np.asarray(Yt, dtype=np.float64)
     if Yt is not None and Yt.shape[0] != nt:
         raise ValueError("target labels do not align with features")
+    if Yt is not None and Yt.shape[1:] != Ys.shape[1:]:
+        raise ValueError("target labels must have the source labels' columns, one per class")
     check_finite(Xs=Xs, Ys=Ys, Xt=Xt, Yt=Yt)
     cmd_cfg = CmdConfig(k=cfg.k)
     labels_s = Ys.argmax(axis=1)

@@ -1,6 +1,6 @@
 """Gradient arithmetic, the combined objective, the flat-vector layout
-check, a bag-of-words matrix, the per-token sparse loader and a memory
-probe, which only the tests use."""
+check, a bag-of-words matrix, the per-token sparse loader, the per-value
+writers and a memory probe, which only the tests use."""
 
 import math
 import re
@@ -135,3 +135,36 @@ def load_sparse_per_token(path) -> Sample:
         raise ValueError(f"line {linenos[row]}: negative class id {classes[row]}")
     n_classes = int(classes.max()) + 1
     return Sample(SparseRowMatrix.from_rows(rows, dim), one_hot(classes, n_classes), n_classes)
+
+
+def save_dense_csv_per_value(sample: Sample, path) -> None:
+    """The dense CSV writer value by value, with repr(float(v)) on each: the
+    reference the writer's bytes are held to."""
+    cols = [f"f{i + 1}" for i in range(sample.dim)]
+    out = []
+    if sample.labels is not None:
+        out.append(",".join(["label"] + cols))
+        ints = sample.label_ints
+        for i in range(sample.n_rows):
+            out.append(",".join([str(int(ints[i]))] + [repr(float(v)) for v in sample.features[i]]))
+    else:
+        out.append(",".join(cols))
+        for i in range(sample.n_rows):
+            out.append(",".join(repr(float(v)) for v in sample.features[i]))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def save_sparse_per_value(sample: Sample, path) -> None:
+    """The sparse writer token by token, with int() and repr(float()) on
+    each: the reference the writer's bytes are held to."""
+    S = sample.features
+    ints = sample.label_ints
+    out = [f"#dim {S.cols}"]
+    for r in range(S.rows):
+        lo, hi = S.indptr[r], S.indptr[r + 1]
+        toks = [str(int(ints[r]))]
+        toks += [f"{int(i)}:{repr(float(v))}" for i, v in zip(S.indices[lo:hi], S.data[lo:hi])]
+        out.append(" ".join(toks))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")

@@ -349,6 +349,42 @@ def test_train_file_inputs(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_train_takes_an_unlabeled_target_file(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run(capsys, "gen-artificial", "--out", str(gen), "--samples", "45")
+    rows = (gen / "target.csv").read_text().splitlines()[1:]
+    (tmp_path / "unlabeled.csv").write_text("f1,f2\n" + "".join(r.split(",", 1)[1] + "\n" for r in rows))
+    doc = {"source": str(gen / "source.csv"), "target": str(tmp_path / "unlabeled.csv"),
+           "train": {"hidden": 3, "epochs": 2, "seed": 0}, "out": str(tmp_path / "out")}
+    assert run(capsys, "train", "--config", write_config(tmp_path, doc))[0] == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["final"]["target_acc"] is None
+
+
+@pytest.mark.parametrize("target_classes, code", [((0, 1), 0), ((0, 3), 2)],
+                         ids=["without-the-top-class", "with-a-class-the-source-lacks"])
+def test_train_checks_the_target_files_classes_against_the_sources(tmp_path, capsys,
+                                                                    target_classes, code):
+    # a file's labels have a column per class up to its largest id: a target
+    # without the source's top class trains on the source's columns, and a
+    # class the source lacks exits 2 before any epoch
+    def rows(classes):
+        return "".join(f"{c} {c}:1.0 4:{0.5 + r}\n" for r, c in enumerate(classes * 4))
+
+    src, tgt = tmp_path / "src.sparse", tmp_path / "tgt.sparse"
+    src.write_text("#dim 5\n" + rows((0, 1, 2)))
+    tgt.write_text("#dim 5\n" + rows(target_classes))
+    doc = {"source": str(src), "target": str(tgt), "format": "sparse",
+           "train": {"hidden": 3, "epochs": 2, "seed": 0}, "out": str(tmp_path / "out")}
+    got, _, err = run(capsys, "train", "--config", write_config(tmp_path, doc))
+    assert got == code
+    if code == 2:
+        assert "target labels must have the source labels' columns" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert 0.0 <= json.loads((tmp_path / "out" / "report.json").read_text())["final"]["target_acc"] <= 1.0
+
+
 @pytest.mark.parametrize("block, message", [
     ({"optimizer": "sgd", "alpha": -0.5}, "alpha"),
     ({"optimizer": "adagrad", "eps": -1.0}, "eps"),

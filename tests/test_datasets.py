@@ -22,7 +22,13 @@ from momentalign.datasets import (
 )
 from momentalign.numerics import SparseRowMatrix
 
-from helpers import bag_of_words, load_sparse_per_token, traced_peak
+from helpers import (
+    bag_of_words,
+    load_sparse_per_token,
+    save_dense_csv_per_value,
+    save_sparse_per_value,
+    traced_peak,
+)
 
 
 def test_sample_basics():
@@ -190,6 +196,37 @@ def test_sparse_round_trip(tmp_path):
     assert isinstance(back.features, SparseRowMatrix)
     assert np.array_equal(back.features.toarray(), S.toarray())
     assert np.array_equal(back.labels, sample.labels)
+
+
+# both zeros, subnormals, the edges of repr's fixed and exponent forms
+# (1e16 and 1e-05) and any other finite value
+WRITTEN = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-05,
+                     -1e16, -1e-05, 9999999999999998.0, 0.0001]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, max_value=1e-300,
+              min_value=-1e-300),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_writers_write_the_per_value_writers_bytes(tmp_path_factory, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    classes = data.draw(st.integers(1, 12))
+    labels = one_hot(np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                                  min_size=rows, max_size=rows))), classes)
+    pattern = [[c for c in range(cols) if data.draw(st.booleans())] for _ in range(rows)]
+    S = SparseRowMatrix.from_rows([[(c, data.draw(WRITTEN)) for c in row] for row in pattern],
+                                  cols)
+    dense = np.array([[data.draw(WRITTEN) for _ in range(cols)] for _ in range(rows)])
+    where = tmp_path_factory.mktemp("writers")
+    for write, want, sample in ((save_sparse, save_sparse_per_value, Sample(S, labels)),
+                                (save_dense_csv, save_dense_csv_per_value, Sample(dense, labels)),
+                                (save_dense_csv, save_dense_csv_per_value, Sample(dense))):
+        write(sample, where / "got")
+        want(sample, where / "want")
+        assert (where / "got").read_bytes() == (where / "want").read_bytes()
 
 
 def test_sparse_loader_infers_dimension(tmp_path):

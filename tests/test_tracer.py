@@ -43,7 +43,7 @@ def test_t_dot_dense_returns_its_out_in_both_forms():
     S = bag_of_words(rows=20, cols=50, per_row=5)
     D = np.ones((20, 3))
     out = np.zeros((3, 50)).T
-    assert S.t_dot_dense(D, out) is out
+    assert S.t_dot_dense(D, out, 1.0) is out
     assert S.t_dot_dense(D, out, 20) is out
 
 

@@ -249,6 +249,30 @@ def test_evaluate_rejects_labels_of_another_row_count(rows):
         evaluate(p, Xs, one_hot([2] * rows, 3))
 
 
+@pytest.mark.parametrize("columns", [2, 4])
+def test_train_rejects_target_labels_of_another_column_count(monkeypatch, columns):
+    # two columns beside a three-class source used to train and record
+    # the target accuracy of class ids the network may not have
+    Xs, Ys, Xt, Yt = small_problem()
+    forwards = []
+    monkeypatch.setattr(trainer, "forward", lambda *a, **kw: forwards.append(1))
+    with pytest.raises(ValueError, match="^target labels must have the source labels' columns"):
+        train(Xs, Ys, Xt, TrainConfig(hidden=4, epochs=3), Yt=one_hot(Yt.argmax(axis=1) % 2, columns))
+    assert forwards == []
+
+
+@pytest.mark.parametrize("columns", [2, 4])
+def test_evaluate_rejects_labels_of_another_column_count(monkeypatch, columns):
+    # two columns used to fail in NumPy's broadcast after the forward pass
+    Xs, Ys, _, _ = small_problem()
+    p = init_params(Xs.shape[1], 4, 3, SeededRng(0))
+    forwards = []
+    monkeypatch.setattr(trainer, "forward", lambda *a, **kw: forwards.append(1))
+    with pytest.raises(ValueError, match="^labels must have 3 columns, one per class"):
+        evaluate(p, Xs, one_hot(Ys.argmax(axis=1) % 2, columns))
+    assert forwards == []
+
+
 @pytest.mark.parametrize("name, value", [("Xs", np.nan), ("Ys", np.nan), ("Xt", np.inf),
                                          ("Yt", -np.inf)])
 @pytest.mark.parametrize("entry", [train, warm_start_train])
@@ -392,17 +416,12 @@ def test_sparse_minibatch_train_bitwise_equals_add_at_products():
                   S.data[:, None] * D[S.indices])
         return out
 
-    def add_at_t_dot(S, D, out=None, add_divided_by=None):
+    def add_at_t_dot(S, D, out, n):
         calls.append("t_dot")
         product = np.zeros((S.cols, D.shape[1]))
         np.add.at(product, S.indices,
                   S.data[:, None] * D[np.repeat(np.arange(S.rows), np.diff(S.indptr))])
-        if out is None:
-            return product
-        if add_divided_by is None:
-            out[...] = product
-        else:
-            out += product / add_divided_by
+        out += product / n
         return out
 
     res = train(Xs, Ys, Xt, cfg)
@@ -452,9 +471,9 @@ def test_sparse_minibatch_step_makes_one_input_product_per_domain(lam, per_step)
     calls = []
     t_dot = SparseRowMatrix.t_dot_dense
 
-    def counting_t_dot(S, D, out=None, add_divided_by=None):
+    def counting_t_dot(S, D, out, n):
         calls.append(S.rows)
-        return t_dot(S, D, out, add_divided_by)
+        return t_dot(S, D, out, n)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SparseRowMatrix, "t_dot_dense", counting_t_dot)
