@@ -34,6 +34,7 @@ from .distances import (
     raw_moment_ipm_estimate,
 )
 from .network import NetworkParams
+from .numerics import json_object
 from .trainer import TrainConfig, train, warm_start_train, write_metrics_csv
 from .verify import CHECKS
 
@@ -81,9 +82,7 @@ class RunConfig:
     field has a default; unknown keys are a hard error."""
 
     def __init__(self, doc: dict):
-        unknown = set(doc) - _RUN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        json_object(doc, _RUN_KEYS, "config")
         self.train = TrainConfig.from_dict(doc.get("train", {}))
         self.artificial = ArtificialSpec.from_dict(doc.get("artificial", {}))
         self.source = doc.get("source")
@@ -97,7 +96,6 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.format!r}")
         if (self.source is None) != (self.target is None):
             raise ConfigError("source and target files must be given together")
-        self.doc = doc
 
     def load_pair(self) -> tuple[Sample, Sample]:
         """The source and target samples.  Target labels that lack the
@@ -189,6 +187,9 @@ METRICS = {
 
 def cmd_distance(args) -> int:
     fn, flag, default, name = METRICS[args.metric]
+    for other in ("k", "beta", "degree"):
+        if other != flag and getattr(args, other) is not None:
+            raise ConfigError(f"{args.metric} takes no --{other}")
     settings = []
     if flag is not None:
         value = getattr(args, flag)
@@ -209,9 +210,7 @@ def cmd_distance(args) -> int:
 def cmd_train(args) -> int:
     cfg = RunConfig(_load_json(args.config))
     if args.lam is not None:
-        doc = dict(cfg.doc.get("train", {}))
-        doc["lambda"] = args.lam
-        cfg.train = TrainConfig.from_dict(doc)
+        cfg.train = dataclasses.replace(cfg.train, lam=args.lam)
     src, tgt = cfg.load_pair()
     result = train(src.features, src.labels, tgt.features, cfg.train, Yt=tgt.labels)
 
@@ -265,6 +264,9 @@ def cmd_warm_start(args) -> int:
 def cmd_check(args) -> int:
     fn = CHECKS[args.suite]
     if args.suite == "appendix-a":
+        # it takes --seed, which runners pass to every suite, and ignores it
+        if args.cases is not None:
+            raise ConfigError("appendix-a takes no --cases")
         rows = fn()
     else:
         kwargs = {"seed": args.seed}
@@ -291,14 +293,8 @@ def cmd_report_alignment(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = {"train", "artificial", "source", "target", "format", "ks", "lambdas", "out"}
-
-
 def cmd_sweep(args) -> int:
-    doc = _load_json(args.config)
-    unknown = set(doc) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    doc = json_object(_load_json(args.config), _RUN_KEYS | {"ks", "lambdas"}, "config")
     run_doc = {k: doc[k] for k in _RUN_KEYS - {"out"} if k in doc}
     cfg = RunConfig(run_doc)
     ks, lambdas = sweep_grid(doc.get("ks"), doc.get("lambdas"))

@@ -15,12 +15,15 @@ loses ~10 points on the target; the displacement stays within roughly
 CMD term instead of stranding units in saturation.  Larger transforms
 break the alignment phase, smaller ones leave nothing to recover.
 
+ArtificialSpec is the "artificial" block of a run config, read and
+written by the settings codec of numerics, tuples as JSON lists.
+
 File formats (all LF line endings, '.' decimals, floats written with
 shortest round-trip repr so that save(load(f)) == f byte for byte):
 
-* dense CSV -- header "label,f1,...,fm" or "f1,...,fm"; a headerless
-  first line of values is unlabeled data.  Cells, padded with spaces
-  or tabs, hold labels and values of the sparse grammar.
+* dense CSV -- header "label,f1,...,fm" or "f1,...,fm", m >= 1; a
+  headerless first line of values is unlabeled data.  Cells, padded
+  with spaces or tabs, hold labels and values of the sparse grammar.
 * sparse    -- optional "#dim N" first line (N ASCII digits, 1 <= N <=
   2**53), then lines of "<label> <idx>:<val> ...": an integer label,
   tokens of ASCII-digit 0-based indices, strictly increasing within the
@@ -33,12 +36,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import SeededRng, SparseRowMatrix, as_sample, n_cols, n_rows, take_rows
-from .numerics import check_json_types
+from .numerics import check_json_types, settings_from_dict, settings_to_dict
 
 
 @dataclass
@@ -125,24 +128,11 @@ class ArtificialSpec:
             raise ValueError("spread must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "classes": self.classes,
-            "rotation_deg": self.rotation_deg,
-            "shift": list(self.shift),
-            "centers": [list(c) for c in self.centers],
-            "spread": list(self.spread) if isinstance(self.spread, tuple)
-                      else self.spread,
-            "seed": self.seed,
-            "target_seed": self.target_seed,
-        }
+        return settings_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ArtificialSpec":
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown artificial spec keys: {sorted(unknown)}")
-        return cls(**doc)
+        return settings_from_dict(cls, doc, "artificial")
 
 
 def _class_counts(total: int, classes: int) -> list[int]:
@@ -231,6 +221,8 @@ def load_dense_csv(path) -> Sample:
     value = re.compile(_VALUE).fullmatch
     head = [t.strip(" \t") for t in lines[0].split(",")]
     names = [bool(re.fullmatch("f[0-9]+", t)) for t in head]
+    if head == ["label"]:
+        raise ValueError("line 1: header names no feature column")
     if head[0] == "label" and all(names[1:]):
         labeled, start = True, 1
     elif all(names):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distances import CmdConfig, MomentGap, cmd_cotangents
-from .numerics import SparseRowMatrix, as_sample, check_finite, n_cols
+from .numerics import SparseRowMatrix, as_sample, check_finite, check_json_types, json_object, n_cols
 
 _LOG_CLAMP = 1e-12
 
@@ -67,6 +67,9 @@ class NetworkParams:
 
     def __post_init__(self):
         self.flat, (self.W, self.b, self.V, self.c) = _packed((self.W, self.b, self.V, self.c))
+        for name in ("W", "V"):
+            if getattr(self, name).ndim != 2:
+                raise ValueError(f"{name} must be a 2-D array")
         h, m = self.W.shape
         cls, h2 = self.V.shape
         if self.b.shape != (h,) or h2 != h or self.c.shape != (cls,):
@@ -122,15 +125,17 @@ class NetworkParams:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkParams":
-        doc = json.loads(text)
-        p = cls(
-            np.array(doc["W"], dtype=np.float64),
-            np.array(doc["b"], dtype=np.float64),
-            np.array(doc["V"], dtype=np.float64),
-            np.array(doc["c"], dtype=np.float64),
-            doc.get("seed"),
-        )
-        shapes = doc.get("shapes", {})
+        """The parameters of a params.json document: an object holding the
+        arrays W, b, V and c, and optionally shapes and seed."""
+        doc = json_object(json.loads(text), ("W", "b", "V", "c", "shapes", "seed"), "params")
+        missing = [key for key in ("W", "b", "V", "c") if key not in doc]
+        if missing:
+            raise ValueError(f"params has no key {missing[0]!r}")
+        doc = {"shapes": {}, "seed": None, **doc}
+        check_json_types(doc, ints=("seed",), nullable=("seed",),
+                         arrays={"W": (2,), "b": (1,), "V": (2,), "c": (1,)})
+        shapes = json_object(doc["shapes"], ("hidden", "input", "classes"), "shapes")
+        p = cls(*(np.array(doc[key], dtype=np.float64) for key in ("W", "b", "V", "c")), doc["seed"])
         if shapes and (
             shapes.get("hidden") != p.hidden
             or shapes.get("input") != p.input_dim

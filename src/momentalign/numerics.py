@@ -11,6 +11,9 @@ identical seeds give bitwise identical streams on every platform.
 
 from __future__ import annotations
 
+import reprlib
+from dataclasses import fields
+
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -306,11 +309,41 @@ def check_json_types(doc: dict, ints=(), reals=(), nullable=(), arrays=None) -> 
     for names, kind, what in ((ints, (int, np.integer), "an integer"), (reals, _NUMBER, "a number")):
         for name in names:
             if not _is_json(doc[name], kind) and not (doc[name] is None and name in nullable):
-                raise ValueError(f"{name} must be {what}, got {doc[name]!r}")
+                raise ValueError(f"{name} must be {what}, got {reprlib.repr(doc[name])}")
     for name, depths in (arrays or {}).items():
         if not any(_is_json(doc[name], _NUMBER, d) for d in depths):
             what = " or ".join(_SHAPES[d] for d in depths)
-            raise ValueError(f"{name} must be {what}, got {doc[name]!r}")
+            raise ValueError(f"{name} must be {what}, got {reprlib.repr(doc[name])}")
+
+
+def json_object(doc, keys, where: str) -> dict:
+    """doc, if it is a JSON object with no key outside keys; else
+    ValueError naming the block where."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {reprlib.repr(doc)}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown, key=str)}")
+    return doc
+
+
+_JSON_KEYS = {"lam": "lambda"}  # the one field whose key is not its name
+
+
+def settings_from_dict(cls, doc, where: str):
+    """The settings dataclass cls built from doc, the JSON object of block where."""
+    names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    return cls(**{names[key]: value for key, value in json_object(doc, names, where).items()})
+
+
+def _as_json(value):
+    return [_as_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def settings_to_dict(settings) -> dict:
+    """The JSON object of a settings dataclass: its fields in order, tuples as lists."""
+    return {_JSON_KEYS.get(f.name, f.name): _as_json(getattr(settings, f.name))
+            for f in fields(settings)}
 
 
 def take_rows(features, idx):

@@ -18,6 +18,10 @@ full budget, snapshots its weights at a fraction of the epochs, and
 continues training from that snapshot with the CMD term switched on for
 the remaining epochs.  Target labels, when available, are used only for
 evaluation.
+
+TrainConfig, the "train" block of a run config, is read and written by
+the settings codec of numerics: its keys are its field names, in field
+order, but "lambda" for lam.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .network import (
     step_gradients,
 )
 from .numerics import SeededRng, SparseRowMatrix, check_finite, check_json_types, n_cols, n_rows, take_rows
+from .numerics import settings_from_dict, settings_to_dict
 from .optim import OPTIMIZERS, make_optimizer
 
 __all__ = [
@@ -96,29 +101,12 @@ class TrainConfig:
         if self.eps is not None and not self.eps > 0:
             raise ValueError("eps must be positive")
 
-    _KEYS = {
-        "hidden": "hidden",
-        "k": "k",
-        "lambda": "lam",
-        "optimizer": "optimizer",
-        "alpha": "alpha",
-        "rho": "rho",
-        "eps": "eps",
-        "epochs": "epochs",
-        "batch_size": "batch_size",
-        "warm_start_fraction": "warm_start_fraction",
-        "seed": "seed",
-    }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        unknown = set(doc) - set(cls._KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{cls._KEYS[k]: v for k, v in doc.items()})
+        return settings_from_dict(cls, doc, "train")
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, attr) for key, attr in self._KEYS.items()}
+        return settings_to_dict(self)
 
 
 @dataclass

@@ -129,6 +129,34 @@ def test_distance_other_metrics_run(two_point_files, capsys):
         assert json.loads(out)["value"] >= 0.0
 
 
+@pytest.mark.parametrize("metric, flag", [
+    ("cmd", ["--beta", "1.0"]), ("cmd", ["--degree", "2"]),
+    ("mmd-gauss", ["--k", "3"]), ("mmd-gauss", ["--degree", "2"]),
+    ("mmd-poly", ["--k", "3"]), ("mmd-poly", ["--beta", "1.0"]),
+    ("coral", ["--k", "3"]), ("coral", ["--beta", "1.0"]), ("coral", ["--degree", "2"]),
+    ("raw-ipm", ["--beta", "1.0"]), ("raw-ipm", ["--degree", "2"]),
+], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+def test_distance_rejects_flags_its_metric_does_not_read(two_point_files, capsys, metric, flag):
+    # distance --metric coral --k 3 printed the coral value as if --k meant something
+    src, tgt = two_point_files
+    assert run(capsys, "distance", "--metric", metric, "--source", src, "--target", tgt,
+               *flag) == (2, "", f"error: {metric} takes no {flag[0]}\n")
+
+
+def test_label_only_dense_files_exit_2(tmp_path, capsys):
+    # a header of "label" alone names no feature column: distance read
+    # two such files as 0.0, and train trained a network with no inputs
+    for name in ("src.csv", "tgt.csv"):
+        (tmp_path / name).write_text("label\n0\n1\n")
+    src, tgt = str(tmp_path / "src.csv"), str(tmp_path / "tgt.csv")
+    message = "error: line 1: header names no feature column\n"
+    assert run(capsys, "distance", "--metric", "cmd", "--source", src, "--target", tgt) == (
+        2, "", message)
+    doc = {"source": src, "target": tgt, "train": {"epochs": 1}, "out": str(tmp_path / "out")}
+    assert run(capsys, "train", "--config", write_config(tmp_path, doc)) == (2, "", message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_distance_missing_file(two_point_files, capsys):
     src, _ = two_point_files
     code, _, err = run(capsys, "distance", "--metric", "cmd",
@@ -429,6 +457,21 @@ def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "warm-start", "sweep"])
+@pytest.mark.parametrize("where", ["config", "train", "artificial"])
+@pytest.mark.parametrize("value", [None, [], "x", 5, True],
+                         ids=["null", "array", "string", "number", "boolean"])
+def test_commands_reject_a_document_or_block_that_is_no_object(tmp_path, capsys, monkeypatch,
+                                                               command, where, value):
+    # null, number and boolean blocks raised TypeError, an array block
+    # AttributeError; a string was read as a list of unknown keys
+    monkeypatch.chdir(tmp_path)  # where the default out would go
+    doc = value if where == "config" else {where: value}
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, doc))
+    assert (code, out, err) == (2, "", f"error: {where} must be a JSON object, got {value!r}\n")
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 @pytest.mark.parametrize("train, artificial, message", [
     ({"lambda": float("nan")}, {}, "NaN is not a JSON number"),
     ({"optimizer": "sgd", "alpha": float("nan")}, {}, "NaN is not a JSON number"),
@@ -579,6 +622,14 @@ def test_check_rejects_fewer_than_one_case(capsys, suite, cases):
     assert run(capsys, "check", suite, "--cases", cases) == (2, "", "error: cases must be >= 1\n")
 
 
+def test_check_appendix_a_takes_a_seed_but_no_cases(capsys):
+    # its atoms are fixed fractions: --cases was ignored, --seed is passed
+    # to every suite by callers that run them all
+    assert run(capsys, "check", "appendix-a", "--cases", "3") == (
+        2, "", "error: appendix-a takes no --cases\n")
+    assert run(capsys, "check", "appendix-a", "--seed", "5")[0] == 1  # red by design
+
+
 def test_check_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "nonsense"])
@@ -624,6 +675,34 @@ def test_report_alignment_rejects_non_finite_params(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "W must be finite" in err
+
+
+PARAMS = {"W": [[0.5, -0.5]], "b": [0.0], "V": [[1.0], [-1.0]], "c": [0.0, 0.0]}
+MALFORMED_PARAMS = [
+    ([1, 2], "params must be a JSON object, got [1, 2]"),
+    ({"b": [0.0]}, "params has no key 'W'"),
+    ({**PARAMS, "bias": [0.0]}, "unknown params keys: ['bias']"),
+    ({**PARAMS, "shapes": 5}, "shapes must be a JSON object, got 5"),
+    ({**PARAMS, "shapes": {"hidden": 1, "depth": 2}}, "unknown shapes keys: ['depth']"),
+    ({**PARAMS, "seed": "1"}, "seed must be an integer, got '1'"),
+    ({**PARAMS, "W": [0.5, -0.5]}, "W must be a list of lists of numbers, got [0.5, -0.5]"),
+    ({**PARAMS, "V": [1.0, -1.0]}, "V must be a list of lists of numbers, got [1.0, -1.0]"),
+    ({**PARAMS, "W": []}, "W must be a 2-D array"),
+    ({**PARAMS, "c": [[0.0, 0.0]]}, "c must be a list of numbers, got [[0.0, 0.0]]"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_PARAMS,
+                         ids=["array", "no-W", "unknown-key", "shapes-number", "shapes-unknown-key",
+                              "seed-string", "W-1-D", "V-1-D", "W-empty", "c-2-D"])
+def test_report_alignment_rejects_malformed_params(tmp_path, capsys, doc, message):
+    # an array, a missing W and a number for shapes raised TypeError,
+    # KeyError and AttributeError; a 1-D W failed to unpack its shape.
+    # The data files do not exist: the params must fail first
+    params = write_config(tmp_path, doc, "params.json")
+    assert run(capsys, "report-alignment", "--params", params, "--source",
+               str(tmp_path / "missing-src.csv"), "--target", str(tmp_path / "missing-tgt.csv")) == (
+        2, "", f"error: {message}\n")
 
 
 def test_report_alignment_missing_params(tmp_path, capsys):
@@ -714,7 +793,8 @@ def test_sweep_unknown_key(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_module_entry_point(two_point_files):
+def run_module(*argv):
+    """python -m momentalign in a new interpreter."""
     import subprocess
     import sys
 
@@ -726,11 +806,26 @@ def test_module_entry_point(two_point_files):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "momentalign", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(two_point_files):
     src, tgt = two_point_files
-    proc = subprocess.run(
-        [sys.executable, "-m", "momentalign", "distance", "--metric", "cmd",
-         "--source", src, "--target", tgt],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module("distance", "--metric", "cmd", "--source", src, "--target", tgt)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["metric"] == "cmd"
+
+
+def test_module_entry_point_exits_2_on_malformed_documents(tmp_path):
+    # both raised past main() with a traceback and exit 1
+    config = write_config(tmp_path, {"train": None, "out": str(tmp_path / "out")})
+    proc = run_module("train", "--config", config)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: train must be a JSON object, got None\n")
+    assert not (tmp_path / "out").exists()
+    params = write_config(tmp_path, [1, 2], "params.json")
+    proc = run_module("report-alignment", "--params", params, "--source", "x", "--target", "y")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: params must be a JSON object, got [1, 2]\n")
+    assert "Traceback" not in proc.stderr

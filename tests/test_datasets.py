@@ -174,6 +174,9 @@ def test_dense_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("what,ever\n")
     with pytest.raises(ValueError, match="line 1"):
         load_dense_csv(path)
+    path.write_text(" label\t\n0\n")  # rows of a label and no feature
+    with pytest.raises(ValueError, match="^line 1: header names no feature column$"):
+        load_dense_csv(path)
     for cell in ("nan", "-inf", "Infinity"):
         path.write_text(f"label,f1\n0,1.0\n1,{cell}\n")
         with pytest.raises(ValueError, match="line 3: non-finite"):

@@ -1,10 +1,16 @@
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentalign import numerics
+from momentalign.datasets import ArtificialSpec
 from momentalign.numerics import SeededRng, SparseRowMatrix, stream_words, word_uniforms
+from momentalign.optim import OPTIMIZERS
+from momentalign.trainer import TrainConfig
 
 from helpers import bag_of_words, traced_peak
 
@@ -302,9 +308,10 @@ def test_t_dot_dense_keeps_minus_zero_plus_an_underflowed_sum():
 
 
 def test_t_dot_dense_adds_a_block_of_empty_columns(monkeypatch):
-    # column 3 holds more terms than a block, so columns 0-2 form a block
-    # with no terms, whose sums bincount gives as int64 zeros; adding
-    # them still turns -0.0 into 0.0, as adding a whole product does
+    # column 3 holds more terms than a block and columns 0-2 hold none, so
+    # no chunk of runs reaches them: the one np.where(lengths, -0.0, 0.0)
+    # pass adds their + 0.0, which still turns -0.0 into 0.0, as adding a
+    # whole product does
     monkeypatch.setattr(numerics, "_BLOCK_TERMS", 6)
     S = SparseRowMatrix.from_rows([[(3, 1.0 + r)] for r in range(5)], cols=4)
     R = SeededRng(8).normal_matrix(5, 2)
@@ -411,3 +418,61 @@ def test_take_rows_equals_loop_reference(data):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# settings codec
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(-1e6, 1e6)
+POSITIVE = st.floats(1e-6, 1e6)
+TRAIN_CONFIGS = st.builds(
+    TrainConfig,
+    hidden=st.integers(1, 500), k=st.integers(1, 20), lam=st.floats(0.0, 1e6),
+    optimizer=st.sampled_from(sorted(OPTIMIZERS)),
+    alpha=st.none() | st.floats(0.0, math.inf, exclude_min=True),
+    rho=st.floats(0.0, 1.0, exclude_max=True), eps=st.none() | POSITIVE,
+    epochs=st.integers(1, 10**6), batch_size=st.integers(0, 10**4),
+    warm_start_fraction=st.floats(0.0, 1.0), seed=st.integers(-2**63, 2**64 - 1),
+)
+
+
+@st.composite
+def artificial_specs(draw):
+    classes = draw(st.integers(1, 4))
+    pair = st.tuples(FINITE, FINITE)
+    return ArtificialSpec(
+        total=draw(st.integers(classes, 5000)), classes=classes, rotation_deg=draw(FINITE),
+        shift=draw(pair), centers=tuple(draw(st.lists(pair, min_size=classes, max_size=classes))),
+        spread=draw(POSITIVE | st.tuples(*[POSITIVE] * classes)),
+        seed=draw(st.integers(0, 2**64 - 1)), target_seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(TRAIN_CONFIGS)
+def test_train_config_round_trips_through_its_json_object(cfg):
+    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(artificial_specs())
+@example(ArtificialSpec(spread=(0.1, 0.2, 0.3), target_seed=None))
+@example(ArtificialSpec(spread=0.5, target_seed=7))
+def test_artificial_spec_round_trips_through_its_json_object(spec):
+    assert ArtificialSpec.from_dict(spec.to_dict()) == spec
+    assert ArtificialSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+def test_default_settings_write_their_keys_in_field_order():
+    # report.json's config block and spec.json hold these, tuples as lists
+    assert list(TrainConfig().to_dict().items()) == [
+        ("hidden", 15), ("k", 5), ("lambda", 1.0), ("optimizer", "adadelta"), ("alpha", None),
+        ("rho", 0.95), ("eps", None), ("epochs", 1200), ("batch_size", 0),
+        ("warm_start_fraction", 2.0 / 3.0), ("seed", 0)]
+    assert list(ArtificialSpec().to_dict().items()) == [
+        ("total", 639), ("classes", 3), ("rotation_deg", -35.0), ("shift", [0.06, -0.12]),
+        ("centers", [[0.0, 0.0], [1.168, 0.365], [2.165, 1.613]]), ("spread", 0.275),
+        ("seed", 0), ("target_seed", None)]
+    assert ArtificialSpec(spread=(0.1, 0.2, 0.3)).to_dict()["spread"] == [0.1, 0.2, 0.3]
