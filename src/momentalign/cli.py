@@ -138,7 +138,9 @@ def _write_json(path, obj) -> None:
 
 
 def _write_params(path, params: NetworkParams) -> None:
-    """params.json, written piece by piece: no copy of the whole text."""
+    """params.json, written piece by piece, one row of W at a time: no copy
+    of the whole text.  The rows of W are encoded by orjson, imported at
+    the first write."""
     with open(path, "w", newline="\n") as fh:
         fh.writelines(params.json_pieces())
         fh.write("\n")

@@ -51,6 +51,25 @@ def _packed(arrays) -> tuple:
     return flat, _views(flat, arrays)
 
 
+def _json_floats(a: np.ndarray) -> str:
+    """json.dumps(a.tolist()) for a C-contiguous 1-D float64 array, about
+    five times as fast: orjson writes the shortest round-trip digits (Ryu)
+    without calling repr, and its digits are repr's for 1e-4 <= |x| < 1e16
+    and for zeros.  Outside that range repr writes an exponent, and NaN
+    and the infinities are no decimals, so those values go to orjson as
+    NaN, which it writes as null, and json.dumps writes each in its place."""
+    import orjson  # imported here: only writing params.json needs it
+
+    mag = np.abs(a)
+    odd = ~((mag >= 1e-4) & (mag < 1e16)) & (a != 0.0)
+    text = orjson.dumps(np.where(odd, np.nan, a), option=orjson.OPT_SERIALIZE_NUMPY)
+    parts = text.replace(b",", b", ").decode().split("null")
+    out = [parts[0]]
+    for value, part in zip(a[odd].tolist(), parts[1:]):
+        out += (json.dumps(value), part)
+    return "".join(out)
+
+
 @dataclass
 class NetworkParams:
     """The parameters as one float64 vector, flat, that holds W, b, V and c
@@ -100,13 +119,13 @@ class NetworkParams:
 
     def json_pieces(self):
         """The JSON document of the parameters in pieces: one per row of W,
-        then the rest.  json emits floats via repr, the shortest decimal
-        that round-trips, so loading gives back bitwise identical doubles;
-        without indent CPython encodes in C, about twice as fast on a
-        large W.  Joined, the pieces are json.dumps of the whole document."""
+        then the rest.  Every float is written as repr writes it, the
+        shortest decimal that round-trips, so loading gives back bitwise
+        identical doubles.  Joined, the pieces are json.dumps of the whole
+        document; the rows of W, most of its text, come from _json_floats."""
         yield '{"W": ['
         for i, row in enumerate(self.W):
-            yield (", " if i else "") + json.dumps(row.tolist())
+            yield (", " if i else "") + _json_floats(row)
         rest = json.dumps({
             "b": self.b.tolist(),
             "V": self.V.tolist(),
@@ -134,6 +153,10 @@ class NetworkParams:
         doc = {"shapes": {}, "seed": None, **doc}
         check_json_types(doc, ints=("seed",), nullable=("seed",),
                          arrays={"W": (2,), "b": (1,), "V": (2,), "c": (1,)})
+        for key in ("W", "V"):
+            lengths = sorted({len(row) for row in doc[key]})
+            if len(lengths) > 1:
+                raise ValueError(f"{key} must have rows of one length, got lengths {lengths}")
         shapes = json_object(doc["shapes"], ("hidden", "input", "classes"), "shapes")
         p = cls(*(np.array(doc[key], dtype=np.float64) for key in ("W", "b", "V", "c")), doc["seed"])
         if shapes and (

@@ -689,15 +689,20 @@ MALFORMED_PARAMS = [
     ({**PARAMS, "V": [1.0, -1.0]}, "V must be a list of lists of numbers, got [1.0, -1.0]"),
     ({**PARAMS, "W": []}, "W must be a 2-D array"),
     ({**PARAMS, "c": [[0.0, 0.0]]}, "c must be a list of numbers, got [[0.0, 0.0]]"),
+    ({**PARAMS, "W": [[0.5, -0.5], [1.0]], "b": [0.0, 0.0]},
+     "W must have rows of one length, got lengths [1, 2]"),
+    ({**PARAMS, "V": [[1.0], []]}, "V must have rows of one length, got lengths [0, 1]"),
 ]
 
 
 @pytest.mark.parametrize("doc, message", MALFORMED_PARAMS,
                          ids=["array", "no-W", "unknown-key", "shapes-number", "shapes-unknown-key",
-                              "seed-string", "W-1-D", "V-1-D", "W-empty", "c-2-D"])
+                              "seed-string", "W-1-D", "V-1-D", "W-empty", "c-2-D",
+                              "W-ragged", "V-ragged"])
 def test_report_alignment_rejects_malformed_params(tmp_path, capsys, doc, message):
     # an array, a missing W and a number for shapes raised TypeError,
-    # KeyError and AttributeError; a 1-D W failed to unpack its shape.
+    # KeyError and AttributeError; a 1-D W failed to unpack its shape;
+    # a ragged W or V failed in numpy with a message that named no array.
     # The data files do not exist: the params must fail first
     params = write_config(tmp_path, doc, "params.json")
     assert run(capsys, "report-alignment", "--params", params, "--source",

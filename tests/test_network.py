@@ -95,6 +95,12 @@ def test_sparse_forward_from_weights_t_held_in_the_gradient():
     assert got.outputs.tobytes() == want.outputs.tobytes()
 
 
+def params_doc(p):
+    return {"W": p.W.tolist(), "b": p.b.tolist(), "V": p.V.tolist(), "c": p.c.tolist(),
+            "shapes": {"hidden": p.hidden, "input": p.input_dim, "classes": p.classes},
+            "seed": p.seed}
+
+
 def test_params_json_round_trip():
     p = tiny_params(seed=9)
     q = NetworkParams.from_json(p.to_json())
@@ -110,6 +116,11 @@ def test_params_json_round_trip():
     W[1, :3] = [np.nextafter(1.0, 2.0), 1.0 / 3.0, -np.pi * 1e300]
     big = NetworkParams(W, rng.normal_matrix(1, 50)[0], rng.normal_matrix(2, 50), [0.1, -0.0])
     text = big.to_json()
+    want = json.dumps(params_doc(big))
+    if text != want:  # reported by hand: pytest's diff of two 5 MB texts takes minutes
+        at = next((i for i, (x, y) in enumerate(zip(text, want)) if x != y), len(want))
+        pytest.fail(f"to_json differs from json.dumps at {at}: "
+                    f"{text[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
     back = NetworkParams.from_json(text)
     for a, b in [(big.W, back.W), (big.b, back.b), (big.V, back.V), (big.c, back.c)]:
         assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -119,21 +130,30 @@ def test_params_json_round_trip():
         NetworkParams.from_json(json.dumps(doc))
 
 
+# the edges of the range where repr writes no exponent, 1e-4 <= |x| < 1e16,
+# and the values that are no decimals: the rows of W take another encoder
+# than json's inside that range and json's own outside it
+EDGE_FLOATS = [
+    sign * x
+    for x in (1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+              9999999999999998.0, 1e16, 5e-324, 2.2250738585072014e-308, 0.0, math.inf)
+    for sign in (1.0, -1.0)
+] + [math.nan]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(0, 4), st.integers(0, 5), st.integers(1, 3),
        st.one_of(st.none(), st.integers(0, 2**64 - 1)))
 def test_params_json_pieces_join_to_the_whole_document(data, h, m, c, seed):
     # one piece per row of W, then the rest: the same text as one json.dumps,
-    # NaN and infinities included
-    values = st.floats(width=64)
+    # NaN, infinities and the edges of repr's exponent form included
+    values = st.one_of(st.floats(width=64), st.sampled_from(EDGE_FLOATS))
     draw = lambda *shape: np.array(data.draw(st.lists(  # noqa: E731
         values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
     p = NetworkParams(draw(h, m), draw(h), draw(c, h), draw(c), seed)
-    doc = {"W": p.W.tolist(), "b": p.b.tolist(), "V": p.V.tolist(), "c": p.c.tolist(),
-           "shapes": {"hidden": h, "input": m, "classes": c}, "seed": seed}
     pieces = list(p.json_pieces())
     assert len(pieces) == h + 2
-    assert "".join(pieces) == p.to_json() == json.dumps(doc)
+    assert "".join(pieces) == p.to_json() == json.dumps(params_doc(p))
 
 
 def test_params_json_pieces_are_row_sized():
@@ -148,6 +168,15 @@ def test_params_from_json_rejects_bad_shapes():
     doc = json.loads(tiny_params().to_json())
     doc["b"] = doc["b"][:-1]
     with pytest.raises(ValueError):
+        NetworkParams.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", ["W", "V"])
+def test_params_from_json_rejects_ragged_rows(name):
+    # numpy's "inhomogeneous shape" message named no array
+    doc = json.loads(tiny_params().to_json())
+    doc[name][-1] = doc[name][-1][:-1]
+    with pytest.raises(ValueError, match=f"^{name} must have rows of one length, got lengths "):
         NetworkParams.from_json(json.dumps(doc))
 
 

@@ -11,6 +11,8 @@ import momentalign
 from momentalign.cli import main
 from momentalign.datasets import ArtificialSpec
 from momentalign.distances import cmd_estimate
+from momentalign.network import init_params
+from momentalign.numerics import SeededRng
 from momentalign.trainer import TrainConfig
 from momentalign.verify import check_gradients
 
@@ -22,6 +24,7 @@ NAMES = [
     "run-config",
     "sweep-config",
     "run-report",
+    "params",
 ]
 
 
@@ -52,7 +55,7 @@ def validators():
 
 def test_all_schema_files_ship_and_are_valid():
     docs = load_schemas()
-    assert len(docs) == 6
+    assert len(docs) == 7
     for name, doc in docs.items():
         jsonschema.Draft202012Validator.check_schema(doc)
         assert doc["$id"] == f"momentalign/{name}"
@@ -201,6 +204,7 @@ def test_run_report_instances(validators, tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((tmp_path / "t" / "report.json").read_text())
     validators["run-report"].validate(report)
+    validators["params"].validate(json.loads((tmp_path / "t" / "params.json").read_text()))
 
     doc["out"] = str(tmp_path / "w")
     cfg.write_text(json.dumps(doc))
@@ -208,6 +212,8 @@ def test_run_report_instances(validators, tmp_path, capsys):
     capsys.readouterr()
     ws_report = json.loads((tmp_path / "w" / "report.json").read_text())
     validators["run-report"].validate(ws_report)
+    for name in ("params.json", "params-shallow.json"):
+        validators["params"].validate(json.loads((tmp_path / "w" / name).read_text()))
 
     with pytest.raises(jsonschema.ValidationError):
         validators["run-report"].validate({"command": "train"})
@@ -240,3 +246,24 @@ def test_run_report_config_records_generated_or_file_data(validators, tmp_path, 
     ):
         with pytest.raises(jsonschema.ValidationError):
             v.validate(dict(report, config=bad))
+
+
+def test_params_instances(validators):
+    v = validators["params"]
+    params = json.loads(init_params(3, 4, 2, SeededRng(5)).to_json())
+    v.validate(params)
+    arrays = {key: params[key] for key in ("W", "b", "V", "c")}
+    v.validate(dict(arrays, shapes={}, seed=None))
+    for bad in (
+        {key: val for key, val in arrays.items() if key != "V"},
+        dict(params, bias=[0.0]),
+        dict(params, W=[]),
+        dict(params, W=params["b"]),
+        dict(params, c=[[0.0, 0.0]]),
+        dict(params, b=[True] * len(params["b"])),
+        dict(params, seed="3"),
+        dict(params, shapes={"hidden": 4}),
+        dict(params, shapes=dict(params["shapes"], depth=2)),
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            v.validate(bad)
