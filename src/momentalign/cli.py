@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .analysis import alignment_report, sensitivity_sweep, sweep_grid, write_sweep_csv
 from .datasets import (
     ArtificialSpec,
@@ -202,9 +204,12 @@ def cmd_distance(args) -> int:
         settings.append(value)
     src = _load_sample(args.source, args.format)
     tgt = _load_sample(args.target, args.format)
-    report = fn(src.features, tgt.features, *settings)
+    with np.errstate(all="ignore"):  # a non-finite result is named below
+        report = fn(src.features, tgt.features, *settings)
     if not isinstance(report, DistanceReport):
         report = DistanceReport(name.format(*settings), report)
+    if not np.isfinite(report.value):  # a CMD is the sum of its nonnegative terms
+        raise ConfigError(f"{args.metric} is not finite on these samples")
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import SeededRng, SparseRowMatrix, as_sample, n_cols, n_rows, take_rows
-from .numerics import check_json_types, settings_from_dict, settings_to_dict
+from .numerics import check_json_types, check_labels, settings_from_dict, settings_to_dict
 
 
 @dataclass
@@ -54,11 +54,8 @@ class Sample:
         if not isinstance(self.features, SparseRowMatrix):
             self.features = as_sample(self.features)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.float64)
-            if self.labels.shape[0] != self.n_rows:
-                raise ValueError("feature/label row counts differ")
-            if self.n_classes == 0:
-                self.n_classes = self.labels.shape[1]
+            self.labels = check_labels(self.labels, self.n_rows, self.n_classes or None)
+            self.n_classes = self.labels.shape[1]
 
     @property
     def n_rows(self) -> int:

@@ -32,20 +32,28 @@ from .moments import (
     analytic_raw_moment,
     monomial_matrix,
 )
-from .numerics import as_sample_pair
+from .numerics import as_sample_pair, check_json_types
 
 _NORM_EPS = 1e-12
 
 
-@dataclass
+def _order(value, name: str) -> None:
+    """ValueError unless value, the setting name, is an integer >= 1, a bool
+    being none."""
+    check_json_types({name: value}, ints=(name,))
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+@dataclass(frozen=True)  # checked once, when built
 class CmdConfig:
     k: int = 5
     weights: list = field(default_factory=list)  # empty = all ones
     mode: str = MARGINAL
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _order(self.k, "k")
+        _check_mode(self.mode)
         if self.weights and len(self.weights) != self.k:
             raise ValueError("need one weight per order 1..k")
         if any(w < 0 for w in self.weights):
@@ -82,7 +90,6 @@ class MomentGap:
 
     @classmethod
     def of(cls, S: np.ndarray, T: np.ndarray, cfg: CmdConfig) -> "MomentGap":
-        _check_mode(cfg.mode)
         cs = CentralMomentVector(cfg.k, cfg.mode, _stacked_central_moments(S, cfg.k, cfg.mode))
         ct = CentralMomentVector(cfg.k, cfg.mode, _stacked_central_moments(T, cfg.k, cfg.mode))
         if cfg.mode == MARGINAL:  # every order has width m: one (k, g, m) gap
@@ -165,16 +172,14 @@ def cmd_analytic(d1, d2, cfg: CmdConfig | None = None) -> DistanceReport:
 def raw_moment_ipm(d1, d2, k: int) -> float:
     """|E[x^k] - E[x'^k]| for 1-D analytic distributions: the IPM over the
     unit ball of order-k monomials, which carries the mean through powers."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _order(k, "k")
     return abs(analytic_raw_moment(d1, k) - analytic_raw_moment(d2, k))
 
 
 def raw_moment_ipm_estimate(src, tgt, k: int) -> float:
     """Euclidean norm of the gap between the two samples' mean vectors of
     coordinatewise k-th powers: the sample side of raw_moment_ipm."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _order(k, "k")
     Xs, Xt = as_sample_pair(src, tgt)
     gap = monomial_matrix(Xs, k).mean(axis=0) - monomial_matrix(Xt, k).mean(axis=0)
     return float(np.linalg.norm(gap))
@@ -186,8 +191,7 @@ def mmd_polynomial_analytic(d1, d2, degree: int) -> float:
     Expanding the kernel gives sum_{i=1..degree} C(degree, i) *
     (E[x^i] - E[y^i])^2; the constant term cancels.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _order(degree, "degree")
     total = 0.0
     for i in range(1, degree + 1):
         gap = analytic_raw_moment(d1, i) - analytic_raw_moment(d2, i)
@@ -195,39 +199,42 @@ def mmd_polynomial_analytic(d1, d2, degree: int) -> float:
     return total
 
 
-def mmd_polynomial_estimate(src, tgt, degree: int) -> float:
-    """Biased V-statistic estimate of squared MMD with the kernel
-    (1 + x.y)^degree, clamped at 0 from below: the sample side of
-    mmd_polynomial_analytic."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+def _mmd_v_statistic(src, tgt, kernel) -> float:
+    """Biased V-statistic estimate of squared MMD, clamped at 0 from below
+    (a NaN stays NaN); kernel(A, B) is the kernel's matrix over the row
+    pairs of A and B."""
     Xs, Xt = as_sample_pair(src, tgt)
 
     def mean_kernel(A, B):
-        return float(((1.0 + A @ B.T) ** degree).mean())
+        return float(kernel(A, B).mean())
 
     value = mean_kernel(Xs, Xs) + mean_kernel(Xt, Xt) - 2.0 * mean_kernel(Xs, Xt)
-    return max(0.0, value)
+    return max(value, 0.0)
+
+
+def mmd_polynomial_estimate(src, tgt, degree: int) -> float:
+    """The MMD V-statistic with the kernel (1 + x.y)^degree: the sample side
+    of mmd_polynomial_analytic."""
+    _order(degree, "degree")
+    return _mmd_v_statistic(src, tgt, lambda A, B: (1.0 + A @ B.T) ** degree)
 
 
 def mmd_gaussian_estimate(src, tgt, bandwidth: float) -> float:
-    """Biased V-statistic estimate of squared MMD with the Gaussian kernel
-    exp(-||x-y||^2 / (2 bandwidth^2)), clamped at 0 from below."""
+    """The MMD V-statistic with the Gaussian kernel
+    exp(-||x-y||^2 / (2 bandwidth^2))."""
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    Xs, Xt = as_sample_pair(src, tgt)
 
-    def mean_kernel(A, B):
+    def kernel(A, B):
         sq = (
             (A * A).sum(axis=1)[:, None]
             + (B * B).sum(axis=1)[None, :]
             - 2.0 * A @ B.T
         )
         np.maximum(sq, 0.0, out=sq)
-        return float(np.exp(-sq / (2.0 * bandwidth * bandwidth)).mean())
+        return np.exp(-sq / (2.0 * bandwidth * bandwidth))
 
-    value = mean_kernel(Xs, Xs) + mean_kernel(Xt, Xt) - 2.0 * mean_kernel(Xs, Xt)
-    return max(value, 0.0)
+    return _mmd_v_statistic(src, tgt, kernel)
 
 
 def coral_distance(src, tgt) -> float:

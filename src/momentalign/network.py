@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distances import CmdConfig, MomentGap, cmd_cotangents
-from .numerics import SparseRowMatrix, as_sample, check_finite, check_json_types, json_object, n_cols
+from .numerics import SparseRowMatrix, as_sample, check_finite, check_json_types, check_labels, json_object
+from .numerics import n_cols
 
 _LOG_CLAMP = 1e-12
 
@@ -276,9 +277,7 @@ def _cross_entropy(outputs: np.ndarray, Y: np.ndarray):
 
 
 def cross_entropy_loss(trace: ForwardTrace, Y: np.ndarray) -> float:
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != trace.outputs.shape:
-        raise ValueError("labels do not align with outputs")
+    Y = check_labels(Y, *trace.outputs.shape)
     return float(_cross_entropy(trace.outputs, Y))
 
 
@@ -304,9 +303,7 @@ def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray, out) ->
     """The cotangent on h0 of the mean cross-entropy on trace's rows, after
     adding its dV and dc into out, a (dV, dc) pair; backprop_hidden turns
     the cotangent into dW and db."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != trace.outputs.shape:
-        raise ValueError("labels do not align with outputs")
+    Y = check_labels(Y, *trace.outputs.shape)
     n = Y.shape[0]
     dV, dc = out
     resid = trace.outputs - Y  # n x classes
@@ -387,30 +384,16 @@ _STENCIL = (1.0, -1.0, 2.0, -2.0)  # the O(h^4) central difference's offsets, in
 _FD_CHUNK = 1 << 14  # hidden activations per chunk of perturbed networks: 128 KiB, inside L2
 
 
-def _stencil_values(p: NetworkParams, which: str, step: float, *, X=None, Y=None,
-                    Xs=None, Xt=None, cfg: CmdConfig | None = None) -> np.ndarray:
-    """f[i, o]: the objective ('loss' on (X, Y) or 'cmd' between Xs and Xt)
-    of p with its i-th parameter coordinate moved by step * _STENCIL[o].
-    The coordinates run through W, b and, for the loss, V and c, each
-    flattened.  The perturbed networks run as stacks of at most _FD_CHUNK
-    hidden activations (one network at least); each network's arithmetic
-    is the same in any stack, so chunking changes no value."""
-    if which == "loss":
-        X, Y = as_sample(X), np.asarray(Y, dtype=np.float64)
-        names, rows = ("W", "b", "V", "c"), X.shape[0]
-
-        def objective(W, b, V, c):
-            return _cross_entropy(_outputs(_hidden(X, W, b), V, c), Y)
-    else:
-        Xs, Xt, cfg = as_sample(Xs), as_sample(Xt), cfg or CmdConfig()
-        names, rows = ("W", "b"), Xs.shape[0] + Xt.shape[0]
-
-        def objective(W, b):
-            reports = MomentGap.of(_hidden(Xs, W, b), _hidden(Xt, W, b), cfg).reports(cfg)
-            return [r.value for r in reports]
-
+def _stencil_values(p: NetworkParams, names: str, rows: int, objective, step: float) -> np.ndarray:
+    """f[i, o]: objective, a function of the arrays names of p ("WbVc" or
+    "Wb", which lead p.flat) stacked with a leading axis of networks, at p
+    with its i-th coordinate of those arrays, each flattened, moved by
+    step * _STENCIL[o].  The perturbed networks run as stacks of at most
+    _FD_CHUNK hidden activations, rows of them per network (one network
+    at least); each network's arithmetic is the same in any stack, so
+    chunking changes no value."""
     arrays = [getattr(p, name) for name in names]
-    theta = p.flat[:sum(a.size for a in arrays)]  # W and b lead the vector
+    theta = p.flat[:sum(a.size for a in arrays)]
     cuts = np.cumsum([a.size for a in arrays])[:-1]
     coord = np.repeat(np.arange(theta.size), len(_STENCIL))
     moved = theta[coord] + np.tile(step * np.array(_STENCIL), theta.size)
@@ -444,7 +427,8 @@ def finite_difference_check(p: NetworkParams, *, X, Y, Xt, cfg: CmdConfig | None
     (X, Y) and target Xt: at lambda = 0 against the loss's central
     difference, and (at _FD_LAMBDA minus at 0) / _FD_LAMBDA against the
     CMD's, the worse of two forms: with the MomentGap train carries (a
-    cmd_estimate's) and without one.  Sparse inputs are densified once."""
+    cmd_estimate's) and without one.  The objectives the stencils read
+    run on inputs densified once."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite number > 0, got {step}")
     cfg = cfg or CmdConfig()
@@ -453,5 +437,14 @@ def finite_difference_check(p: NetworkParams, *, X, Y, Xt, cfg: CmdConfig | None
     carried = MomentGap.of(trace_s.hidden[None], trace_t.hidden[None], cfg)
     cmd = [(step_gradients(p, X, Y, Xt, _FD_LAMBDA, cfg, trace_s, trace_t, moments).flat - loss)
            / _FD_LAMBDA for moments in (carried, None)]
-    return (_worst([loss], _stencil_values(p, "loss", step, X=X, Y=Y), step),
-            _worst(cmd, _stencil_values(p, "cmd", step, Xs=X, Xt=Xt, cfg=cfg), step))
+    Xd, Xtd, Y = as_sample(X), as_sample(Xt), np.asarray(Y, dtype=np.float64)
+
+    def loss_at(W, b, V, c):
+        return _cross_entropy(_outputs(_hidden(Xd, W, b), V, c), Y)
+
+    def cmd_at(W, b):
+        return [r.value for r in MomentGap.of(_hidden(Xd, W, b), _hidden(Xtd, W, b), cfg).reports(cfg)]
+
+    rows = Xd.shape[0]
+    return (_worst([loss], _stencil_values(p, "WbVc", rows, loss_at, step), step),
+            _worst(cmd, _stencil_values(p, "Wb", rows + Xtd.shape[0], cmd_at, step), step))

@@ -289,6 +289,18 @@ def check_finite(**samples) -> None:
             raise ValueError(f"{name} must be finite, got a non-finite value")
 
 
+def check_labels(Y, rows: int, classes: int | None = None, what: str = "labels") -> np.ndarray:
+    """Y as float64 labels of one row per feature row and one column per
+    class, classes of them when given; else ValueError naming them what."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.shape[:1] != (rows,):
+        raise ValueError(f"{what} do not align with features")
+    if Y.ndim != 2 or classes is not None and Y.shape[1] != classes:
+        n = "" if classes is None else f"{classes} "
+        raise ValueError(f"{what} must have {n}columns, one per class")
+    return Y
+
+
 _NUMBER = (int, float, np.integer, np.floating)
 _SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
 

@@ -17,53 +17,56 @@ an accumulator of squares must stay nonnegative, so a minus there (seen
 in some write-ups) would drive E negative and the square root complex.
 
 Each optimizer acts on the flat vectors NetworkParams.flat and
-Gradients.flat.  At its first step it allocates its accumulators and two
-scratch vectors of _CHUNK doubles; a step runs the formulas above one
-chunk of the vectors at a time, every temporary written into the
-scratch, so each element sees the same operations in the same order as
-a whole-vector step.  The accumulators are the rows of buffers: G,
-then E; NetworkParams.views lays W, b, V and c over each.
+Gradients.flat, and each step takes its pieces from one scaffold,
+_chunks: it checks the gradient, allocates at the first step the
+accumulators and two scratch vectors of _CHUNK doubles, and hands the
+vectors over one chunk at a time.  A step runs the formulas above on
+each chunk, every temporary written into the scratch, so each element
+sees the same operations in the same order as a whole-vector step.  The
+accumulators are the rows of buffers: G, then E; NetworkParams.views
+lays W, b, V and c over each.  An optimizer's settings are its
+dataclass fields, which make_optimizer reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .network import Gradients, NetworkParams
 
+_CHUNK = 1 << 13  # doubles per chunk of a step: 64 KiB a scratch vector
 
-def _check(p: NetworkParams, g: Gradients):
-    """Before a step changes anything: ValueError on a gradient of the wrong
-    shape, FloatingPointError naming the first non-finite one."""
-    if any(getattr(p, n).shape != getattr(g, "d" + n).shape for n in "WbVc"):
+
+class _State:
+    """An optimizer's accumulators, count rows of the parameters' size, and
+    its two scratch vectors, both allocated at its first step."""
+
+    buffers: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+
+
+def _chunks(opt: _State, p: NetworkParams, g: Gradients, count: int):
+    """The pieces of a step of opt, which keeps count accumulators: per
+    chunk of at most _CHUNK elements, the chunk of p.flat, of g.flat and
+    of each accumulator, then the two scratch vectors cut to its length.
+    Vectors that fit one chunk are handed over whole.  Before anything
+    changes: ValueError on a gradient of the wrong shape, FloatingPointError
+    naming the first non-finite one, and ValueError on parameters of
+    another size than the state's.  Sgd's (0, size) buffers keep the size."""
+    if (p.W.shape, p.b.shape, p.V.shape, p.c.shape) != (g.dW.shape, g.db.shape, g.dV.shape, g.dc.shape):
         raise ValueError("gradient shape does not match parameters")
     if not np.isfinite(g.flat).all():
         name = next(n for n in "WbVc" if not np.isfinite(getattr(g, "d" + n)).all())
         raise FloatingPointError(f"non-finite gradient d{name}")
-
-
-_CHUNK = 1 << 13  # doubles per chunk of a step: 64 KiB a scratch vector
-
-
-def _buffers(opt, p: NetworkParams, count: int) -> np.ndarray:
-    """opt's count accumulators of p.flat's size, zeros at the first step,
-    when its scratch is allocated too.  Sgd has none, and its (0, size)
-    array keeps the size that a later step must match."""
+    size = p.flat.size
     if opt.buffers is None:
-        opt.buffers = np.zeros((count, p.flat.size))
-        opt.scratch = np.empty((2, min(p.flat.size, _CHUNK)))
-    elif opt.buffers.shape[1] != p.flat.size:
+        opt.buffers = np.zeros((count, size))
+        opt.scratch = np.empty((2, min(size, _CHUNK)))
+    elif opt.buffers.shape[1] != size:
         raise ValueError("the optimizer's state belongs to parameters of another size")
-    return opt.buffers
-
-
-def _chunks(opt, *vectors):
-    """Per chunk of at most _CHUNK elements: the chunk of each vector, then
-    opt's two scratch vectors cut to its length.  Vectors that fit one
-    chunk are handed over whole, with scratch of their own length."""
-    size = vectors[0].size
+    vectors = (p.flat, g.flat, *opt.buffers)
     if size <= _CHUNK:
         return ((*vectors, *opt.scratch),)
     return ((*(v[start:start + _CHUNK] for v in vectors), *opt.scratch[:, :min(_CHUNK, size - start)])
@@ -71,29 +74,21 @@ def _chunks(opt, *vectors):
 
 
 @dataclass
-class Sgd:
+class Sgd(_State):
     alpha: float = 0.1
-    buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
-        _check(p, g)
-        _buffers(self, p, 0)
-        for theta, grad, u, _ in _chunks(self, p.flat, g.flat):
+        for theta, grad, u, _ in _chunks(self, p, g, 0):
             theta -= np.multiply(self.alpha, grad, out=u)
 
 
 @dataclass
-class Adagrad:
+class Adagrad(_State):
     alpha: float = 0.01
     eps: float = 1e-8
-    buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
-        _check(p, g)
-        (acc,) = _buffers(self, p, 1)
-        for theta, grad, G, u, v in _chunks(self, p.flat, g.flat, acc):
+        for theta, grad, G, u, v in _chunks(self, p, g, 1):
             G += np.multiply(grad, grad, out=u)
             np.multiply(self.alpha, grad, out=u)
             np.sqrt(np.add(G, self.eps, out=v), out=v)
@@ -101,11 +96,9 @@ class Adagrad:
 
 
 @dataclass
-class Adadelta:
+class Adadelta(_State):
     rho: float = 0.95
     eps: float = 1e-6
-    buffers: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
@@ -114,10 +107,8 @@ class Adadelta:
             raise ValueError("eps must be positive")
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
-        _check(p, g)
-        acc, eacc = _buffers(self, p, 2)
         rest = 1.0 - self.rho
-        for theta, grad, G, E, u, v in _chunks(self, p.flat, g.flat, acc, eacc):
+        for theta, grad, G, E, u, v in _chunks(self, p, g, 2):
             G *= self.rho
             G += np.multiply(np.multiply(rest, grad, out=u), grad, out=u)
             np.sqrt(np.add(E, self.eps, out=u), out=u)
@@ -128,12 +119,8 @@ class Adadelta:
             E += np.multiply(np.multiply(rest, update, out=v), update, out=v)
 
 
-# kind -> (class, the settings it takes); each class holds its defaults
-OPTIMIZERS = {
-    "sgd": (Sgd, ("alpha",)),
-    "adagrad": (Adagrad, ("alpha", "eps")),
-    "adadelta": (Adadelta, ("rho", "eps")),
-}
+# kind -> class; a class's fields are the settings it takes, with their defaults
+OPTIMIZERS = {"sgd": Sgd, "adagrad": Adagrad, "adadelta": Adadelta}
 
 
 def make_optimizer(kind: str, **settings):
@@ -141,5 +128,6 @@ def make_optimizer(kind: str, **settings):
     the kind's default; one the kind does not take is ignored."""
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
-    cls, takes = OPTIMIZERS[kind]
+    cls = OPTIMIZERS[kind]
+    takes = {f.name for f in fields(cls)}
     return cls(**{k: v for k, v in settings.items() if k in takes and v is not None})

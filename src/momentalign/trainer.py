@@ -40,8 +40,8 @@ from .network import (
     init_params,
     step_gradients,
 )
-from .numerics import SeededRng, SparseRowMatrix, check_finite, check_json_types, n_cols, n_rows, take_rows
-from .numerics import settings_from_dict, settings_to_dict
+from .numerics import SeededRng, SparseRowMatrix, check_finite, check_json_types, check_labels, n_cols
+from .numerics import n_rows, settings_from_dict, settings_to_dict, take_rows
 from .optim import OPTIMIZERS, make_optimizer
 
 __all__ = [
@@ -146,13 +146,9 @@ def _accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
 def evaluate(p: NetworkParams, X, Y) -> tuple[float, float]:
     """(accuracy, mean disagreement): argmax match rate and the mean of
     sum_i |h_i - y_i| / 2 per example."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape[0] == 0:
+    if n_rows(X) == 0:
         raise ValueError("empty sample")
-    if Y.shape[0] != n_rows(X):
-        raise ValueError("labels do not align with features")
-    if Y.shape[1:] != (p.classes,):
-        raise ValueError(f"labels must have {p.classes} columns, one per class of the network")
+    Y = check_labels(Y, n_rows(X), p.classes)
     outputs = forward(p, X).outputs
     accuracy = _accuracy(outputs, Y.argmax(axis=1))
     disagreement = float(np.abs(outputs - Y).sum(axis=1).mean() / 2.0)
@@ -197,21 +193,15 @@ def train(
     the per-epoch shuffle streams aligned with a single longer run.
     snapshot_at=j stores a copy of the parameters as they stood after
     j epochs (0 = the initialization).  Non-finite features or labels,
-    labels whose rows do not match their features', and target labels
-    whose columns do not match the source labels' raise ValueError
-    before the first epoch.
+    labels whose rows do not match their features' or that are not 2-D,
+    and target labels whose columns do not match the source labels'
+    raise ValueError before the first epoch.
     """
-    Ys = np.asarray(Ys, dtype=np.float64)
     ns, nt = n_rows(Xs), n_rows(Xt)
     if ns == 0 or nt == 0:
         raise ValueError("empty sample")
-    if Ys.shape[0] != ns:
-        raise ValueError("source labels do not align with features")
-    Yt = None if Yt is None else np.asarray(Yt, dtype=np.float64)
-    if Yt is not None and Yt.shape[0] != nt:
-        raise ValueError("target labels do not align with features")
-    if Yt is not None and Yt.shape[1:] != Ys.shape[1:]:
-        raise ValueError("target labels must have the source labels' columns, one per class")
+    Ys = check_labels(Ys, ns, what="source labels")
+    Yt = None if Yt is None else check_labels(Yt, nt, Ys.shape[1], "target labels")
     check_finite(Xs=Xs, Ys=Ys, Xt=Xt, Yt=Yt)
     cmd_cfg = CmdConfig(k=cfg.k)
     labels_s = Ys.argmax(axis=1)
@@ -298,13 +288,10 @@ def warm_start_train(Xs, Ys, Xt, cfg: TrainConfig, Yt=None) -> WarmStartResult:
         Xs, Ys, Xt, replace(cfg, lam=0.0), Yt=Yt, snapshot_at=snap_epoch
     )
     remaining = cfg.epochs - snap_epoch
-    if shallow.snapshot is None:
-        # divergence before the snapshot epoch: fall back to the last
-        # stable parameters so the comparison still reports something
-        start = shallow.params
-    else:
-        start = shallow.snapshot
-    if remaining > 0 and cfg.lam != 0.0 and not (shallow.diverged and shallow.snapshot is None):
+    # no snapshot means the shallow run diverged before the snapshot epoch:
+    # its last stable parameters stand in, and no aligned run starts
+    start = shallow.snapshot or shallow.params
+    if remaining > 0 and cfg.lam != 0.0 and shallow.snapshot is not None:
         # the budget rides in the config, the fourth argument, where
         # bench/tracer.py counts a train call's epochs
         mann = train(Xs, Ys, Xt, replace(cfg, epochs=remaining), Yt=Yt, init=start,

@@ -277,6 +277,22 @@ def test_distance_rejects_bad_input(tmp_path, capsys, extra, target, message):
     assert message in err
 
 
+@pytest.mark.parametrize("metric", [["cmd"], ["raw-ipm", "--k", "2"], ["coral"],
+                                    ["mmd-gauss", "--beta", "1"], ["mmd-poly", "--degree", "2"]],
+                         ids=lambda metric: metric[0])
+def test_distance_rejects_a_result_that_is_not_finite(tmp_path, capsys, recwarn, metric):
+    # finite values whose moments and kernels overflow: every metric used
+    # to exit 0, printing NaN or Infinity, or for mmd-poly a false 0.0
+    src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+    src.write_text("f1,f2\n1e200,1\n-1e200,2\n3e199,0\n")
+    tgt.write_text("f1,f2\n0.5,1\n0.1,2\n0.3,0\n")
+    code, out, err = run(capsys, "distance", "--metric", *metric, "--source", str(src),
+                         "--target", str(tgt))
+    assert (code, out) == (2, "")
+    assert err == f"error: {metric[0]} is not finite on these samples\n"
+    assert not recwarn.list  # NumPy's overflow warnings would print before it
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -407,7 +423,7 @@ def test_train_checks_the_target_files_classes_against_the_sources(tmp_path, cap
     got, _, err = run(capsys, "train", "--config", write_config(tmp_path, doc))
     assert got == code
     if code == 2:
-        assert "target labels must have the source labels' columns" in err
+        assert "target labels must have 3 columns, one per class" in err
         assert not (tmp_path / "out").exists()
     else:
         assert 0.0 <= json.loads((tmp_path / "out" / "report.json").read_text())["final"]["target_acc"] <= 1.0

@@ -43,6 +43,15 @@ def test_sample_basics():
     assert Sample(np.ones(3)).dim == 1
 
 
+def test_sample_rejects_labels_beside_another_class_count():
+    # three label columns beside n_classes = 5 used to keep n_classes at 5
+    with pytest.raises(ValueError, match="^labels must have 5 columns, one per class$"):
+        Sample(np.ones((4, 2)), one_hot(np.array([0, 1, 2, 0]), 3), 5)
+    with pytest.raises(ValueError, match="^labels do not align with features$"):
+        Sample(np.ones((4, 2)), one_hot(np.array([0, 1]), 2))
+    assert Sample(np.ones((4, 2)), one_hot(np.array([0, 1, 2, 0]), 3), 3).n_classes == 3
+
+
 def test_one_hot():
     Y = one_hot(np.array([2, 0]), 3)
     assert np.array_equal(Y, [[0, 0, 1], [1, 0, 0]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from momentalign.distances import (
     coral_distance,
     mmd_gaussian_estimate,
     mmd_polynomial_analytic,
+    mmd_polynomial_estimate,
     raw_moment_ipm,
+    raw_moment_ipm_estimate,
 )
 from momentalign.moments import FULL, MARGINAL, AffineBeta, Normal
 from momentalign.numerics import SeededRng, SparseRowMatrix
@@ -57,6 +61,41 @@ def test_cmd_config_validation():
         CmdConfig(k=3, weights=[1.0, 1.0])
     with pytest.raises(ValueError):
         CmdConfig(k=2, weights=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    # 2.5 failed inside the moment pass, True ran as k = 1, and "bogus"
+    # constructed; the estimators raised TypeError or, for mmd-poly, gave
+    # 0.0 with a RuntimeWarning
+    (lambda: CmdConfig(k=2.5), "^k must be an integer, got 2.5$"),
+    (lambda: CmdConfig(k=True), "^k must be an integer, got True$"),
+    (lambda: CmdConfig(mode="bogus"), "^unknown monomial mode 'bogus'$"),
+    (lambda: raw_moment_ipm(Normal(0.0, 1.0), Normal(0.5, 1.0), 2.5), "^k must be an integer"),
+    (lambda: raw_moment_ipm_estimate(TWO_POINT_SRC, TWO_POINT_TGT, 2.5), "^k must be an integer"),
+    (lambda: mmd_polynomial_analytic(Normal(0.0, 1.0), Normal(0.5, 1.0), 2.5), "^degree must be an integer"),
+    (lambda: mmd_polynomial_estimate(TWO_POINT_SRC, TWO_POINT_TGT, 2.5), "^degree must be an integer"),
+    (lambda: mmd_polynomial_estimate(TWO_POINT_SRC, TWO_POINT_TGT, 0), "^degree must be >= 1$"),
+], ids=["config-k-float", "config-k-bool", "config-mode", "raw-ipm-k-float", "raw-ipm-estimate-k-float",
+        "mmd-poly-degree-float", "mmd-poly-estimate-degree-float", "mmd-poly-estimate-degree-0"])
+def test_distance_settings_are_checked_where_they_enter(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_cmd_config_keeps_the_settings_it_was_checked_with():
+    # MomentGap.of reads mode unchecked: a mode set after construction
+    # would run as full mode
+    cfg = CmdConfig(k=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.mode = "bogus"
+    assert dataclasses.replace(cfg, weights=[1.0, 2.0, 3.0]).weight(2) == 2.0
+
+
+def test_mmd_polynomial_estimate_keeps_a_nan():
+    # inf - inf between the kernel means: the clamp at 0 used to return 0.0
+    huge = np.array([[1e200, 1.0], [-1e200, 2.0], [3e199, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(mmd_polynomial_estimate(huge, TWO_POINT_SRC @ [[1.0, 1.0]], 2))
 
 
 def test_cmd_input_validation():

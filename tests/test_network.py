@@ -514,6 +514,22 @@ def test_finite_difference_check_nan_gradient_coordinate_is_nan(monkeypatch, whi
     assert math.isnan(loss_err) if which == "loss" else loss_err < 1e-6
 
 
+def oracle_stencils(p, X, Y, Xt, cfg=None):
+    """(names, rows, objective, values) of each _stencil_values call that
+    finite_difference_check makes, the loss's first."""
+    calls, real = [], network._stencil_values
+
+    def record(p, names, rows, objective, step):
+        f = real(p, names, rows, objective, step)
+        calls.append((names, rows, objective, f))
+        return f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_stencil_values", record)
+        finite_difference_check(p, X=X, Y=Y, Xt=Xt, cfg=cfg)
+    return calls
+
+
 def test_finite_difference_check_densifies_sparse_input():
     p = tiny_params(seed=7, m=3, h=4, c=2)
     Xs = SeededRng(8).normal_matrix(6, 3)
@@ -522,10 +538,11 @@ def test_finite_difference_check_densifies_sparse_input():
     Y = np.eye(2)[np.arange(6) % 2]
     errs = finite_difference_check(p, X=sparse_copy(Xs), Y=Y, Xt=sparse_copy(Xt))
     assert max(errs) < 1e-8
-    for which, kw in (("loss", dict(X=Xs, Y=Y)), ("cmd", dict(Xs=Xs, Xt=Xt))):
-        sparse = {k: sparse_copy(v) if k != "Y" else v for k, v in kw.items()}
-        dense = network._stencil_values(p, which, 1e-3, **kw)
-        assert np.array_equal(network._stencil_values(p, which, 1e-3, **sparse), dense)
+    dense = oracle_stencils(p, Xs, Y, Xt)
+    sparse = oracle_stencils(p, sparse_copy(Xs), Y, sparse_copy(Xt))
+    assert [call[:2] for call in sparse] == [call[:2] for call in dense] == [("WbVc", 6), ("Wb", 11)]
+    for (*_, f_sparse), (*_, f_dense) in zip(sparse, dense):
+        assert np.array_equal(f_sparse, f_dense)
 
 
 def _moved(p, names, i, delta):
@@ -554,15 +571,14 @@ def test_stencil_values_match_scalar_objectives(seed, m, h, c, ns, nt, k, unit):
     Xt = rng.normal_matrix(nt, m) * 0.7 + 0.3
     Y = np.eye(c)[np.arange(ns) % c]
     cfg = CmdConfig(k=k) if unit else CmdConfig(k=k, weights=list(rng.uniforms(k) * 3.0 + 0.1))
-    step = 1e-3
+    step = 1e-3  # finite_difference_check's default
     cases = (
-        ("loss", ("W", "b", "V", "c"), dict(X=Xs, Y=Y),
-         lambda q: cross_entropy_loss(forward(q, Xs), Y)),
-        ("cmd", ("W", "b"), dict(Xs=Xs, Xt=Xt, cfg=cfg),
-         lambda q: cmd_estimate(forward(q, Xs).hidden, forward(q, Xt).hidden, cfg).value),
+        ("WbVc", ns, lambda q: cross_entropy_loss(forward(q, Xs), Y)),
+        ("Wb", ns + nt, lambda q: cmd_estimate(forward(q, Xs).hidden, forward(q, Xt).hidden, cfg).value),
     )
-    for which, names, kwargs, scalar in cases:
-        f = network._stencil_values(p, which, step, **kwargs)
+    calls = oracle_stencils(p, Xs, Y, Xt, cfg)
+    for (names, rows, _, f), (want_names, want_rows, scalar) in zip(calls, cases):
+        assert (names, rows) == (want_names, want_rows)
         assert f.shape == (sum(getattr(p, n).size for n in names), 4)
         for i, row in enumerate(f):
             for got, offset in zip(row, (1.0, -1.0, 2.0, -2.0)):
@@ -575,11 +591,10 @@ def test_stencil_values_independent_of_chunk_cap(monkeypatch, which):
     p = tiny_params(seed=11, m=3, h=5, c=3)
     X, Y = SeededRng(12).normal_matrix(9, 3), np.eye(3)[np.arange(9) % 3]
     Xt, cfg = SeededRng(13).normal_matrix(7, 3) + 0.2, CmdConfig(k=5)
-    kwargs = dict(X=X, Y=Y) if which == "loss" else dict(Xs=X, Xt=Xt, cfg=cfg)
     results = []
     for cap in (1, 100, 1 << 30):
         monkeypatch.setattr(network, "_FD_CHUNK", cap)
-        results.append((network._stencil_values(p, which, 1e-3, **kwargs),
+        results.append((oracle_stencils(p, X, Y, Xt, cfg)[{"loss": 0, "cmd": 1}[which]][3],
                         finite_difference_check(p, X=X, Y=Y, Xt=Xt, cfg=cfg)))
     for f, err in results[1:]:
         assert np.array_equal(f.view(np.int64), results[0][0].view(np.int64))

@@ -476,3 +476,21 @@ def test_default_settings_write_their_keys_in_field_order():
         ("centers", [[0.0, 0.0], [1.168, 0.365], [2.165, 1.613]]), ("spread", 0.275),
         ("seed", 0), ("target_seed", None)]
     assert ArtificialSpec(spread=(0.1, 0.2, 0.3)).to_dict()["spread"] == [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("Y, classes, message", [
+    (np.eye(3)[:2], None, "^y do not align with features$"),
+    (7.0, None, "^y do not align with features$"),
+    (np.arange(3), None, "^y must have columns, one per class$"),
+    (np.eye(3), 2, "^y must have 2 columns, one per class$"),
+    (np.ones((3, 3, 1)), 3, "^y must have 3 columns, one per class$"),
+])
+def test_check_labels_names_what_it_rejects(Y, classes, message):
+    with pytest.raises(ValueError, match=message):
+        numerics.check_labels(Y, 3, classes, "y")
+
+
+def test_check_labels_returns_float64_labels():
+    Y = numerics.check_labels([[1, 0], [0, 1], [1, 0]], 3, 2)
+    assert Y.dtype == np.float64 and Y.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    assert numerics.check_labels(Y, 3) is Y

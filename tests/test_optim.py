@@ -138,14 +138,13 @@ def test_a_vector_of_one_chunk_is_handed_over_whole():
     p, grads = random_run(26, _CHUNK)
     opt = make_optimizer("adagrad")
     opt.step(p, grads[0])
-    (acc_vector,) = opt.buffers
-    ((theta, grad, acc, u, v),) = optim._chunks(opt, p.flat, grads[1].flat, acc_vector)
-    assert theta is p.flat and grad is grads[1].flat and acc is acc_vector
+    ((theta, grad, acc, u, v),) = optim._chunks(opt, p, grads[1], 1)
+    assert theta is p.flat and grad is grads[1].flat and acc.base is opt.buffers and acc.size == _CHUNK
     assert u.base is opt.scratch and v.base is opt.scratch and u.size == v.size == _CHUNK
     p, grads = random_run(26, _CHUNK + 1)
     opt = make_optimizer("adagrad")
     opt.step(p, grads[0])
-    (*_, u, v), (theta, _, _, u1, v1) = optim._chunks(opt, p.flat, grads[1].flat, opt.buffers[0])
+    (*_, u, v), (theta, _, _, u1, v1) = optim._chunks(opt, p, grads[1], 1)
     assert u.size == _CHUNK and theta.base is p.flat and u1.size == v1.size == theta.size == 1
 
 

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import weakref
 from dataclasses import replace
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentalign
 from momentalign import distances, network, numerics, trainer
 from momentalign.datasets import ArtificialSpec, generate_artificial, one_hot
 from momentalign.distances import CmdConfig, cmd_estimate
@@ -229,6 +232,13 @@ def test_train_input_validation():
         train(Xs[:0], Ys[:0], Xt, TrainConfig(epochs=1))
 
 
+def test_train_rejects_class_ids_in_place_of_one_hot_labels():
+    # used to die in NumPy: axis 1 is out of bounds for array of dimension 1
+    Xs, Ys, Xt, _ = small_problem()
+    with pytest.raises(ValueError, match="^source labels must have columns, one per class$"):
+        train(Xs, Ys.argmax(axis=1), Xt, TrainConfig(hidden=4, epochs=1))
+
+
 @pytest.mark.parametrize("rows", [1, 5])
 def test_train_rejects_target_labels_of_another_row_count(monkeypatch, rows):
     # one row of class 2 used to broadcast against every target output and
@@ -256,7 +266,7 @@ def test_train_rejects_target_labels_of_another_column_count(monkeypatch, column
     Xs, Ys, Xt, Yt = small_problem()
     forwards = []
     monkeypatch.setattr(trainer, "forward", lambda *a, **kw: forwards.append(1))
-    with pytest.raises(ValueError, match="^target labels must have the source labels' columns"):
+    with pytest.raises(ValueError, match="^target labels must have 3 columns, one per class$"):
         train(Xs, Ys, Xt, TrainConfig(hidden=4, epochs=3), Yt=one_hot(Yt.argmax(axis=1) % 2, columns))
     assert forwards == []
 
@@ -367,6 +377,17 @@ def test_warm_start_lambda_zero_keeps_snapshot():
     assert params_equal(res.mann.params, res.shallow.snapshot)
     assert res.mann.records == []
     assert res.shallow_target_acc is None and res.mann_target_acc is None
+
+
+def test_warm_start_after_a_shallow_divergence_starts_no_aligned_run():
+    # the shallow run diverges at its first epoch, before the snapshot
+    # epoch 2: its last stable parameters, the initialization, stand in
+    Xs, Ys, Xt, _ = small_problem()
+    cfg = TrainConfig(hidden=4, lam=1.0, optimizer="sgd", alpha=float("inf"), epochs=3, seed=4)
+    res = warm_start_train(Xs, Ys, Xt, cfg)
+    assert res.shallow.diverged and res.shallow.snapshot is None
+    assert not res.mann.diverged and res.mann.records == []
+    assert params_equal(res.mann.params, init_params(Xs.shape[1], 4, 3, SeededRng(4)))
 
 
 def test_write_metrics_csv(tmp_path):
@@ -579,3 +600,31 @@ def test_a_lambda_0_minibatch_run_takes_no_target_rows():
         res = train(Xs, Ys, Xt, cfg)
     assert not res.diverged
     assert taken["source"] and not taken["target"]
+
+
+@pytest.mark.parametrize("lam, most", [(0.0, 74), (1.0, 101)])
+def test_an_epoch_makes_no_more_package_calls_than_measured(lam, most):
+    # calls into src/momentalign per full-batch epoch on the default
+    # problem: the difference between a 20- and a 10-epoch run, over 10.
+    # The count is exact on any host, so it gates per-epoch overhead where
+    # wall time cannot; it read 80 and 107 before the optimizer's one step
+    # scaffold.
+    src, tgt = generate_artificial(ArtificialSpec())
+    package = os.path.dirname(momentalign.__file__) + os.sep
+
+    def calls(epochs):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code.co_filename.startswith(package)
+
+        sys.setprofile(profile)
+        try:
+            train(src.features, src.labels, tgt.features, TrainConfig(epochs=epochs, lam=lam),
+                  Yt=tgt.labels)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    assert (calls(20) - calls(10)) / 10 <= most
