@@ -20,7 +20,7 @@ import numpy as np
 from .distances import CmdConfig, MomentGap, cmd_estimate
 from .moments import FULL, central_moments, monomial_matrix
 from .network import NetworkParams, forward
-from .numerics import SeededRng, as_sample_pair
+from .numerics import SeededRng, as_sample_pair, check_count
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -131,14 +131,14 @@ def prop1_bound(j: int) -> float:
     """Scale-free ceiling on one order-j marginal central moment distance
     for distributions supported on a common interval.
     """
-    if j < 1:
-        raise ValueError("order must be >= 1")
+    check_count(j, "order")
     return 2.0 * ((1.0 / (j + 1)) * (j / (j + 1)) ** j + 2.0 ** -(1 + j))
 
 
 def prop1_check(src, tgt, j: int, a: float, b: float, tol: float = 1e-12) -> BoundCheck:
     """Checks ||c_j(src) - c_j(tgt)||_2 / |b-a|^j against its ceiling for
     samples supported on [a, b]^m."""
+    check_count(j, "j")
     if b <= a:
         raise ValueError("need a < b")
     src, tgt = as_sample_pair(src, tgt)
@@ -213,6 +213,7 @@ def dual_equivalence_check(
     random unit directions and can only fall short, so slack >= 0 and
     shrinks as directions grows.
     """
+    check_count(directions, "directions")
     cfg = cfg or CmdConfig()
     src, tgt = as_sample_pair(src, tgt)
     gap = MomentGap.of(src[None], tgt[None], cfg)  # one moment pass for both sides
@@ -244,14 +245,22 @@ class SweepCell:
         return {"k": self.k, "lambda": self.lam, "accuracy": self.accuracy, "ratio": self.ratio}
 
 
+def _is_count(value) -> bool:
+    try:
+        return check_count(value, "k") is None
+    except ValueError:
+        return False
+
+
 def sweep_grid(ks, lambdas) -> tuple[list, list]:
     """The (k, lambda) axes of a sweep as ints and floats, after checking
-    that they are non-empty lists of integers >= 1 and of numbers >= 0, a
-    bool being neither; ValueError naming the axis otherwise."""
-    for name, values, kind, what, low in (("ks", ks, numbers.Integral, "integers >= 1", 1),
-                                          ("lambdas", lambdas, numbers.Real, "numbers >= 0", 0)):
-        if not (isinstance(values, (list, tuple)) and values and all(
-                isinstance(v, kind) and not isinstance(v, bool) and v >= low for v in values)):
+    that they are non-empty lists of integers >= 1, as check_count checks
+    k, and of numbers >= 0, a bool being neither; else ValueError naming the axis."""
+    for name, values, fits, what in (
+            ("ks", ks, _is_count, "integers >= 1"),
+            ("lambdas", lambdas, lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0,
+             "numbers >= 0")):
+        if not (isinstance(values, (list, tuple)) and values and all(map(fits, values))):
             raise ValueError(f"{name} must be a non-empty list of {what}, got {values!r}")
     return [int(k) for k in ks], [float(l) for l in lambdas]
 

@@ -270,16 +270,14 @@ def cmd_warm_start(args) -> int:
 
 def cmd_check(args) -> int:
     fn = CHECKS[args.suite]
+    cases = {} if args.cases is None else {"cases": args.cases}  # each suite checks its count
     if args.suite == "appendix-a":
         # it takes --seed, which runners pass to every suite, and ignores it
-        if args.cases is not None:
+        if cases:
             raise ConfigError("appendix-a takes no --cases")
         rows = fn()
     else:
-        kwargs = {"seed": args.seed}
-        if args.cases is not None:
-            kwargs["cases"] = args.cases
-        rows = fn(**kwargs)
+        rows = fn(seed=args.seed, **cases)
     print(json.dumps([r.to_dict() for r in rows], indent=2))
     return 0 if all(r.passed for r in rows) else 1
 

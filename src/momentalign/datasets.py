@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import SeededRng, SparseRowMatrix, as_sample, n_cols, n_rows, take_rows
-from .numerics import check_json_types, check_labels, settings_from_dict, settings_to_dict
+from .numerics import check_count, check_json_types, check_labels, settings_from_dict, settings_to_dict
 
 
 @dataclass
@@ -100,7 +100,9 @@ class ArtificialSpec:
     target_seed: int | None = None  # None = independent stream derived from seed
 
     def __post_init__(self):
-        check_json_types(vars(self), ints=("total", "classes", "seed", "target_seed"),
+        for name in ("total", "classes"):
+            check_count(getattr(self, name), name)
+        check_json_types(vars(self), ints=("seed", "target_seed"),
                          reals=("rotation_deg",), nullable=("target_seed",),
                          arrays={"shift": (1,), "centers": (2,), "spread": (0, 1)})
         self.centers = tuple(tuple(float(x) for x in c) for c in self.centers)

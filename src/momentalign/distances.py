@@ -25,24 +25,16 @@ import numpy as np
 from .moments import (
     MARGINAL,
     CentralMomentVector,
-    _check_mode,
+    _check_monomials,
     _stacked_central_moments,
     analytic_central_moment,
     analytic_mean,
     analytic_raw_moment,
     monomial_matrix,
 )
-from .numerics import as_sample_pair, check_json_types
+from .numerics import as_sample_pair, check_count
 
 _NORM_EPS = 1e-12
-
-
-def _order(value, name: str) -> None:
-    """ValueError unless value, the setting name, is an integer >= 1, a bool
-    being none."""
-    check_json_types({name: value}, ints=(name,))
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)  # checked once, when built
@@ -52,8 +44,7 @@ class CmdConfig:
     mode: str = MARGINAL
 
     def __post_init__(self):
-        _order(self.k, "k")
-        _check_mode(self.mode)
+        _check_monomials(self.k, self.mode)
         if self.weights and len(self.weights) != self.k:
             raise ValueError("need one weight per order 1..k")
         if any(w < 0 for w in self.weights):
@@ -172,14 +163,14 @@ def cmd_analytic(d1, d2, cfg: CmdConfig | None = None) -> DistanceReport:
 def raw_moment_ipm(d1, d2, k: int) -> float:
     """|E[x^k] - E[x'^k]| for 1-D analytic distributions: the IPM over the
     unit ball of order-k monomials, which carries the mean through powers."""
-    _order(k, "k")
+    check_count(k, "k")
     return abs(analytic_raw_moment(d1, k) - analytic_raw_moment(d2, k))
 
 
 def raw_moment_ipm_estimate(src, tgt, k: int) -> float:
     """Euclidean norm of the gap between the two samples' mean vectors of
     coordinatewise k-th powers: the sample side of raw_moment_ipm."""
-    _order(k, "k")
+    check_count(k, "k")
     Xs, Xt = as_sample_pair(src, tgt)
     gap = monomial_matrix(Xs, k).mean(axis=0) - monomial_matrix(Xt, k).mean(axis=0)
     return float(np.linalg.norm(gap))
@@ -191,7 +182,7 @@ def mmd_polynomial_analytic(d1, d2, degree: int) -> float:
     Expanding the kernel gives sum_{i=1..degree} C(degree, i) *
     (E[x^i] - E[y^i])^2; the constant term cancels.
     """
-    _order(degree, "degree")
+    check_count(degree, "degree")
     total = 0.0
     for i in range(1, degree + 1):
         gap = analytic_raw_moment(d1, i) - analytic_raw_moment(d2, i)
@@ -215,7 +206,7 @@ def _mmd_v_statistic(src, tgt, kernel) -> float:
 def mmd_polynomial_estimate(src, tgt, degree: int) -> float:
     """The MMD V-statistic with the kernel (1 + x.y)^degree: the sample side
     of mmd_polynomial_analytic."""
-    _order(degree, "degree")
+    check_count(degree, "degree")
     return _mmd_v_statistic(src, tgt, lambda A, B: (1.0 + A @ B.T) ** degree)
 
 

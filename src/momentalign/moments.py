@@ -23,23 +23,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import as_sample
+from .numerics import as_sample, check_count
 
 FULL = "full"
 MARGINAL = "marginal"
 
 
-def _check_mode(mode: str):
+def _check_monomials(k, mode: str):
+    """ValueError unless k is a monomial order and mode a monomial layout."""
+    check_count(k, "k")
     if mode not in (FULL, MARGINAL):
         raise ValueError(f"unknown monomial mode {mode!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True, unlike 1, is checked and rejected
 def monomial_exponents(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples (r_1..r_m) with r_i >= 0 summing to k, in
     lexicographically descending order."""
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
+    check_count(m, "m")
+    check_count(k, "k")
 
     def rec(remaining: int, slots: int):
         if slots == 1:
@@ -85,9 +87,7 @@ def _running_monomials(X: np.ndarray, k: int, mode: str, axis: int = -1):
 
 def monomial_matrix(X: np.ndarray, k: int, mode: str = MARGINAL) -> np.ndarray:
     """Rowwise monomial vectors for a whole sample, shape (n, n_monomials)."""
-    _check_mode(mode)
-    if k < 1:
-        raise ValueError("monomial order k must be >= 1")
+    _check_monomials(k, mode)
     X = np.asarray(X, dtype=np.float64)
     M = X.copy()
     for M in _running_monomials(X, k, mode):
@@ -173,10 +173,9 @@ def central_moments(features, k: int, mode: str = MARGINAL) -> CentralMomentVect
     sum taken blockwise in the order _stacked_central_moments documents.
     This is the one-sample case of that stacked kernel, which the
     prop-bound verifier runs on whole groups of equally shaped samples.
+    k and mode are checked here; the kernel trusts them, as it trusts CmdConfig.
     """
-    _check_mode(mode)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_monomials(k, mode)
     X = as_sample(features)
     return CentralMomentVector(k, mode, [c[0] for c in _stacked_central_moments(X[None], k, mode)])
 
@@ -236,8 +235,7 @@ def analytic_mean(d) -> float:
 
 def analytic_raw_moment(d, n: int) -> float:
     """Exact E[X^n] for a supported 1-D distribution."""
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
+    check_count(n, "moment order", 0)
     if n == 0:
         return 1.0
     if isinstance(d, Normal):
@@ -271,8 +269,7 @@ def analytic_central_moment(d, n: int) -> float:
     shifted-free frame, so two AffineBeta distributions differing only in
     shift report bitwise equal values.
     """
-    if n < 2:
-        raise ValueError("central moment order must be >= 2")
+    check_count(n, "central moment order", 2)
     if isinstance(d, Normal):
         if n % 2 == 1:
             return 0.0

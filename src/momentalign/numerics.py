@@ -7,6 +7,8 @@ container below, whose two products run through one kernel that adds
 each sum divided by n into its output.  Randomness comes exclusively
 from :class:`SeededRng`, a counter-based SplitMix64 generator, so that
 identical seeds give bitwise identical streams on every platform.
+check_count is the one check that an order, count or size is an integer
+>= 1 (or a stated least); entries call it, and the loops they feed trust it.
 """
 
 from __future__ import annotations
@@ -326,6 +328,14 @@ def check_json_types(doc: dict, ints=(), reals=(), nullable=(), arrays=None) -> 
         if not any(_is_json(doc[name], _NUMBER, d) for d in depths):
             what = " or ".join(_SHAPES[d] for d in depths)
             raise ValueError(f"{name} must be {what}, got {reprlib.repr(doc[name])}")
+
+
+def check_count(value, name: str, least: int = 1) -> None:
+    """ValueError unless value, the setting name, is an integer >= least, a
+    bool being none."""
+    check_json_types({name: value}, ints=(name,))
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def json_object(doc, keys, where: str) -> dict:

@@ -25,7 +25,8 @@ each chunk, every temporary written into the scratch, so each element
 sees the same operations in the same order as a whole-vector step.  The
 accumulators are the rows of buffers: G, then E; NetworkParams.views
 lays W, b, V and c over each.  An optimizer's settings are its
-dataclass fields, which make_optimizer reads.
+dataclass fields, which make_optimizer reads; check_settings, which each
+optimizer and TrainConfig run when built, states the bounds of all three.
 """
 
 from __future__ import annotations
@@ -39,12 +40,25 @@ from .network import Gradients, NetworkParams
 _CHUNK = 1 << 13  # doubles per chunk of a step: 64 KiB a scratch vector
 
 
+def check_settings(alpha=None, rho=None, eps=None) -> None:
+    """ValueError naming the first setting given outside its bound; NaN fails each."""
+    if alpha is not None and not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if rho is not None and not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+    if eps is not None and not eps > 0:
+        raise ValueError("eps must be positive")
+
+
 class _State:
     """An optimizer's accumulators, count rows of the parameters' size, and
     its two scratch vectors, both allocated at its first step."""
 
     buffers: np.ndarray | None = None
     scratch: np.ndarray | None = None
+
+    def __post_init__(self):
+        check_settings(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _chunks(opt: _State, p: NetworkParams, g: Gradients, count: int):
@@ -99,12 +113,6 @@ class Adagrad(_State):
 class Adadelta(_State):
     rho: float = 0.95
     eps: float = 1e-6
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
     def step(self, p: NetworkParams, g: Gradients) -> None:
         rest = 1.0 - self.rho

@@ -40,9 +40,9 @@ from .network import (
     init_params,
     step_gradients,
 )
-from .numerics import SeededRng, SparseRowMatrix, check_finite, check_json_types, check_labels, n_cols
-from .numerics import n_rows, settings_from_dict, settings_to_dict, take_rows
-from .optim import OPTIMIZERS, make_optimizer
+from .numerics import SeededRng, SparseRowMatrix, check_count, check_finite, check_json_types, check_labels
+from .numerics import n_cols, n_rows, settings_from_dict, settings_to_dict, take_rows
+from .optim import OPTIMIZERS, check_settings, make_optimizer
 
 __all__ = [
     "TrainConfig",
@@ -59,8 +59,8 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    """Settings of one training run, validated against the bounds of the
-    run-config schema, whose key names from_dict and to_dict use."""
+    """Settings of one training run, checked against the run-config schema's bounds
+    (counts by numerics.check_count, alpha, rho, eps by optim.check_settings)."""
 
     hidden: int = 15
     k: int = 5
@@ -75,31 +75,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_json_types(self.to_dict(), ints=("hidden", "k", "epochs", "batch_size", "seed"),
+        for name, least in (("hidden", 1), ("k", 1), ("epochs", 1), ("batch_size", 0)):
+            check_count(getattr(self, name), name, least)
+        check_json_types(self.to_dict(), ints=("seed",),
                          reals=("lambda", "alpha", "rho", "eps", "warm_start_fraction"),
                          nullable=("alpha", "eps"))
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if not math.isfinite(self.lam):  # JSON reads Infinity
             raise ValueError(f"lambda must be finite, got {self.lam!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0")
         if not 0.0 <= self.warm_start_fraction <= 1.0:
             raise ValueError("warm_start_fraction must lie in [0, 1]")
         if not isinstance(self.optimizer, str) or self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError("eps must be positive")
+        check_settings(self.alpha, self.rho, self.eps)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":

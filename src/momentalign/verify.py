@@ -24,7 +24,7 @@ from .distances import (
 )
 from .moments import FULL, MARGINAL, AffineBeta, Normal, _stacked_central_moments
 from .network import finite_difference_check, init_params
-from .numerics import SeededRng, stream_words, word_uniforms
+from .numerics import SeededRng, check_count, stream_words, word_uniforms
 
 __all__ = [
     "SOURCE",
@@ -44,11 +44,6 @@ __all__ = [
 SOURCE = AffineBeta(0.4, 0.4, 0.8, 0.1)
 LEFT = Normal(0.5, 0.27)
 RIGHT = AffineBeta(0.4, 0.4, 0.8, 0.12)
-
-
-def _check_cases(cases: int) -> None:
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
 
 
 def check_appendix_a() -> list:
@@ -87,7 +82,7 @@ def check_gradients(seed: int = 0, cases: int = 20) -> list:
     finite_difference_check, on small random networks: one loss row and
     one cmd row per case, each passing below 1e-5 relative error in every
     coordinate."""
-    _check_cases(cases)
+    check_count(cases, "cases")
     out = []
     ks = (1, 3, 5)
     for i in range(cases):
@@ -173,7 +168,7 @@ def check_prop_bound(seed: int = 0, cases: int = 10000) -> list:
     samples of one row count share a stacked moment call.  Among equal
     worst slacks the lowest case index wins.
     """
-    _check_cases(cases)
+    check_count(cases, "cases")
     return [
         BoundCheck.of(f"moment-bound j={j} worst of {cases} pairs", lhs, rhs, 1e-12)
         for j, (_, _, lhs, rhs) in zip(range(1, 8), _worst_cases(seed, cases))
@@ -198,7 +193,7 @@ def _boxed_pair(r: SeededRng, n1: int, n2: int):
 def check_char_fct(seed: int = 0, cases: int = 50) -> list:
     """Characteristic-function bound on random zero-mean scalar pairs,
     k cycling through 1, 3, 5."""
-    _check_cases(cases)
+    check_count(cases, "cases")
     out = []
     ks = (1, 3, 5)
     for i in range(cases):
@@ -215,7 +210,7 @@ def check_char_fct(seed: int = 0, cases: int = 50) -> list:
 def check_dual_form(seed: int = 0, cases: int = 20) -> list:
     """Closed form vs sampled variational form: exact for one feature,
     one-sided above it."""
-    _check_cases(cases)
+    check_count(cases, "cases")
     out = []
     for i in range(cases):
         r = SeededRng(seed).split(i + 1)

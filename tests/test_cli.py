@@ -454,6 +454,8 @@ def test_train_rejects_schema_invalid_settings_before_loading(tmp_path, capsys, 
     ({"train": {"lambda": "1"}}, "lambda must be a number, got '1'"),
     ({"train": {"optimizer": "sgd", "alpha": False}}, "alpha must be a number, got False"),
     ({"artificial": {"target_seed": 1.5}}, "target_seed must be an integer, got 1.5"),
+    # classes 0 with as many centers ended in a ZeroDivisionError traceback
+    ({"artificial": {"classes": 0, "centers": []}}, "classes must be >= 1"),
     ({"artificial": {"shift": [None, 0]}}, "shift must be a list of numbers, got [None, 0]"),
     ({"artificial": {"spread": "0.3"}},
      "spread must be a number or a list of numbers, got '0.3'"),
@@ -463,7 +465,7 @@ def test_train_rejects_schema_invalid_settings_before_loading(tmp_path, capsys, 
     ({"source": 0, "target": 0}, "source must be a string or null, got 0"),
     ({"source": "s.csv", "target": ["t.csv"]}, "target must be a string or null, got ['t.csv']"),
 ], ids=["epochs-string", "total-string", "hidden-float", "epochs-bool", "lambda-string",
-        "alpha-bool", "target-seed-float", "shift-null-element", "spread-string",
+        "alpha-bool", "target-seed-float", "classes-zero", "shift-null-element", "spread-string",
         "centers-number", "out-number", "out-empty", "source-number", "target-list"])
 def test_train_rejects_wrong_json_types(tmp_path, capsys, doc, message):
     doc = {"out": str(tmp_path / "out"), **doc}

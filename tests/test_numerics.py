@@ -7,10 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentalign import numerics
+from momentalign.analysis import dual_equivalence_check, prop1_bound, prop1_check
 from momentalign.datasets import ArtificialSpec
+from momentalign.distances import (
+    CmdConfig,
+    mmd_polynomial_analytic,
+    mmd_polynomial_estimate,
+    raw_moment_ipm,
+    raw_moment_ipm_estimate,
+)
+from momentalign.moments import (
+    Normal,
+    analytic_central_moment,
+    analytic_raw_moment,
+    central_moments,
+    monomial_exponents,
+    monomial_matrix,
+)
 from momentalign.numerics import SeededRng, SparseRowMatrix, stream_words, word_uniforms
 from momentalign.optim import OPTIMIZERS
 from momentalign.trainer import TrainConfig
+from momentalign.verify import check_char_fct, check_dual_form, check_gradients, check_prop_bound
 
 from helpers import bag_of_words, traced_peak
 
@@ -494,3 +511,65 @@ def test_check_labels_returns_float64_labels():
     Y = numerics.check_labels([[1, 0], [0, 1], [1, 0]], 3, 2)
     assert Y.dtype == np.float64 and Y.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
     assert numerics.check_labels(Y, 3) is Y
+
+
+SQUARE = np.array([[0.25, 0.5], [0.75, 0.0]])
+NORMALS = (Normal(0.0, 1.0), Normal(0.5, 1.0))
+
+# every entry that takes an order, count or size, with the setting it names
+COUNT_ENTRIES = {
+    "check_count": ("n", lambda v: numerics.check_count(v, "n")),
+    "central_moments": ("k", lambda v: central_moments(SQUARE, v)),
+    "monomial_matrix": ("k", lambda v: monomial_matrix(SQUARE, v)),
+    # the cache would return monomial_exponents(2, 1) for True == 1 unchecked
+    "monomial_exponents-k": ("k", lambda v: (monomial_exponents(2, 1), monomial_exponents(2, v))),
+    "monomial_exponents-m": ("m", lambda v: (monomial_exponents(1, 2), monomial_exponents(v, 2))),
+    "train-hidden": ("hidden", lambda v: TrainConfig(hidden=v)),
+    "train-k": ("k", lambda v: TrainConfig(k=v)),
+    "train-epochs": ("epochs", lambda v: TrainConfig(epochs=v)),
+    "artificial-total": ("total", lambda v: ArtificialSpec(total=v)),
+    "artificial-classes": ("classes", lambda v: ArtificialSpec(classes=v, centers=((0.0, 0.0),) * int(v))),
+    "check_gradients": ("cases", lambda v: check_gradients(cases=v)),
+    "check_prop_bound": ("cases", lambda v: check_prop_bound(cases=v)),
+    "check_char_fct": ("cases", lambda v: check_char_fct(cases=v)),
+    "check_dual_form": ("cases", lambda v: check_dual_form(cases=v)),
+    "prop1_bound": ("order", prop1_bound),
+    "prop1_check": ("j", lambda v: prop1_check(SQUARE, SQUARE[::-1], v, 0.0, 1.0)),
+    "dual_equivalence_check": ("directions", lambda v: dual_equivalence_check(SQUARE, SQUARE.T, directions=v)),
+    "cmd-config": ("k", lambda v: CmdConfig(k=v)),
+    "raw_moment_ipm": ("k", lambda v: raw_moment_ipm(*NORMALS, v)),
+    "raw_moment_ipm_estimate": ("k", lambda v: raw_moment_ipm_estimate(SQUARE, SQUARE.T, v)),
+    "mmd_polynomial_analytic": ("degree", lambda v: mmd_polynomial_analytic(*NORMALS, v)),
+    "mmd_polynomial_estimate": ("degree", lambda v: mmd_polynomial_estimate(SQUARE, SQUARE.T, v)),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.5, "must be an integer, got 2.5"),
+    (True, "must be an integer, got True"),
+    (0, "must be >= 1"),
+], ids=["float", "bool", "zero"])
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_every_count_is_checked_where_it_enters(entry, value, message):
+    # the float failed in a moment pass, a NumPy call or a division, or
+    # ran (prop1_bound(2.5)); True ran as 1; 0 failed in NumPy, divided by
+    # zero (classes), or left total's "need at least one sample per class"
+    name, call = COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} {message}"
+
+
+@pytest.mark.parametrize("name, least, call", [
+    ("batch_size", 0, lambda v: TrainConfig(batch_size=v)),
+    ("moment order", 0, lambda v: analytic_raw_moment(NORMALS[0], v)),
+    ("central moment order", 2, lambda v: analytic_central_moment(NORMALS[0], v)),
+], ids=["train-batch-size", "analytic_raw_moment", "analytic_central_moment"])
+def test_counts_with_another_least_value_are_checked_by_the_same_helper(name, least, call):
+    # the analytic orders failed in range() on 2.5 and ran True as 1
+    for value, message in ((2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+                           (least - 1, f"must be >= {least}")):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} {message}"
+    call(least)

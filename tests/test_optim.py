@@ -1,10 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from momentalign import optim
 from momentalign.network import Gradients, NetworkParams
 from momentalign.numerics import SeededRng
-from momentalign.optim import _CHUNK, Adadelta, Adagrad, Sgd, make_optimizer
+from momentalign.optim import _CHUNK, OPTIMIZERS, Adadelta, Adagrad, Sgd, make_optimizer
+from momentalign.trainer import TrainConfig
 
 from helpers import lie_back_to_back, traced_peak, zeros_like
 
@@ -30,7 +34,7 @@ def test_sgd_step():
 
 def test_adagrad_accumulates():
     p = scalarish_params()
-    opt = Adagrad(alpha=1.0, eps=0.0)
+    opt = Adagrad(alpha=1.0, eps=1e-300)  # eps must be > 0; it adds nothing to 9 or 25
     opt.step(p, unit_grads(p, 3.0))
     # first step: 3 / sqrt(9) = 1
     assert p.W[0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -189,6 +193,31 @@ def test_adadelta_validation():
         Adadelta(eps=0.0)
 
 
+# settings outside each bound, NaN among them; rho = 0.0 lies inside [0, 1)
+OUT_OF_BOUNDS = {"alpha": (0.0, -1.0, float("nan")), "rho": (-1.0, float("nan"), 1.0),
+                 "eps": (0.0, -1.0, float("nan"))}
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    (kind, f.name, value) for kind, cls in sorted(OPTIMIZERS.items())
+    for f in dataclasses.fields(cls) for value in OUT_OF_BOUNDS[f.name]])
+def test_every_optimizer_rejects_a_setting_as_train_config_does(kind, name, value):
+    # Sgd(alpha=-1), Adagrad(eps=-1) and Adadelta(eps=nan) were accepted
+    with pytest.raises(ValueError) as config_error:
+        TrainConfig(optimizer=kind, **{name: value})
+    with pytest.raises(ValueError) as optimizer_error:
+        make_optimizer(kind, **{name: value})
+    assert str(optimizer_error.value) == str(config_error.value)
+    assert str(config_error.value).startswith(f"{name} must ")
+
+
+def test_the_settings_bounds_keep_their_edges():
+    assert make_optimizer("sgd", alpha=math.inf).alpha == math.inf  # a divergence, exit 3
+    assert make_optimizer("adadelta", rho=0.0).rho == 0.0
+    with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\)$"):
+        TrainConfig(optimizer="sgd", rho=1.0)  # checked whatever the optimizer
+
+
 def test_step_rejects_bad_gradients():
     p = scalarish_params()
     g = unit_grads(p)
@@ -235,7 +264,7 @@ def test_make_optimizer_defaults_and_ignored_settings():
 
 def test_optimizer_state_is_per_instance():
     p1, p2 = scalarish_params(), scalarish_params()
-    a, b = Adagrad(alpha=1.0, eps=0.0), Adagrad(alpha=1.0, eps=0.0)
+    a, b = Adagrad(alpha=1.0, eps=1e-300), Adagrad(alpha=1.0, eps=1e-300)  # exact square roots
     a.step(p1, unit_grads(p1, 3.0))
     a.step(p1, unit_grads(p1, 4.0))
     b.step(p2, unit_grads(p2, 4.0))

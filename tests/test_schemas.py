@@ -119,6 +119,30 @@ def test_schema_invalid_artificial_block_is_rejected_by_spec(validators, block, 
         ArtificialSpec.from_dict(block)
 
 
+def integer_minimums():
+    """(settings class, key, minimum) of every integer property with a
+    minimum in the artificial block and the train block."""
+    docs = load_schemas()
+    blocks = ((ArtificialSpec, docs["artificial-spec"]), (TrainConfig, docs["run-config"]["$defs"]["train"]))
+    return [(cls, key, prop["minimum"]) for cls, schema in blocks
+            for key, prop in schema["properties"].items()
+            if prop.get("type") == "integer" and "minimum" in prop]
+
+
+@pytest.mark.parametrize("cls, key, minimum", integer_minimums(),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_integer_minimums_of_the_schemas_are_checked_by_the_settings(cls, key, minimum):
+    # ArtificialSpec did not name total 0 ("need at least one sample per
+    # class") or classes 0 (with as many centers, a ZeroDivisionError)
+    with pytest.raises(ValueError, match=f"^{key} must be >= {minimum}$"):
+        cls.from_dict({key: minimum - 1})
+
+
+def test_every_integer_minimum_is_covered():
+    assert {key for _, key, _ in integer_minimums()} == {
+        "total", "classes", "hidden", "k", "epochs", "batch_size"}
+
+
 def test_run_config_instances(validators):
     v = validators["run-config"]
     v.validate({
