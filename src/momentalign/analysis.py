@@ -110,9 +110,6 @@ class AlignmentReport:
     nodes: list
     significant: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def alignment_report(p: NetworkParams, Xs, Xt, alpha: float = 1e-2) -> AlignmentReport:
     """KS test per hidden node between source and target activations.
@@ -240,9 +237,6 @@ class SweepCell:
     lam: float
     accuracy: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "lambda": self.lam, "accuracy": self.accuracy, "ratio": self.ratio}
 
 
 def _is_count(value) -> bool:

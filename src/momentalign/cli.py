@@ -52,7 +52,7 @@ class ConfigError(ValueError):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_RUN_KEYS = {"train", "artificial", "source", "target", "format", "out"}
+_RUN_KEYS = ("train", "artificial", "source", "target", "format", "out")
 
 
 def _parse_constant(name):
@@ -67,24 +67,24 @@ def _load_json(path):
         return json.load(fh, parse_constant=_parse_constant)
 
 
-def _out_path(doc: dict, default: str) -> str:
-    out = doc.get("out", default)
-    if not isinstance(out, str) or not out:
-        raise ConfigError(f"out must be a non-empty string, got {out!r}")
-    return out
-
-
-def _load_sample(path, fmt: str) -> Sample:
-    return load_sparse(path) if fmt == "sparse" else load_dense_csv(path)
+def _load_pair(source, target, fmt: str) -> tuple[Sample, Sample]:
+    """The source and target samples of two files in format fmt.  Target
+    labels that lack the source's top classes get the source's columns;
+    train rejects a target class the source does not have."""
+    load = load_sparse if fmt == "sparse" else load_dense_csv
+    src, tgt = load(source), load(target)
+    if tgt.labels is not None and tgt.n_classes < src.n_classes:
+        tgt = Sample(tgt.features, one_hot(tgt.label_ints, src.n_classes), src.n_classes)
+    return src, tgt
 
 
 class RunConfig:
     """Top-level JSON document: a "train" block, either file paths or an
-    "artificial" spec for the data, and an output directory.  Every
-    field has a default; unknown keys are a hard error."""
+    "artificial" spec for the data, and an output path, out by default.
+    Every field has a default; a key outside keys is a hard error."""
 
-    def __init__(self, doc: dict):
-        json_object(doc, _RUN_KEYS, "config")
+    def __init__(self, doc: dict, keys=_RUN_KEYS, out: str = "run-out"):
+        json_object(doc, keys, "config")
         self.train = TrainConfig.from_dict(doc.get("train", {}))
         self.artificial = ArtificialSpec.from_dict(doc.get("artificial", {}))
         self.source = doc.get("source")
@@ -93,23 +93,19 @@ class RunConfig:
             if not isinstance(doc.get(key), (str, type(None))):
                 raise ConfigError(f"{key} must be a string or null, got {doc[key]!r}")
         self.format = doc.get("format", "dense")
-        self.out = _out_path(doc, "run-out")
+        self.out = doc.get("out", out)
+        if not isinstance(self.out, str) or not self.out:
+            raise ConfigError(f"out must be a non-empty string, got {self.out!r}")
         if self.format not in ("dense", "sparse"):
             raise ConfigError(f"unknown format {self.format!r}")
         if (self.source is None) != (self.target is None):
             raise ConfigError("source and target files must be given together")
 
     def load_pair(self) -> tuple[Sample, Sample]:
-        """The source and target samples.  Target labels that lack the
-        source's top classes get the source's columns; train rejects a
-        target class the source does not have."""
+        """The source and target samples: generated, or read by _load_pair."""
         if self.source is None:
             return generate_artificial(self.artificial)
-        src = _load_sample(self.source, self.format)
-        tgt = _load_sample(self.target, self.format)
-        if tgt.labels is not None and tgt.n_classes < src.n_classes:
-            tgt = Sample(tgt.features, one_hot(tgt.label_ints, src.n_classes), src.n_classes)
-        return src, tgt
+        return _load_pair(self.source, self.target, self.format)
 
     def report_config(self) -> dict:
         """The "config" block of report.json: the train settings and the
@@ -146,6 +142,21 @@ def _write_params(path, params: NetworkParams) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.writelines(params.json_pieces())
         fh.write("\n")
+
+
+def _write_run(cfg: RunConfig, command: str, runs: dict, report: dict) -> int:
+    """Write the run directory cfg.out: metrics<suffix>.csv and
+    params<suffix>.json of each TrainResult in runs, keyed by suffix, and
+    report.json with the command, the config and whether any run diverged,
+    then report's own keys.  The exit code: DIVERGED if one did, else 0."""
+    os.makedirs(cfg.out, exist_ok=True)
+    for suffix, result in runs.items():
+        write_metrics_csv(result.records, os.path.join(cfg.out, f"metrics{suffix}.csv"))
+        _write_params(os.path.join(cfg.out, f"params{suffix}.json"), result.params)
+    diverged = any(result.diverged for result in runs.values())
+    _write_json(os.path.join(cfg.out, "report.json"),
+                {"command": command, "config": cfg.report_config(), "diverged": diverged, **report})
+    return DIVERGED if diverged else 0
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +213,7 @@ def cmd_distance(args) -> int:
         if value is None:
             raise ConfigError(f"{args.metric} needs --{flag}")
         settings.append(value)
-    src = _load_sample(args.source, args.format)
-    tgt = _load_sample(args.target, args.format)
+    src, tgt = _load_pair(args.source, args.target, args.format)
     with np.errstate(all="ignore"):  # a non-finite result is named below
         report = fn(src.features, tgt.features, *settings)
     if not isinstance(report, DistanceReport):
@@ -220,18 +230,8 @@ def cmd_train(args) -> int:
         cfg.train = dataclasses.replace(cfg.train, lam=args.lam)
     src, tgt = cfg.load_pair()
     result = train(src.features, src.labels, tgt.features, cfg.train, Yt=tgt.labels)
-
-    os.makedirs(cfg.out, exist_ok=True)
-    write_metrics_csv(result.records, os.path.join(cfg.out, "metrics.csv"))
-    _write_params(os.path.join(cfg.out, "params.json"), result.params)
-    report = {
-        "command": "train",
-        "config": cfg.report_config(),
-        "diverged": result.diverged,
-        "final": dataclasses.asdict(result.records[-1]) if result.records else None,
-    }
-    _write_json(os.path.join(cfg.out, "report.json"), report)
-    return DIVERGED if result.diverged else 0
+    final = dataclasses.asdict(result.records[-1]) if result.records else None
+    return _write_run(cfg, "train", {"": result}, {"final": final})
 
 
 def cmd_warm_start(args) -> int:
@@ -239,33 +239,15 @@ def cmd_warm_start(args) -> int:
     src, tgt = cfg.load_pair()
     result = warm_start_train(src.features, src.labels, tgt.features, cfg.train, Yt=tgt.labels)
 
-    os.makedirs(cfg.out, exist_ok=True)
-    write_metrics_csv(result.mann.records, os.path.join(cfg.out, "metrics.csv"))
-    write_metrics_csv(result.shallow.records, os.path.join(cfg.out, "metrics-shallow.csv"))
-    for name, params in (("params.json", result.mann.params),
-                         ("params-shallow.json", result.shallow.params)):
-        _write_params(os.path.join(cfg.out, name), params)
+    def phase(run, source_acc, target_acc):
+        significant = alignment_report(run.params, src.features, tgt.features).significant
+        return {"source_acc": source_acc, "target_acc": target_acc, "significant": significant}
 
-    shallow_align = alignment_report(result.shallow.params, src.features, tgt.features)
-    mann_align = alignment_report(result.mann.params, src.features, tgt.features)
-    report = {
-        "command": "warm-start",
-        "config": cfg.report_config(),
-        "diverged": result.shallow.diverged or result.mann.diverged,
+    return _write_run(cfg, "warm-start", {"": result.mann, "-shallow": result.shallow}, {
         "snapshot_epoch": result.snapshot_epoch,
-        "shallow": {
-            "source_acc": result.shallow_source_acc,
-            "target_acc": result.shallow_target_acc,
-            "significant": shallow_align.significant,
-        },
-        "mann": {
-            "source_acc": result.mann_source_acc,
-            "target_acc": result.mann_target_acc,
-            "significant": mann_align.significant,
-        },
-    }
-    _write_json(os.path.join(cfg.out, "report.json"), report)
-    return DIVERGED if report["diverged"] else 0
+        "shallow": phase(result.shallow, result.shallow_source_acc, result.shallow_target_acc),
+        "mann": phase(result.mann, result.mann_source_acc, result.mann_target_acc),
+    })
 
 
 def cmd_check(args) -> int:
@@ -285,8 +267,7 @@ def cmd_check(args) -> int:
 def cmd_report_alignment(args) -> int:
     with open(args.params, "r") as fh:
         params = NetworkParams.from_json(fh.read())
-    src = _load_sample(args.source, args.format)
-    tgt = _load_sample(args.target, args.format)
+    src, tgt = _load_pair(args.source, args.target, args.format)
     report = alignment_report(params, src.features, tgt.features)
     lines = ["node,statistic,pvalue,significant"]
     for i, node in enumerate(report.nodes):
@@ -299,17 +280,15 @@ def cmd_report_alignment(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = json_object(_load_json(args.config), _RUN_KEYS | {"ks", "lambdas"}, "config")
-    run_doc = {k: doc[k] for k in _RUN_KEYS - {"out"} if k in doc}
-    cfg = RunConfig(run_doc)
+    doc = _load_json(args.config)
+    cfg = RunConfig(doc, _RUN_KEYS + ("ks", "lambdas"), "sweep.csv")
     ks, lambdas = sweep_grid(doc.get("ks"), doc.get("lambdas"))
-    out = _out_path(doc, "sweep.csv")
     src, tgt = cfg.load_pair()
     if tgt.labels is None:
         raise ConfigError("sweep needs a labeled target sample")
     cells = sensitivity_sweep(src.features, src.labels, tgt.features, tgt.labels,
                               ks, lambdas, cfg.train)
-    write_sweep_csv(cells, out)
+    write_sweep_csv(cells, cfg.out)
     return 0
 
 

@@ -385,43 +385,33 @@ def save_sparse(sample: Sample, path) -> None:
 
 
 def split(sample: Sample, fraction: float, seed: int) -> tuple[Sample, Sample]:
-    """Seeded shuffle-and-split.  With labels, per-class allotments follow
-    the largest-remainder rule so class proportions hold within one item."""
+    """Seeded shuffle-and-split.  Per-class allotments follow the
+    largest-remainder rule so class proportions hold within one item; an
+    unlabeled sample is one class.  The left side takes each class's first
+    allotted rows in shuffled order."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
     n = sample.n_rows
     perm = SeededRng(seed).permutation(n)
-    if sample.labels is None:
-        cut = round(fraction * n)
-        if cut == 0 or cut == n:
-            raise ValueError("split would leave one side empty")
-        left_idx, right_idx = perm[:cut], perm[cut:]
-    else:
-        ints = sample.label_ints
-        counts = np.bincount(ints, minlength=sample.n_classes)
-        quotas = fraction * counts
-        allot = np.floor(quotas).astype(int)
-        total_left = round(fraction * n)
-        remainders = quotas - allot
-        for cls in sorted(
-            range(sample.n_classes), key=lambda c: (-remainders[c], c)
-        )[: max(0, total_left - allot.sum())]:
-            allot[cls] += 1
-        taken = np.zeros(sample.n_classes, dtype=int)
-        left_list, right_list = [], []
-        for idx in perm:
-            cls = ints[idx]
-            if taken[cls] < allot[cls]:
-                left_list.append(idx)
-                taken[cls] += 1
-            else:
-                right_list.append(idx)
-        if not left_list or not right_list:
-            raise ValueError("split would leave one side empty")
-        left_idx, right_idx = np.array(left_list), np.array(right_list)
+    ints = np.zeros(n, dtype=int) if sample.labels is None else sample.label_ints
+    counts = np.bincount(ints, minlength=max(sample.n_classes, 1))
+    quotas = fraction * counts
+    allot = np.floor(quotas).astype(int)
+    remainders = quotas - allot
+    for cls in sorted(
+        range(len(counts)), key=lambda c: (-remainders[c], c)
+    )[: max(0, round(fraction * n) - allot.sum())]:
+        allot[cls] += 1
+    shuffled = ints[perm]
+    order = np.argsort(shuffled, kind="stable")  # class by class, in shuffled order
+    ranked = shuffled[order]
+    left = np.empty(n, dtype=bool)
+    left[order] = np.arange(n) - (np.cumsum(counts) - counts)[ranked] < allot[ranked]
+    if left.all() or not left.any():
+        raise ValueError("split would leave one side empty")
 
     def subset(idx):
         labels = sample.labels[idx] if sample.labels is not None else None
         return Sample(take_rows(sample.features, idx), labels, sample.n_classes)
 
-    return subset(left_idx), subset(right_idx)
+    return subset(perm[left]), subset(perm[~left])

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distances import CmdConfig, MomentGap, cmd_cotangents
-from .numerics import SparseRowMatrix, as_sample, check_finite, check_json_types, check_labels, json_object
-from .numerics import n_cols
+from .numerics import SparseRowMatrix, as_sample, check_count, check_finite, check_json_types, check_labels
+from .numerics import json_object, n_cols
 
 _LOG_CLAMP = 1e-12
 
@@ -159,6 +159,7 @@ class NetworkParams:
             if len(lengths) > 1:
                 raise ValueError(f"{key} must have rows of one length, got lengths {lengths}")
         shapes = json_object(doc["shapes"], ("hidden", "input", "classes"), "shapes")
+        check_json_types(shapes, ints=tuple(shapes))
         p = cls(*(np.array(doc[key], dtype=np.float64) for key in ("W", "b", "V", "c")), doc["seed"])
         if shapes and (
             shapes.get("hidden") != p.hidden
@@ -210,6 +211,8 @@ class Gradients:
 
 def init_params(input_dim: int, hidden: int, classes: int, rng) -> NetworkParams:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
+    for value, name in ((input_dim, "input_dim"), (hidden, "hidden"), (classes, "classes")):
+        check_count(value, name)
     lim_w = np.sqrt(6.0 / (input_dim + hidden))
     W = (rng.uniform_matrix(hidden, input_dim) * 2.0 - 1.0) * lim_w
     lim_v = np.sqrt(6.0 / (hidden + classes))

@@ -603,6 +603,39 @@ def test_warm_start_artifacts(tmp_path, capsys):
     assert mann_lines[1].startswith("7,")
 
 
+def test_warm_start_whose_shallow_run_diverges_writes_every_file(tmp_path, capsys):
+    # an infinite SGD step leaves no finite epoch to record in either run
+    doc = {"artificial": {"total": 60, "seed": 2},
+           "train": {"hidden": 4, "epochs": 9, "seed": 2, "optimizer": "sgd", "alpha": float("inf")},
+           "out": str(tmp_path / "ws")}
+    assert run(capsys, "warm-start", "--config", write_config(tmp_path, doc)) == (3, "", "")
+    out = tmp_path / "ws"
+    assert sorted(os.listdir(out)) == ["metrics-shallow.csv", "metrics.csv", "params-shallow.json",
+                                       "params.json", "report.json"]
+    for name in ("metrics.csv", "metrics-shallow.csv"):
+        assert (out / name).read_text() == "epoch,loss,cmd,source_acc,target_acc\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["command"] == "warm-start" and report["diverged"] is True
+
+
+def test_every_written_file_ends_in_one_line_feed(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert run(capsys, "gen-artificial", "--out", str(gen), "--samples", "45")[0] == 0
+    for command, extra in (("train", {}), ("warm-start", {}),
+                           ("sweep", {"ks": [5], "lambdas": [1.0]})):
+        out = tmp_path / command
+        doc = dict(SMALL_RUN, out=str(out / "sweep.csv" if command == "sweep" else out), **extra)
+        config = write_config(tmp_path, doc, f"{command}.json")
+        os.makedirs(out)
+        assert run(capsys, command, "--config", config)[0] == 0
+    written = [path for path in tmp_path.rglob("*") if path.is_file() and path.parent != tmp_path]
+    assert len(written) == 3 + 3 + 5 + 1
+    for path in written:
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n"), path
+        assert b"\r" not in data, path
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -710,17 +743,22 @@ MALFORMED_PARAMS = [
     ({**PARAMS, "W": [[0.5, -0.5], [1.0]], "b": [0.0, 0.0]},
      "W must have rows of one length, got lengths [1, 2]"),
     ({**PARAMS, "V": [[1.0], []]}, "V must have rows of one length, got lengths [0, 1]"),
+    ({**PARAMS, "shapes": {"hidden": True, "input": 2, "classes": 2}},
+     "hidden must be an integer, got True"),
+    ({**PARAMS, "shapes": {"hidden": 1, "input": 2.0, "classes": 2}},
+     "input must be an integer, got 2.0"),
 ]
 
 
 @pytest.mark.parametrize("doc, message", MALFORMED_PARAMS,
                          ids=["array", "no-W", "unknown-key", "shapes-number", "shapes-unknown-key",
                               "seed-string", "W-1-D", "V-1-D", "W-empty", "c-2-D",
-                              "W-ragged", "V-ragged"])
+                              "W-ragged", "V-ragged", "shapes-bool", "shapes-float"])
 def test_report_alignment_rejects_malformed_params(tmp_path, capsys, doc, message):
     # an array, a missing W and a number for shapes raised TypeError,
     # KeyError and AttributeError; a 1-D W failed to unpack its shape;
-    # a ragged W or V failed in numpy with a message that named no array.
+    # a ragged W or V failed in numpy with a message that named no array;
+    # a bool or a float in shapes passed as the integer it equals.
     # The data files do not exist: the params must fail first
     params = write_config(tmp_path, doc, "params.json")
     assert run(capsys, "report-alignment", "--params", params, "--source",
@@ -801,6 +839,15 @@ def test_sweep_rejects_wrong_json_types(tmp_path, capsys, doc, message):
     assert code == 2
     assert out == "" and err == f"error: {message}\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_without_out_writes_sweep_csv_in_the_working_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = {"artificial": {"total": 45, "seed": 3},
+           "train": {"hidden": 3, "epochs": 2, "seed": 3}, "ks": [5], "lambdas": [1.0]}
+    assert run(capsys, "sweep", "--config", write_config(tmp_path, doc)) == (0, "", "")
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "sweep.csv"]
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == "k,lambda,accuracy,ratio"
 
 
 def test_sweep_unknown_key(tmp_path, capsys):

@@ -523,3 +523,44 @@ def test_split_unlabeled():
     assert left.labels is None
     with pytest.raises(ValueError):
         split(Sample(np.ones((2, 1))), 0.1, seed=0)  # empty side
+
+
+# (labeled, seed, fraction) -> the row indices of the left and right sides
+# of a 13-row sample with class counts 6, 4 and 3; 0.5 of 13 rows rounds
+# half to even, to 6. An unlabeled sample is split as one class.
+SPLIT_CLASSES = [0, 1, 2, 0, 1, 0, 0, 2, 1, 0, 2, 1, 0]
+SPLIT_ROWS = {
+    (True, 0, 0.3): ([2, 4, 6, 5], [8, 10, 1, 12, 11, 7, 0, 9, 3]),
+    (True, 0, 0.5): ([2, 4, 6, 8, 5, 12], [10, 1, 11, 7, 0, 9, 3]),
+    (True, 0, 2 / 3): ([2, 4, 6, 8, 5, 10, 1, 12, 0], [11, 7, 9, 3]),
+    (True, 1, 0.3): ([8, 10, 3, 12], [4, 7, 0, 11, 1, 5, 9, 6, 2]),
+    (True, 1, 0.5): ([8, 10, 4, 3, 12, 0], [7, 11, 1, 5, 9, 6, 2]),
+    (True, 1, 2 / 3): ([8, 10, 4, 3, 12, 7, 0, 11, 5], [1, 9, 6, 2]),
+    (True, 7, 0.3): ([1, 10, 5, 0], [8, 7, 9, 4, 6, 3, 2, 12, 11]),
+    (True, 7, 0.5): ([1, 10, 8, 5, 0, 9], [7, 4, 6, 3, 2, 12, 11]),
+    (True, 7, 2 / 3): ([1, 10, 8, 5, 7, 0, 9, 4, 6], [3, 2, 12, 11]),
+    (False, 0, 0.3): ([2, 4, 6, 8], [5, 10, 1, 12, 11, 7, 0, 9, 3]),
+    (False, 0, 0.5): ([2, 4, 6, 8, 5, 10], [1, 12, 11, 7, 0, 9, 3]),
+    (False, 0, 2 / 3): ([2, 4, 6, 8, 5, 10, 1, 12, 11], [7, 0, 9, 3]),
+    (False, 1, 0.3): ([8, 10, 4, 3], [12, 7, 0, 11, 1, 5, 9, 6, 2]),
+    (False, 1, 0.5): ([8, 10, 4, 3, 12, 7], [0, 11, 1, 5, 9, 6, 2]),
+    (False, 1, 2 / 3): ([8, 10, 4, 3, 12, 7, 0, 11, 1], [5, 9, 6, 2]),
+    (False, 7, 0.3): ([1, 10, 8, 5], [7, 0, 9, 4, 6, 3, 2, 12, 11]),
+    (False, 7, 0.5): ([1, 10, 8, 5, 7, 0], [9, 4, 6, 3, 2, 12, 11]),
+    (False, 7, 2 / 3): ([1, 10, 8, 5, 7, 0, 9, 4, 6], [3, 2, 12, 11]),
+}
+
+
+@pytest.mark.parametrize("labeled, seed, fraction", SPLIT_ROWS)
+def test_split_keeps_its_pinned_rows(labeled, seed, fraction):
+    # the features are the row indices, so each side's features name its rows
+    X = np.arange(13.0)[:, None]
+    sample = Sample(X, one_hot(SPLIT_CLASSES, 3), 3) if labeled else Sample(X)
+    left, right = split(sample, fraction, seed)
+    got = tuple(side.features[:, 0].astype(int).tolist() for side in (left, right))
+    assert got == SPLIT_ROWS[labeled, seed, fraction]
+    for side in (left, right):
+        if labeled:
+            assert side.label_ints.tolist() == [SPLIT_CLASSES[i] for i in side.features[:, 0].astype(int)]
+        else:
+            assert side.labels is None

@@ -24,6 +24,7 @@ from momentalign.moments import (
     monomial_exponents,
     monomial_matrix,
 )
+from momentalign.network import init_params
 from momentalign.numerics import SeededRng, SparseRowMatrix, stream_words, word_uniforms
 from momentalign.optim import OPTIMIZERS
 from momentalign.trainer import TrainConfig
@@ -541,6 +542,9 @@ COUNT_ENTRIES = {
     "raw_moment_ipm_estimate": ("k", lambda v: raw_moment_ipm_estimate(SQUARE, SQUARE.T, v)),
     "mmd_polynomial_analytic": ("degree", lambda v: mmd_polynomial_analytic(*NORMALS, v)),
     "mmd_polynomial_estimate": ("degree", lambda v: mmd_polynomial_estimate(SQUARE, SQUARE.T, v)),
+    "init_params-input": ("input_dim", lambda v: init_params(v, 2, 3, SeededRng(0))),
+    "init_params-hidden": ("hidden", lambda v: init_params(2, v, 3, SeededRng(0))),
+    "init_params-classes": ("classes", lambda v: init_params(2, 2, v, SeededRng(0))),
 }
 
 
