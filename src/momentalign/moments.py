@@ -9,10 +9,11 @@ and the empirical distance use.
 The analytic side provides exact raw and central moments for two 1-D
 distribution kinds: Normal(mu, sigma) and AffineBeta(alpha, beta, scale,
 shift), the latter being scale*Y + shift for Y ~ Beta(alpha, beta).  These
-are the oracles behind the closed-form distance checks.  Sampling from
-AffineBeta goes through the regularized incomplete beta function (Lentz
-continued fraction) inverted by bisection, so no external statistics
-dependency is needed and draws are reproducible from a SeededRng.
+are the oracles behind the closed-form distance checks.  AffineBeta is
+sampled exactly as the gamma ratio X / (X + Y) with X ~ Gamma(alpha) and
+Y ~ Gamma(beta), each drawn by Marsaglia and Tsang's method, so no
+external statistics dependency is needed and draws are reproducible from
+a SeededRng.
 """
 
 from __future__ import annotations
@@ -205,8 +206,9 @@ class AffineBeta:
     shift: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("beta shape parameters must be positive")
+        # a NaN or infinite shape would keep the sampler rejecting forever
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError("beta shape parameters must be positive and finite")
 
 
 def _beta_raw_moment(alpha: float, beta: float, n: int) -> float:
@@ -288,88 +290,32 @@ def analytic_central_moment(d, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete beta and AffineBeta sampling
+# AffineBeta sampling
 # ---------------------------------------------------------------------------
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta (modified Lentz),
-    vectorized over x. Converges in a few dozen iterations for the
-    parameter ranges used here; 200 iterations is generous."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, 201):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < 1e-15):
-            break
-    return h
-
-
-def betainc(a: float, b: float, x) -> np.ndarray:
-    """Regularized incomplete beta function I_x(a, b), vectorized."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any((x < 0) | (x > 1)):
-        raise ValueError("x must lie in [0, 1]")
-    ln_b = _log_beta(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        front = np.exp(a * np.log(x) + b * np.log1p(-x) - ln_b)
-    front = np.where((x == 0.0) | (x == 1.0), 0.0, front)
-    # continued fraction converges fast for x below the pivot; use the
-    # symmetry I_x(a,b) = 1 - I_{1-x}(b,a) above it
-    pivot = (a + 1.0) / (a + b + 2.0)
-    lo = np.where(x < pivot, x, 0.5 * pivot)  # placeholder args stay in range
-    hi = np.where(x < pivot, 0.5 * pivot, x)
-    direct = front * _betacf(a, b, lo) / a
-    flipped = 1.0 - front * _betacf(b, a, 1.0 - hi) / b
-    out = np.where(x < pivot, direct, flipped)
-    out = np.where(x == 0.0, 0.0, out)
-    out = np.where(x == 1.0, 1.0, out)
-    return np.clip(out, 0.0, 1.0)
-
-
-def beta_ppf(u, alpha: float, beta: float, iterations: int = 80) -> np.ndarray:
-    """Inverse CDF of Beta(alpha, beta) by bisection on betainc.
-
-    80 halvings pin the root to ~1e-24 absolute, far below the sampling
-    noise any consumer of these draws can see.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if np.any((u < 0) | (u > 1)):
-        raise ValueError("u must lie in [0, 1]")
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        below = betainc(alpha, beta, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def _log_gammas(shape: float, n: int, rng, scale: float) -> np.ndarray:
+    """n draws of scale * log X with X ~ Gamma(shape, 1), by Marsaglia and
+    Tsang's method (ACM TOMS 26(3), 2000); rejected rows are drawn again.
+    A shape below 1 draws Gamma(shape + 1) and adds scale * log(U) / shape,
+    U in (0, 1], which a scale no larger than the shape keeps finite."""
+    boost = shape < 1.0
+    d = shape + boost - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        z = rng.normals(todo.size)
+        u = 1.0 - rng.uniforms(todo.size)
+        v = 1.0 + c * z
+        ok = v > 0.0
+        log_v = 3.0 * np.log(np.where(ok, v, 1.0))
+        ok &= np.log(u) < 0.5 * z * z + d - d * np.exp(log_v) + d * log_v
+        out[todo[ok]] = scale * (math.log(d) + log_v[ok])
+        todo = todo[~ok]
+    if boost:
+        out += np.log(1.0 - rng.uniforms(n)) * (scale / shape)
+    return out
 
 
 def sample_analytic(d, n: int, rng) -> np.ndarray:
@@ -377,5 +323,15 @@ def sample_analytic(d, n: int, rng) -> np.ndarray:
     if isinstance(d, Normal):
         return d.mu + d.sigma * rng.normals(n)
     if isinstance(d, AffineBeta):
-        return d.scale * beta_ppf(rng.uniforms(n), d.alpha, d.beta) + d.shift
+        # X / (X + Y) = 1 / (1 + exp(log Y - log X)), formed in logs: tiny
+        # shapes drive X and Y to 0 and the plain ratio to 0 / 0.  Scaled by
+        # s, the logs stay finite (unscaled, a subnormal shape sends both to
+        # -inf); their difference over s may overflow to an infinity, which
+        # logaddexp takes, but never to a NaN.
+        s = min(1.0, d.alpha, d.beta)
+        log_x = _log_gammas(d.alpha, n, rng, s)
+        log_y = _log_gammas(d.beta, n, rng, s)
+        with np.errstate(over="ignore"):
+            t = (log_y - log_x) / s
+        return d.scale * np.exp(-np.logaddexp(0.0, t)) + d.shift
     raise TypeError(f"unsupported distribution {type(d).__name__}")

@@ -271,19 +271,23 @@ def _final_accuracies(result: TrainResult, Xs, Ys, Xt, Yt):
 
 def warm_start_train(Xs, Ys, Xt, cfg: TrainConfig, Yt=None) -> WarmStartResult:
     """Shallow full-budget run plus a CMD continuation from its snapshot;
-    train rejects non-finite inputs before the shallow run starts."""
+    train rejects non-finite inputs before the shallow run starts.  With
+    lambda != 0, a budget whose snapshot epoch is its last leaves the
+    continuation no epoch, and is rejected before either run."""
     snap_epoch = round(cfg.warm_start_fraction * cfg.epochs)
+    if cfg.lam != 0.0 and snap_epoch == cfg.epochs:
+        raise ValueError(f"warm_start_fraction {cfg.warm_start_fraction!r} of {cfg.epochs} "
+                         f"epochs leaves the aligned run no epoch")
     shallow = train(
         Xs, Ys, Xt, replace(cfg, lam=0.0), Yt=Yt, snapshot_at=snap_epoch
     )
-    remaining = cfg.epochs - snap_epoch
     # no snapshot means the shallow run diverged before the snapshot epoch:
     # its last stable parameters stand in, and no aligned run starts
     start = shallow.snapshot or shallow.params
-    if remaining > 0 and cfg.lam != 0.0 and shallow.snapshot is not None:
+    if cfg.lam != 0.0 and shallow.snapshot is not None:
         # the budget rides in the config, the fourth argument, where
         # bench/tracer.py counts a train call's epochs
-        mann = train(Xs, Ys, Xt, replace(cfg, epochs=remaining), Yt=Yt, init=start,
+        mann = train(Xs, Ys, Xt, replace(cfg, epochs=cfg.epochs - snap_epoch), Yt=Yt, init=start,
                      start_epoch=snap_epoch)
     else:
         mann = TrainResult(params=start.copy(), records=[], diverged=False)

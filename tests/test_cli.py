@@ -618,6 +618,16 @@ def test_warm_start_whose_shallow_run_diverges_writes_every_file(tmp_path, capsy
     assert report["command"] == "warm-start" and report["diverged"] is True
 
 
+@pytest.mark.parametrize("train", [{"epochs": 1}, {"epochs": 9, "warm_start_fraction": 1.0}])
+def test_warm_start_without_an_aligned_epoch_exits_2_and_writes_nothing(tmp_path, capsys, train):
+    out = tmp_path / "ws"
+    doc = {"artificial": {"total": 30}, "train": dict(train, hidden=2), "out": str(out)}
+    code, stdout, err = run(capsys, "warm-start", "--config", write_config(tmp_path, doc))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: warm_start_fraction ") and err.count("\n") == 1
+    assert "leaves the aligned run no epoch" in err and not out.exists()
+
+
 def test_every_written_file_ends_in_one_line_feed(tmp_path, capsys):
     gen = tmp_path / "gen"
     assert run(capsys, "gen-artificial", "--out", str(gen), "--samples", "45")[0] == 0

@@ -241,6 +241,19 @@ def test_writers_write_the_per_value_writers_bytes(tmp_path_factory, data):
         assert (where / "got").read_bytes() == (where / "want").read_bytes()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_what_their_loaders_refuse(tmp_path, value):
+    labels = one_hot(np.array([0, 1]), 2)
+    S = SparseRowMatrix.from_rows([[(0, 1.0)], [(0, value), (1, 2.0)]], 2)
+    dense = np.array([[1.0, 2.0], [value, 1.0]])
+    for write, sample in ((save_sparse, Sample(S, labels)), (save_dense_csv, Sample(dense, labels)),
+                          (save_dense_csv, Sample(dense))):
+        path = tmp_path / "out"
+        with pytest.raises(ValueError, match="^features must be finite, got a non-finite value$"):
+            write(sample, path)
+        assert not path.exists()
+
+
 def test_sparse_loader_infers_dimension(tmp_path):
     path = tmp_path / "nodim.sparse"
     path.write_text("0 1:2.0 4:1.0\n1 0:1.0\n")

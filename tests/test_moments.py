@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +16,6 @@ from momentalign.moments import (
     analytic_central_moment,
     analytic_mean,
     analytic_raw_moment,
-    beta_ppf,
-    betainc,
     central_moments,
     monomial_exponents,
     monomial_matrix,
@@ -341,19 +338,36 @@ def test_analytic_errors():
         analytic_mean(object())
 
 
-def test_betainc_matches_scipy():
-    x = np.linspace(0.0, 1.0, 41)
-    for a, b in [(0.4, 0.4), (2.0, 5.0), (0.5, 3.0), (7.0, 0.3)]:
-        assert np.allclose(betainc(a, b, x), scipy.special.betainc(a, b, x),
-                           atol=1e-12)
+@pytest.mark.parametrize("a, b", [(0.4, 0.4), (2.0, 5.0), (0.5, 3.0), (7.0, 0.3)])
+def test_beta_draws_follow_the_beta_law(a, b):
+    # shapes below and above 1: the boosted and the direct gamma draws
+    xs = sample_analytic(AffineBeta(a, b), 20_000, SeededRng(2025))
+    assert scipy.stats.kstest(xs, scipy.stats.beta(a, b).cdf).pvalue > 0.01
 
 
-def test_beta_ppf_inverts_cdf():
-    u = np.linspace(0.01, 0.99, 25)
-    x = beta_ppf(u, 0.4, 0.4)
-    assert np.allclose(betainc(0.4, 0.4, x), u, atol=1e-10)
-    with pytest.raises(ValueError):
-        beta_ppf([1.5], 2.0, 2.0)
+@pytest.mark.parametrize("a, b", [(0.001, 0.001), (0.05, 0.05), (50.0, 50.0), (1e-310, 1e-310)])
+def test_beta_draws_stay_finite_inside_the_support(a, b):
+    xs = sample_analytic(AffineBeta(a, b, 0.8, 0.1), 100_000, SeededRng(3))
+    assert not np.isnan(xs).any()
+    assert xs.min() >= 0.1 and xs.max() <= 0.1 + 0.8
+
+
+@pytest.mark.parametrize("shapes", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                    (1.0, math.inf)])
+def test_beta_shapes_must_be_finite(shapes):
+    with pytest.raises(ValueError, match="^beta shape parameters must be positive and finite$"):
+        AffineBeta(*shapes)
+
+
+def test_beta_draws_repeat_from_the_seed():
+    d = AffineBeta(0.4, 0.4, 0.8, 0.1)
+    first = sample_analytic(d, 5_000, SeededRng(17))
+    assert first.tobytes() == sample_analytic(d, 5_000, SeededRng(17)).tobytes()
+
+
+def test_normal_draws_are_the_scaled_normal_stream():
+    got = sample_analytic(Normal(0.5, 0.27), 1_001, SeededRng(9))
+    assert got.tobytes() == (0.5 + 0.27 * SeededRng(9).normals(1_001)).tobytes()
 
 
 def test_sample_analytic_hits_moments():

@@ -390,6 +390,17 @@ def test_warm_start_after_a_shallow_divergence_starts_no_aligned_run():
     assert params_equal(res.mann.params, init_params(Xs.shape[1], 4, 3, SeededRng(4)))
 
 
+@pytest.mark.parametrize("epochs, fraction", [(1, 2.0 / 3.0), (9, 1.0)])
+def test_warm_start_without_an_aligned_epoch_is_rejected_before_training(epochs, fraction):
+    Xs, Ys, Xt, _ = small_problem()
+    cfg = TrainConfig(hidden=4, epochs=epochs, warm_start_fraction=fraction, seed=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "train", lambda *a, **kw: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match=f"^warm_start_fraction {fraction!r} of {epochs} "
+                                             f"epochs leaves the aligned run no epoch$"):
+            warm_start_train(Xs, Ys, Xt, cfg)
+
+
 def test_write_metrics_csv(tmp_path):
     Xs, Ys, Xt, Yt = small_problem()
     res = train(Xs, Ys, Xt, TrainConfig(hidden=4, epochs=3, seed=1), Yt=Yt)
