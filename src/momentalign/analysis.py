@@ -12,7 +12,6 @@ genuine violation of the inequality, never a formatting artifact.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .distances import CmdConfig, MomentGap, cmd_estimate
 from .moments import FULL, central_moments, monomial_matrix
 from .network import NetworkParams, forward
-from .numerics import SeededRng, as_sample_pair, check_count
+from .numerics import SeededRng, _is_json, as_sample_pair, check_count
 from .trainer import TrainConfig, train
 
 __all__ = [
@@ -37,6 +36,8 @@ __all__ = [
     "sensitivity_sweep",
     "write_sweep_csv",
 ]
+
+_KS_LEVEL = 1e-2  # the significance level of every KS test: 1%
 
 
 @dataclass
@@ -83,8 +84,8 @@ def _kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def ks_two_sample(a, b, alpha: float = 1e-2) -> KsResult:
-    """Two-sample Kolmogorov-Smirnov test on scalar samples.
+def ks_two_sample(a, b) -> KsResult:
+    """Two-sample Kolmogorov-Smirnov test on scalar samples, at _KS_LEVEL.
 
     The statistic is the sup distance between the two empirical CDFs.
     The p-value uses the asymptotic Kolmogorov distribution with the
@@ -102,7 +103,7 @@ def ks_two_sample(a, b, alpha: float = 1e-2) -> KsResult:
     ne = a.size * b.size / (a.size + b.size)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * stat
     pvalue = _kolmogorov_sf(lam)
-    return KsResult(statistic=stat, pvalue=pvalue, significant=pvalue < alpha)
+    return KsResult(statistic=stat, pvalue=pvalue, significant=pvalue < _KS_LEVEL)
 
 
 @dataclass
@@ -111,16 +112,16 @@ class AlignmentReport:
     significant: int
 
 
-def alignment_report(p: NetworkParams, Xs, Xt, alpha: float = 1e-2) -> AlignmentReport:
+def alignment_report(p: NetworkParams, Xs, Xt) -> AlignmentReport:
     """KS test per hidden node between source and target activations.
 
     The significant count is the number of hidden nodes whose activation
-    distributions differ at level alpha; a domain-aligned representation
+    distributions differ at level _KS_LEVEL; a domain-aligned representation
     drives it down.
     """
     hs = forward(p, Xs).hidden
     ht = forward(p, Xt).hidden
-    nodes = [ks_two_sample(hs[:, i], ht[:, i], alpha=alpha) for i in range(hs.shape[1])]
+    nodes = [ks_two_sample(hs[:, i], ht[:, i]) for i in range(hs.shape[1])]
     return AlignmentReport(nodes=nodes, significant=sum(r.significant for r in nodes))
 
 
@@ -132,9 +133,9 @@ def prop1_bound(j: int) -> float:
     return 2.0 * ((1.0 / (j + 1)) * (j / (j + 1)) ** j + 2.0 ** -(1 + j))
 
 
-def prop1_check(src, tgt, j: int, a: float, b: float, tol: float = 1e-12) -> BoundCheck:
+def prop1_check(src, tgt, j: int, a: float, b: float) -> BoundCheck:
     """Checks ||c_j(src) - c_j(tgt)||_2 / |b-a|^j against its ceiling for
-    samples supported on [a, b]^m."""
+    samples supported on [a, b]^m, up to a tolerance of 1e-12."""
     check_count(j, "j")
     if b <= a:
         raise ValueError("need a < b")
@@ -147,7 +148,7 @@ def prop1_check(src, tgt, j: int, a: float, b: float, tol: float = 1e-12) -> Bou
     ct = central_moments(tgt, j)[j]
     lhs = float(np.linalg.norm(cs - ct)) / (b - a) ** j
     rhs = math.sqrt(m) * prop1_bound(j)
-    return BoundCheck.of(f"moment-bound j={j}", lhs, rhs, tol)
+    return BoundCheck.of(f"moment-bound j={j}", lhs, rhs, 1e-12)
 
 
 def _ecf(X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -164,10 +165,10 @@ def _l1_grid(m: int) -> np.ndarray:
     return T[np.abs(T).sum(axis=1) <= 1.0 + 1e-12]
 
 
-def thm3_check(src, tgt, k: int = 5, tol: float = 1e-9) -> BoundCheck:
+def thm3_check(src, tgt, k: int = 5) -> BoundCheck:
     """Checks the characteristic-function distance over ||t||_1 <= 1
     against sqrt(m) * e * cmd_k (full monomials, unit weights) plus the
-    Taylor tail term, for recentered samples on [-1/2, 1/2]^m.
+    Taylor tail term, for recentered samples on [-1/2, 1/2]^m; tolerance 1e-9.
 
     Only odd k and m in {1, 2} are supported; the grid has 201 points in
     one dimension and an L1-clipped 101 x 101 lattice in two.
@@ -192,7 +193,7 @@ def thm3_check(src, tgt, k: int = 5, tol: float = 1e-9) -> BoundCheck:
     mt = monomial_matrix(tgt, k + 1, FULL).mean(axis=0)
     tail = float((np.abs(ms) + np.abs(mt)).max())
     rhs = math.sqrt(m) * math.e * cmd + tail / math.factorial(k + 1)
-    return BoundCheck.of(f"char-fct bound k={k}", lhs, rhs, tol)
+    return BoundCheck.of(f"char-fct bound k={k}", lhs, rhs, 1e-9)
 
 
 def dual_equivalence_check(
@@ -239,22 +240,14 @@ class SweepCell:
     ratio: float
 
 
-def _is_count(value) -> bool:
-    try:
-        return check_count(value, "k") is None
-    except ValueError:
-        return False
-
-
 def sweep_grid(ks, lambdas) -> tuple[list, list]:
     """The (k, lambda) axes of a sweep as ints and floats, after checking
-    that they are non-empty lists of integers >= 1, as check_count checks
-    k, and of numbers >= 0, a bool being neither; else ValueError naming the axis."""
-    for name, values, fits, what in (
-            ("ks", ks, _is_count, "integers >= 1"),
-            ("lambdas", lambdas, lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0,
-             "numbers >= 0")):
-        if not (isinstance(values, (list, tuple)) and values and all(map(fits, values))):
+    that they are non-empty lists of integers >= 1 and of numbers >= 0, as
+    numerics._is_json judges them; else ValueError naming the axis."""
+    for name, values, kind, least, what in (("ks", ks, int, 1, "integers >= 1"),
+                                            ("lambdas", lambdas, float, 0, "numbers >= 0")):
+        if not (isinstance(values, (list, tuple)) and values
+                and all(_is_json(v, kind) and v >= least for v in values)):
             raise ValueError(f"{name} must be a non-empty list of {what}, got {values!r}")
     return [int(k) for k in ks], [float(l) for l in lambdas]
 

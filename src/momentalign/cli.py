@@ -147,16 +147,24 @@ def _write_params(path, params: NetworkParams) -> None:
 def _write_run(cfg: RunConfig, command: str, runs: dict, report: dict) -> int:
     """Write the run directory cfg.out: metrics<suffix>.csv and
     params<suffix>.json of each TrainResult in runs, keyed by suffix, and
-    report.json with the command, the config and whether any run diverged,
-    then report's own keys.  The exit code: DIVERGED if one did, else 0."""
+    report.json with the command, the config and whether any run diverged;
+    if one did, the cause, epoch and batch of each diverged run, keyed by
+    its metrics file; then report's own keys.  The exit code: DIVERGED if
+    one did, else 0."""
     os.makedirs(cfg.out, exist_ok=True)
+    divergence = {}
     for suffix, result in runs.items():
-        write_metrics_csv(result.records, os.path.join(cfg.out, f"metrics{suffix}.csv"))
+        metrics = f"metrics{suffix}.csv"
+        write_metrics_csv(result.records, os.path.join(cfg.out, metrics))
         _write_params(os.path.join(cfg.out, f"params{suffix}.json"), result.params)
-    diverged = any(result.diverged for result in runs.values())
-    _write_json(os.path.join(cfg.out, "report.json"),
-                {"command": command, "config": cfg.report_config(), "diverged": diverged, **report})
-    return DIVERGED if diverged else 0
+        if result.diverged:
+            divergence[metrics] = {"cause": result.cause, "epoch": result.cause_epoch,
+                                   "batch": result.cause_batch}
+    head = {"command": command, "config": cfg.report_config(), "diverged": bool(divergence)}
+    if divergence:
+        head["divergence"] = divergence
+    _write_json(os.path.join(cfg.out, "report.json"), {**head, **report})
+    return DIVERGED if divergence else 0
 
 
 # ---------------------------------------------------------------------------

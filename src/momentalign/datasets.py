@@ -120,7 +120,7 @@ class ArtificialSpec:
             if len(self.spread) != self.classes:
                 raise ValueError("need one spread per class")
         for name in ("rotation_deg", "shift", "centers", "spread"):  # JSON reads Infinity
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=np.float64))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         spreads = self.spread if isinstance(self.spread, tuple) else (self.spread,)
         if any(s <= 0 for s in spreads):

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import as_sample, check_count
+from .numerics import as_sample, check_count, check_finite
 
 FULL = "full"
 MARGINAL = "marginal"
@@ -194,6 +194,7 @@ class Normal:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        check_finite(mu=self.mu, sigma=self.sigma)
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,7 @@ class AffineBeta:
         # a NaN or infinite shape would keep the sampler rejecting forever
         if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise ValueError("beta shape parameters must be positive and finite")
+        check_finite(scale=self.scale, shift=self.shift)
 
 
 def _beta_raw_moment(alpha: float, beta: float, n: int) -> float:

@@ -23,7 +23,6 @@ derivative h0*(1-h0)) rather than the network outputs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,6 +383,7 @@ def cmd_gradients(
 
 
 _STENCIL = (1.0, -1.0, 2.0, -2.0)  # the O(h^4) central difference's offsets, in steps
+_FD_STEP = 1e-3  # the oracle's step h
 _FD_CHUNK = 1 << 14  # hidden activations per chunk of perturbed networks: 128 KiB, inside L2
 
 
@@ -414,26 +414,24 @@ def _stencil_values(p: NetworkParams, names: str, rows: int, objective, step: fl
 _FD_LAMBDA = 0.5  # the oracle's lambda: neither 0 nor 1, so a lost scaling by lambda shows
 
 
-def _worst(analytic: list, f: np.ndarray, step: float) -> float:
+def _worst(analytic: list, f: np.ndarray) -> float:
     """Max relative error |a - d| / max(1e-8, |a| + |d|) between the leading
     coordinates a of the analytic gradient vectors and the O(h^4) central
     difference d = (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h of the
-    stencil values f, h = step; NaN when any coordinate's is NaN."""
-    d = (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * step)
+    stencil values f, h = _FD_STEP; NaN when any coordinate's is NaN."""
+    d = (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * _FD_STEP)
     a = np.array(analytic)[:, :len(d)]  # dW and db lead, the order of f's coordinates
     return float((np.abs(a - d) / np.maximum(1e-8, np.abs(a) + np.abs(d))).max())
 
 
-def finite_difference_check(p: NetworkParams, *, X, Y, Xt, cfg: CmdConfig | None = None,
-                            step: float = 1e-3) -> tuple[float, float]:
+def finite_difference_check(p: NetworkParams, *, X, Y, Xt,
+                            cfg: CmdConfig | None = None) -> tuple[float, float]:
     """(loss_err, cmd_err), each the _worst of step_gradients on source
     (X, Y) and target Xt: at lambda = 0 against the loss's central
     difference, and (at _FD_LAMBDA minus at 0) / _FD_LAMBDA against the
     CMD's, the worse of two forms: with the MomentGap train carries (a
     cmd_estimate's) and without one.  The objectives the stencils read
     run on inputs densified once."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be a finite number > 0, got {step}")
     cfg = cfg or CmdConfig()
     trace_s, trace_t = forward(p, X), forward(p, Xt)
     loss = step_gradients(p, X, Y, Xt, 0.0, cfg, trace_s).flat
@@ -449,5 +447,5 @@ def finite_difference_check(p: NetworkParams, *, X, Y, Xt, cfg: CmdConfig | None
         return [r.value for r in MomentGap.of(_hidden(Xd, W, b), _hidden(Xtd, W, b), cfg).reports(cfg)]
 
     rows = Xd.shape[0]
-    return (_worst([loss], _stencil_values(p, "WbVc", rows, loss_at, step), step),
-            _worst(cmd, _stencil_values(p, "Wb", rows + Xtd.shape[0], cmd_at, step), step))
+    return (_worst([loss], _stencil_values(p, "WbVc", rows, loss_at, _FD_STEP)),
+            _worst(cmd, _stencil_values(p, "Wb", rows + Xtd.shape[0], cmd_at, _FD_STEP)))

@@ -303,29 +303,32 @@ def check_labels(Y, rows: int, classes: int | None = None, what: str = "labels")
     return Y
 
 
-_NUMBER = (int, float, np.integer, np.floating)
+_KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+_FLOAT_LIMIT = 2**1024 - 2**970  # the least int whose float() overflows
 _SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
 
 
 def _is_json(value, kind, depth=0) -> bool:
-    """value is a kind, a bool being none, or (depth > 0) a list of such values
-    nested depth deep."""
+    """value is of kind int or float, a bool being neither and an int beyond
+    the float range no float; or (depth > 0) a list of those, depth deep."""
     if depth:
         return isinstance(value, (list, tuple)) and all(_is_json(v, kind, depth - 1) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        return False
+    return kind is int or not isinstance(value, int) or -_FLOAT_LIMIT < value < _FLOAT_LIMIT
 
 
 def check_json_types(doc: dict, ints=(), reals=(), nullable=(), arrays=None) -> None:
     """ValueError unless doc[name] is an integer for each name in ints and a
-    number for each in reals, a bool being neither; a nullable one may be None.
-    arrays maps a name to the depths it may have: 0 a number, 1 a list of
-    numbers, 2 a list of lists of numbers."""
-    for names, kind, what in ((ints, (int, np.integer), "an integer"), (reals, _NUMBER, "a number")):
+    number for each in reals, as _is_json judges them; a nullable one may be
+    None.  arrays maps a name to the depths it may have: 0 a number, 1 a
+    list of numbers, 2 a list of lists of numbers."""
+    for names, kind, what in ((ints, int, "an integer"), (reals, float, "a number")):
         for name in names:
             if not _is_json(doc[name], kind) and not (doc[name] is None and name in nullable):
                 raise ValueError(f"{name} must be {what}, got {reprlib.repr(doc[name])}")
     for name, depths in (arrays or {}).items():
-        if not any(_is_json(doc[name], _NUMBER, d) for d in depths):
+        if not any(_is_json(doc[name], float, d) for d in depths):
             what = " or ".join(_SHAPES[d] for d in depths)
             raise ValueError(f"{name} must be {what}, got {reprlib.repr(doc[name])}")
 

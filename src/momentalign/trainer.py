@@ -6,12 +6,13 @@ take the analytic gradients of loss + lambda*cmd (network.step_gradients,
 which the gradient oracle checks), and apply the chosen optimizer.
 Stopping is a fixed epoch budget, cfg.epochs.  A non-finite gradient,
 parameter, loss or CMD raises FloatingPointError, and train leaves
-through one handler that flags the run as diverged and restores the
-parameters of its last recorded epoch, or its start.  Runs are
-deterministic functions of the config: initialization and every
-per-epoch shuffle come from streams derived from the config seed, and
-with lambda = 0 the CMD gradient path is skipped entirely, so a
-lambda = 0 run is bitwise equal to a plain cross-entropy trainer.
+through one handler that flags the run as diverged, keeps the message
+with the epoch and step it rose in, and restores the parameters of its
+last recorded epoch, or its start.  Runs are deterministic functions
+of the config: initialization and every per-epoch shuffle come from
+streams derived from the config seed, and with lambda = 0 the CMD
+gradient path is skipped entirely, so a lambda = 0 run is bitwise equal
+to a plain cross-entropy trainer.
 
 The warm-start protocol trains the shallow (lambda = 0) network for the
 full budget, snapshots its weights at a fraction of the epochs, and
@@ -114,6 +115,9 @@ class TrainResult:
     diverged: bool = False
     snapshot: NetworkParams | None = None
     snapshot_epoch: int | None = None
+    cause: str | None = None        # a diverged run's FloatingPointError message
+    cause_epoch: int | None = None  # the epoch it rose in, counted from 1 as EpochRecord.epoch
+    cause_batch: int | None = None  # its step in that epoch, from 0; None: the epoch's record
 
 
 @dataclass
@@ -150,12 +154,13 @@ def _epoch_perms(seed: int, epoch: int, ns: int, nt: int):
 
 
 def _batches(Xs, Ys, Xt, cfg: TrainConfig, epoch: int):
-    """The (Xs, Ys, Xt) of each step of an epoch: the whole domains at full
-    batch, else minibatches of the epoch's permutations, each built when
-    its step asks for it, the smaller domain wrapping around.  A minibatch
-    has no target rows (None) at lambda = 0, where no step reads them."""
+    """The (step, Xs, Ys, Xt) of each step of an epoch, counted from 0: the
+    whole domains at full batch, else minibatches of the epoch's
+    permutations, each built when its step asks for it, the smaller domain
+    wrapping around.  A minibatch has no target rows (None) at lambda = 0,
+    where no step reads them."""
     if cfg.batch_size == 0:
-        yield Xs, Ys, Xt
+        yield 0, Xs, Ys, Xt
         return
     ns, nt = n_rows(Xs), n_rows(Xt)
     perm_s, perm_t = _epoch_perms(cfg.seed, epoch, ns, nt)
@@ -163,7 +168,7 @@ def _batches(Xs, Ys, Xt, cfg: TrainConfig, epoch: int):
     for t in range(math.ceil(max(ns, nt) / B)):
         idx = t * B + np.arange(B)
         idx_s, idx_t = perm_s[idx % ns], perm_t[idx % nt]
-        yield take_rows(Xs, idx_s), Ys[idx_s], None if cfg.lam == 0.0 else take_rows(Xt, idx_t)
+        yield t, take_rows(Xs, idx_s), Ys[idx_s], None if cfg.lam == 0.0 else take_rows(Xt, idx_t)
 
 
 def train(
@@ -210,7 +215,7 @@ def train(
     # order into the gradients' storage, which is dead until the next
     # step_gradients, and every forward until then reads it.
     wt = grads.weights_t(p) if any(isinstance(X, SparseRowMatrix) for X in (Xs, Xt)) else None
-    diverged = False
+    diverged, cause, cause_epoch, batch = False, None, None, None
     # In full-batch mode the traces an epoch's record takes of (Xs, Xt)
     # after its step, and the moment pass of its CMD, are exactly the next
     # step's.
@@ -218,7 +223,7 @@ def train(
 
     try:
         for e in range(start_epoch, start_epoch + cfg.epochs):
-            for Xbs, Ybs, Xbt in _batches(Xs, Ys, Xt, cfg, e):
+            for batch, Xbs, Ybs, Xbt in _batches(Xs, Ys, Xt, cfg, e):
                 trace_s, trace_t, moments = carried or (forward(p, Xbs, wt=wt), None, None)
                 if cfg.lam != 0.0:
                     trace_t = trace_t or forward(p, Xbt, wt=wt)
@@ -230,6 +235,7 @@ def train(
                     wt = grads.weights_t(p)
                 del Xbs, Ybs, Xbt  # gone before the next batch is built
 
+            batch = None  # the record's checks follow
             trace_s, trace_t = forward(p, Xs, wt=wt), forward(p, Xt, wt=wt)
             loss = cross_entropy_loss(trace_s, Ys)
             report = cmd_estimate(trace_s.hidden, trace_t.hidden, cmd_cfg)
@@ -247,8 +253,8 @@ def train(
             np.copyto(last_stable.flat, p.flat)
             if snapshot_at is not None and e + 1 == snapshot_at:
                 snapshot = p.copy()
-    except FloatingPointError:
-        diverged, p = True, last_stable
+    except FloatingPointError as exc:
+        diverged, p, cause, cause_epoch = True, last_stable, str(exc), e + 1
 
     return TrainResult(
         params=p,
@@ -256,6 +262,9 @@ def train(
         diverged=diverged,
         snapshot=snapshot,
         snapshot_epoch=snapshot_at,
+        cause=cause,
+        cause_epoch=cause_epoch,
+        cause_batch=batch,
     )
 
 

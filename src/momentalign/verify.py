@@ -202,7 +202,7 @@ def check_char_fct(seed: int = 0, cases: int = 50) -> list:
         n2 = 3 + int(r.uniforms(1)[0] * 57)
         a, b = _boxed_pair(r.split(3), n1, n2)
         k = ks[i % 3]
-        check = thm3_check(a, b, k=k, tol=1e-9)
+        check = thm3_check(a, b, k=k)
         out.append(replace(check, name=f"char-fct case {i} (k={k}, n={n1}/{n2})"))
     return out
 

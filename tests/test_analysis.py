@@ -223,6 +223,21 @@ def test_sensitivity_sweep_grid_accepts_numpy_scalars():
     assert type(cells[0].k) is int and type(cells[1].lam) is float
 
 
+def test_sweep_grid_refuses_an_integer_beyond_the_float_range():
+    # float() of it raised OverflowError
+    message = r"^lambdas must be a non-empty list of numbers >= 0, got \[1000"
+    with pytest.raises(ValueError, match=message):
+        analysis.sweep_grid([5], [10**400])
+    assert analysis.sweep_grid([5], [2**1023]) == ([5], [2.0**1023])
+
+
+def test_sweep_grid_holds_each_axis_to_its_least_value():
+    # k = 0 is no order, lambda = 0 is plain training
+    with pytest.raises(ValueError, match=r"^ks must be a non-empty list of integers >= 1, got \[0\]$"):
+        analysis.sweep_grid([0], [1.0])
+    assert analysis.sweep_grid([1], [0]) == ([1], [0.0])
+
+
 def test_sensitivity_sweep_records_divergence_as_nan():
     Xs, Ys, Xt, Yt = sweep_problem()
     cfg = TrainConfig(hidden=3, epochs=2, k=1, optimizer="sgd",

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from momentalign import trainer
 from momentalign.cli import main
 from momentalign.network import NetworkParams
 
@@ -520,6 +521,42 @@ def test_train_rejects_non_finite_json_constants(tmp_path, capsys, train, artifi
     assert not (tmp_path / "out").exists()
 
 
+BEYOND_FLOAT = 10**400  # a JSON integer whose float() overflows
+
+
+@pytest.mark.parametrize("command, key", [("train", "lambda"), ("train", "spread"),
+                                          ("sweep", "lambdas"), ("report-alignment", "W")])
+def test_an_integer_beyond_the_float_range_exits_2_naming_its_key(tmp_path, capsys, command, key):
+    # each ended in OverflowError with a traceback and exit 1
+    out = tmp_path / "out"
+    doc = dict(SMALL_RUN, out=str(out))
+    if key == "lambda":
+        doc["train"] = dict(doc["train"], **{"lambda": BEYOND_FLOAT})
+    elif key == "spread":
+        doc["artificial"] = dict(doc["artificial"], spread=BEYOND_FLOAT)
+    else:
+        doc.update(ks=[5], lambdas=[BEYOND_FLOAT])
+    if command == "report-alignment":  # the data files do not exist: the params fail first
+        params = write_config(tmp_path, {**PARAMS, "W": [[BEYOND_FLOAT, -0.5]]}, "params.json")
+        argv = ["--params", params, "--source", str(tmp_path / "missing-src.csv"),
+                "--target", str(tmp_path / "missing-tgt.csv")]
+    else:
+        argv = ["--config", write_config(tmp_path, doc)]
+    code, stdout, err = run(capsys, command, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_an_integer_rotation_beyond_int64_trains(tmp_path, capsys):
+    # np.isfinite met it in an object array and raised TypeError, exit 1
+    doc = dict(SMALL_RUN, out=str(tmp_path / "out"))
+    doc["artificial"] = dict(doc["artificial"], rotation_deg=10**30)
+    assert run(capsys, "train", "--config", write_config(tmp_path, doc)) == (0, "", "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["artificial"]["rotation_deg"] == 10**30
+
+
 def test_train_report_records_data_source(tmp_path, capsys):
     gen = tmp_path / "gen"
     run(capsys, "gen-artificial", "--out", str(gen), "--samples", "45")
@@ -616,6 +653,33 @@ def test_warm_start_whose_shallow_run_diverges_writes_every_file(tmp_path, capsy
         assert (out / name).read_text() == "epoch,loss,cmd,source_acc,target_acc\n"
     report = json.loads((out / "report.json").read_text())
     assert report["command"] == "warm-start" and report["diverged"] is True
+
+
+def test_warm_start_report_names_the_cause_of_its_divergence(tmp_path, capsys):
+    # the first SGD step at an infinite rate leaves non-finite parameters;
+    # the shallow run stops before its snapshot, so no aligned run starts
+    doc = {"artificial": {"total": 60, "seed": 2},
+           "train": {"hidden": 4, "epochs": 9, "seed": 2, "optimizer": "sgd", "alpha": float("inf")},
+           "out": str(tmp_path / "ws")}
+    assert run(capsys, "warm-start", "--config", write_config(tmp_path, doc)) == (3, "", "")
+    report = json.loads((tmp_path / "ws" / "report.json").read_text())
+    assert list(report)[:4] == ["command", "config", "diverged", "divergence"]
+    assert report["divergence"] == {
+        "metrics-shallow.csv": {"cause": "non-finite parameters", "epoch": 1, "batch": 0}}
+
+
+def test_train_report_names_a_divergence_in_an_epochs_record(tmp_path, capsys, monkeypatch):
+    # the record's checks follow the epoch's steps: no step index
+    monkeypatch.setattr(trainer, "cross_entropy_loss", lambda *args: float("nan"))
+    doc = dict(SMALL_RUN, out=str(tmp_path / "t"))
+    assert run(capsys, "train", "--config", write_config(tmp_path, doc)) == (3, "", "")
+    report = json.loads((tmp_path / "t" / "report.json").read_text())
+    assert report["divergence"] == {
+        "metrics.csv": {"cause": "non-finite loss or CMD", "epoch": 1, "batch": None}}
+    monkeypatch.undo()
+    doc["out"] = str(tmp_path / "ok")
+    assert run(capsys, "train", "--config", write_config(tmp_path, doc))[0] == 0
+    assert "divergence" not in json.loads((tmp_path / "ok" / "report.json").read_text())
 
 
 @pytest.mark.parametrize("train", [{"epochs": 1}, {"epochs": 9, "warm_start_fraction": 1.0}])

@@ -359,6 +359,18 @@ def test_beta_shapes_must_be_finite(shapes):
         AffineBeta(*shapes)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, name", [(Normal, "mu"), (Normal, "sigma"),
+                                        (AffineBeta, "scale"), (AffineBeta, "shift")])
+def test_analytic_distributions_refuse_non_finite_parameters(kind, name, value):
+    # Normal(0.5, nan) drew NaN, and cmd_analytic of Normal(inf, 1) was inf
+    base = {"mu": 0.5, "sigma": 0.27} if kind is Normal else {"alpha": 0.4, "beta": 0.4}
+    message = "^sigma must be positive$" if (name, value) == ("sigma", -math.inf) else (
+        f"^{name} must be finite, got a non-finite value$")
+    with pytest.raises(ValueError, match=message):
+        kind(**dict(base, **{name: value}))
+
+
 def test_beta_draws_repeat_from_the_seed():
     d = AffineBeta(0.4, 0.4, 0.8, 0.1)
     first = sample_analytic(d, 5_000, SeededRng(17))

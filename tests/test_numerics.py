@@ -514,6 +514,28 @@ def test_check_labels_returns_float64_labels():
     assert numerics.check_labels(Y, 3) is Y
 
 
+FLOAT_MAX_INT = 2**1024 - 2**970 - 1  # the largest int float() takes: the largest double
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_beyond_the_float_range_is_no_number_but_still_an_integer(sign):
+    # float() of it raised OverflowError wherever a number was read
+    inside, beyond = sign * FLOAT_MAX_INT, sign * (FLOAT_MAX_INT + 1)
+    assert abs(float(inside)) == np.finfo(np.float64).max
+    numerics.check_json_types({"x": inside, "a": [inside], "b": [[0.5, inside]]}, reals=("x",),
+                              arrays={"a": (1,), "b": (2,)})
+    for value in (beyond, sign * 10**400):
+        with pytest.raises(OverflowError):
+            float(value)
+        with pytest.raises(ValueError, match="^x must be a number, got "):
+            numerics.check_json_types({"x": value}, reals=("x",))
+        with pytest.raises(ValueError, match=r"^a must be a number or a list of numbers, got \["):
+            numerics.check_json_types({"a": [1.0, value]}, arrays={"a": (0, 1)})
+        with pytest.raises(ValueError, match=r"^b must be a list of lists of numbers, got \[\["):
+            numerics.check_json_types({"b": [[0.5, value]]}, arrays={"b": (2,)})
+        numerics.check_json_types({"seed": value}, ints=("seed",))  # a seed may be that long
+
+
 SQUARE = np.array([[0.25, 0.5], [0.75, 0.0]])
 NORMALS = (Normal(0.0, 1.0), Normal(0.5, 1.0))
 

@@ -243,6 +243,42 @@ def test_run_report_instances(validators, tmp_path, capsys):
         validators["run-report"].validate({"command": "train"})
 
 
+def test_run_report_divergence_instances(validators, tmp_path, capsys):
+    # an infinite SGD rate diverges at the first step of both commands
+    v = validators["run-report"]
+    doc = {"artificial": {"total": 60, "seed": 2},
+           "train": {"hidden": 4, "epochs": 9, "seed": 2, "optimizer": "sgd", "alpha": float("inf")}}
+    cfg = tmp_path / "run.json"
+    reports = []
+    for command, out in (("train", "t"), ("warm-start", "w")):
+        cfg.write_text(json.dumps(dict(doc, out=str(tmp_path / out))))
+        assert main([command, "--config", str(cfg)]) == 3
+        reports.append(json.loads((tmp_path / out / "report.json").read_text()))
+    capsys.readouterr()
+    train, warm = reports
+    cause = {"cause": "non-finite parameters", "epoch": 1, "batch": 0}
+    assert train["divergence"] == {"metrics.csv": cause}
+    assert warm["divergence"] == {"metrics-shallow.csv": cause}
+    for report in reports:
+        v.validate(report)
+        for name in report["divergence"]:
+            v.validate(dict(report, divergence={name: dict(cause, batch=None)}))  # the record's
+    for bad in (
+        dict(train, divergence={"metrics-shallow.csv": cause}),  # no such file for train
+        dict(warm, divergence={"params.json": cause}),
+        dict(train, divergence={}),
+        {key: val for key, val in train.items() if key != "divergence"},
+        dict(train, diverged=False),
+        dict(train, divergence={"metrics.csv": dict(cause, cause="overflow")}),
+        dict(train, divergence={"metrics.csv": dict(cause, epoch=0)}),
+        dict(train, divergence={"metrics.csv": dict(cause, batch=-1)}),
+        dict(train, divergence={"metrics.csv": {"cause": cause["cause"], "epoch": 1}}),
+        dict(train, divergence={"metrics.csv": dict(cause, step=0)}),
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            v.validate(bad)
+
+
 def test_run_report_config_records_generated_or_file_data(validators, tmp_path, capsys):
     gen = tmp_path / "gen"
     assert main(["gen-artificial", "--out", str(gen), "--samples", "30"]) == 0

@@ -224,6 +224,60 @@ def test_non_finite_gradient_reverts_to_last_stable():
     assert params_equal(res.params, train(Xs, Ys, Xt, replace(cfg, epochs=2)).params)
 
 
+@pytest.mark.parametrize("name", "WbVc")
+def test_divergence_keeps_a_non_finite_gradients_name_epoch_and_step(name):
+    # minibatches of 16 on 60 rows: four steps an epoch; step 6 is epoch 2's step 1
+    Xs, Ys, Xt, _ = small_problem()
+    cfg = TrainConfig(hidden=4, epochs=5, batch_size=16, seed=4)
+    calls = []
+
+    def nan_on_sixth_step(*args):
+        grads = step_gradients(*args)
+        calls.append(None)
+        if len(calls) == 6:
+            getattr(grads, "d" + name)[0] = np.nan
+        return grads
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "step_gradients", nan_on_sixth_step)
+        res = train(Xs, Ys, Xt, cfg)
+    assert res.diverged and len(res.records) == 1
+    assert (res.cause, res.cause_epoch, res.cause_batch) == (f"non-finite gradient d{name}", 2, 1)
+
+
+def test_divergence_keeps_non_finite_parameters_at_the_first_step():
+    # an infinite SGD step leaves non-finite parameters after the first step
+    Xs, Ys, Xt, _ = small_problem()
+    cfg = TrainConfig(hidden=4, lam=0.0, optimizer="sgd", alpha=float("inf"), epochs=3, seed=4)
+    res = train(Xs, Ys, Xt, cfg)
+    assert (res.diverged, res.cause, res.cause_epoch, res.cause_batch) == (
+        True, "non-finite parameters", 1, 0)
+
+
+def test_divergence_in_an_epochs_record_has_no_step():
+    # the record of epoch start_epoch + 2 reads a NaN loss; the epoch counts
+    # from 1 across a continued run, as EpochRecord.epoch does
+    Xs, Ys, Xt, _ = small_problem()
+    losses = []
+
+    def nan_on_second_record(*args):
+        losses.append(cross_entropy_loss(*args))
+        return np.nan if len(losses) == 2 else losses[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "cross_entropy_loss", nan_on_second_record)
+        res = train(Xs, Ys, Xt, TrainConfig(hidden=4, epochs=5, seed=4), start_epoch=7)
+    assert [r.epoch for r in res.records] == [8]
+    assert (res.diverged, res.cause, res.cause_epoch, res.cause_batch) == (
+        True, "non-finite loss or CMD", 9, None)
+
+
+def test_a_run_that_does_not_diverge_has_no_cause():
+    Xs, Ys, Xt, _ = small_problem()
+    res = train(Xs, Ys, Xt, TrainConfig(hidden=4, epochs=3, batch_size=16, seed=4))
+    assert (res.diverged, res.cause, res.cause_epoch, res.cause_batch) == (False, None, None, None)
+
+
 def test_train_input_validation():
     Xs, Ys, Xt, _ = small_problem()
     with pytest.raises(ValueError):
