@@ -55,7 +55,6 @@ from .moments import (
 )
 from .network import (
     ForwardTrace,
-    Gradients,
     NetworkParams,
     cross_entropy_loss,
     finite_difference_check,

@@ -12,6 +12,7 @@ genuine violation of the inequality, never a formatting artifact.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -243,12 +244,15 @@ class SweepCell:
 def sweep_grid(ks, lambdas) -> tuple[list, list]:
     """The (k, lambda) axes of a sweep as ints and floats, after checking
     that they are non-empty lists of integers >= 1 and of numbers >= 0, as
-    numerics._is_json judges them; else ValueError naming the axis."""
+    numerics._is_json judges them, and each k against the counts' ceiling;
+    else ValueError naming the axis."""
     for name, values, kind, least, what in (("ks", ks, int, 1, "integers >= 1"),
                                             ("lambdas", lambdas, float, 0, "numbers >= 0")):
         if not (isinstance(values, (list, tuple)) and values
                 and all(_is_json(v, kind) and v >= least for v in values)):
-            raise ValueError(f"{name} must be a non-empty list of {what}, got {values!r}")
+            raise ValueError(f"{name} must be a non-empty list of {what}, got {reprlib.repr(values)}")
+    for k in ks:
+        check_count(k, "ks")
     return [int(k) for k in ks], [float(l) for l in lambdas]
 
 

@@ -11,8 +11,10 @@ Both objectives are differentiated as a per-row cotangent on h0
 (loss_cotangent here, distances.cmd_cotangents for the CMD), pushed
 through the sigmoid by one backprop_hidden per input matrix; a step on
 loss + lambda * CMD sums the source cotangents first, so it makes one
-input product per domain.  Every producer adds its part into one
-Gradients vector, which loss_gradients and step_gradients zero once.
+input product per domain.  A gradient has the parameters' layout, so it
+is a NetworkParams too (NetworkParams.zeros_like): every producer adds
+its part into its views, and loss_gradients and step_gradients zero it
+once.
 The finite-difference oracle checks step_gradients itself: at lambda = 0
 against the loss, and its change with lambda against the CMD.  In the
 loss gradients for V, b and W, the chain rule requires the hidden
@@ -35,20 +37,13 @@ _LOG_CLAMP = 1e-12
 
 
 def _views(flat: np.ndarray, arrays) -> tuple:
-    """Views of the vector flat, back to back, shaped like arrays."""
+    """Views of flat's last axis, back to back, shaped like arrays; any
+    leading axes of flat, a stack of vectors, lead each view too."""
     out, start = [], 0
     for a in arrays:
-        out.append(flat[start:start + a.size].reshape(a.shape))
+        out.append(flat[..., start:start + a.size].reshape(flat.shape[:-1] + a.shape))
         start += a.size
     return tuple(out)
-
-
-def _packed(arrays) -> tuple:
-    """(flat, views): a new float64 vector holding arrays back to back,
-    each row-major, and its views shaped like them."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    return flat, _views(flat, arrays)
 
 
 def _json_floats(a: np.ndarray) -> str:
@@ -75,7 +70,9 @@ class NetworkParams:
     """The parameters as one float64 vector, flat, that holds W, b, V and c
     back to back, each row-major; the four attributes are views of it.
     The constructor copies its arrays into a new vector, so write into
-    the views (p.W[...] = ..., p.W -= ...), never rebind them."""
+    the views (p.W[...] = ..., p.W -= ...), never rebind them.  A gradient
+    has the same layout: zeros_like gives one for the producers to add
+    into."""
 
     W: np.ndarray  # hidden x input
     b: np.ndarray  # hidden
@@ -85,7 +82,9 @@ class NetworkParams:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat, (self.W, self.b, self.V, self.c) = _packed((self.W, self.b, self.V, self.c))
+        arrays = [np.asarray(a, dtype=np.float64) for a in (self.W, self.b, self.V, self.c)]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.W, self.b, self.V, self.c = _views(self.flat, arrays)
         for name in ("W", "V"):
             if getattr(self, name).ndim != 2:
                 raise ValueError(f"{name} must be a 2-D array")
@@ -98,6 +97,12 @@ class NetworkParams:
         """(W, b, V, c) laid over flat, a vector of self.flat's size, the
         way the parameters lie over self.flat."""
         return _views(flat, (self.W, self.b, self.V, self.c))
+
+    def _over(self, flat: np.ndarray, seed) -> "NetworkParams":
+        q = object.__new__(NetworkParams)  # flat is laid out like self.flat: no shapes to check
+        q.seed, q.flat = seed, flat
+        q.W, q.b, q.V, q.c = self.views(flat)
+        return q
 
     @property
     def hidden(self) -> int:
@@ -112,10 +117,11 @@ class NetworkParams:
         return self.V.shape[0]
 
     def copy(self) -> "NetworkParams":
-        q = object.__new__(NetworkParams)  # a copy of flat, with no shapes to check
-        q.seed, q.flat = self.seed, self.flat.copy()
-        q.W, q.b, q.V, q.c = self.views(q.flat)
-        return q
+        return self._over(self.flat.copy(), self.seed)
+
+    def zeros_like(self) -> "NetworkParams":
+        """Zeros laid out like these parameters, with seed None."""
+        return self._over(np.zeros_like(self.flat), None)
 
     def json_pieces(self):
         """The JSON document of the parameters in pieces: one per row of W,
@@ -176,38 +182,6 @@ class ForwardTrace:
     outputs: np.ndarray  # n_rows x classes, rows sum to 1
 
 
-@dataclass
-class Gradients:
-    """dW, db, dV and dc as views of one float64 vector, flat, laid out like
-    NetworkParams.flat.  The constructor copies its arrays into a new
-    vector; zeros_like gives one for the producers to add into."""
-
-    dW: np.ndarray
-    db: np.ndarray
-    dV: np.ndarray
-    dc: np.ndarray
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.flat, (self.dW, self.db, self.dV, self.dc) = _packed((self.dW, self.db, self.dV, self.dc))
-
-    @classmethod
-    def zeros_like(cls, p: NetworkParams) -> "Gradients":
-        g = object.__new__(cls)  # no arrays to copy
-        g.flat = np.zeros_like(p.flat)
-        g.dW, g.db, g.dV, g.dc = p.views(g.flat)
-        return g
-
-    def weights_t(self, p: NetworkParams) -> np.ndarray:
-        """p.W.T in C order, the layout a sparse forward gathers rows from,
-        written over this vector's first p.W.size elements and returned.
-        Training writes it after each optimizer step, which has read the
-        gradients, for the forwards before step_gradients zeroes it."""
-        wt = self.flat[:p.W.size].reshape(p.input_dim, p.hidden)
-        np.copyto(wt, p.W.T)
-        return wt
-
-
 def init_params(input_dim: int, hidden: int, classes: int, rng) -> NetworkParams:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
     for value, name in ((input_dim, "input_dim"), (hidden, "hidden"), (classes, "classes")):
@@ -263,9 +237,19 @@ def _outputs(h0: np.ndarray, V: np.ndarray, c: np.ndarray) -> np.ndarray:
     return softmax_rows(z)
 
 
+def weights_t(g: NetworkParams, p: NetworkParams) -> np.ndarray:
+    """p.W.T in C order, the layout a sparse forward gathers rows from,
+    written over the first p.W.size elements of g.flat, a gradient's, and
+    returned.  Training writes it after each optimizer step, which has
+    read the gradient, for the forwards before step_gradients zeroes it."""
+    wt = g.flat[:p.W.size].reshape(p.input_dim, p.hidden)
+    np.copyto(wt, p.W.T)
+    return wt
+
+
 def forward(p: NetworkParams, X, *, wt: np.ndarray | None = None) -> ForwardTrace:
     """The one-network case of _hidden and _outputs; wt, when given, is
-    p.W.T in C order (see Gradients.weights_t)."""
+    p.W.T in C order (see weights_t)."""
     if n_cols(X) != p.input_dim:
         raise ValueError("input dimension does not match W")
     h0 = _hidden(X, p.W, p.b, wt)
@@ -314,44 +298,44 @@ def loss_cotangent(p: NetworkParams, trace: ForwardTrace, Y: np.ndarray, out) ->
     return resid @ p.V
 
 
-def _zeroed(p: NetworkParams, out: Gradients | None) -> Gradients:
+def _zeroed(p: NetworkParams, out: NetworkParams | None) -> NetworkParams:
     """out with every element set to 0.0, or new zeros shaped like p: the
     vector a step's producers add their parts into."""
     if out is None:
-        return Gradients.zeros_like(p)
+        return p.zeros_like()
     out.flat.fill(0.0)
     return out
 
 
 def loss_gradients(p: NetworkParams, X, Y: np.ndarray, trace: ForwardTrace | None = None,
-                   out: Gradients | None = None) -> Gradients:
+                   out: NetworkParams | None = None) -> NetworkParams:
     """Analytic gradients of the mean cross-entropy on (X, Y), written into
     out, whose every element they overwrite, when given."""
     trace = trace or forward(p, X)
     g = _zeroed(p, out)
-    cotangent = loss_cotangent(p, trace, Y, (g.dV, g.dc))
-    backprop_hidden(X, trace.hidden, cotangent, (g.dW, g.db))
+    cotangent = loss_cotangent(p, trace, Y, (g.V, g.c))
+    backprop_hidden(X, trace.hidden, cotangent, (g.W, g.b))
     return g
 
 
 def step_gradients(p: NetworkParams, Xs, Ys, Xt, lam: float, cmd_cfg: CmdConfig,
-                   trace_s, trace_t=None, moments=None, out: Gradients | None = None) -> Gradients:
-    """Gradients of loss(Xs, Ys) + lam * cmd(h0(Xs), h0(Xt)) from the domains'
-    forward traces (trace_t is read only when lam != 0) and, when given,
-    the MomentGap of their hidden activations, written into out, whose
-    every element they overwrite, when given.  The CMD cotangent joins
+                   trace_s, trace_t=None, moments=None, out: NetworkParams | None = None) -> NetworkParams:
+    """The gradient of loss(Xs, Ys) + lam * cmd(h0(Xs), h0(Xt)) from the
+    domains' forward traces (trace_t is read only when lam != 0) and, when
+    given, the MomentGap of their hidden activations, written into out,
+    whose every element it overwrites, when given.  The CMD cotangent joins
     the loss's on the source side: one backprop per domain, each added
     into the zeroed vector."""
     if lam == 0.0:
         return loss_gradients(p, Xs, Ys, trace_s, out)
     g = _zeroed(p, out)
-    cotangent = loss_cotangent(p, trace_s, Ys, (g.dV, g.dc))
+    cotangent = loss_cotangent(p, trace_s, Ys, (g.V, g.c))
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cmd_cfg, moments)
     g_s *= lam
     g_s += cotangent  # cotangent + lam * g_s, in the cotangents' own arrays
     g_t *= lam
-    backprop_hidden(Xs, trace_s.hidden, g_s, (g.dW, g.db))
-    backprop_hidden(Xt, trace_t.hidden, g_t, (g.dW, g.db))
+    backprop_hidden(Xs, trace_s.hidden, g_s, (g.W, g.b))
+    backprop_hidden(Xt, trace_t.hidden, g_t, (g.W, g.b))
     return g
 
 
@@ -362,7 +346,7 @@ def cmd_gradients(
     cfg: CmdConfig | None = None,
     trace_s: ForwardTrace | None = None,
     trace_t: ForwardTrace | None = None,
-) -> Gradients:
+) -> NetworkParams:
     """Analytic gradient of cmd(h0(Xs), h0(Xt)) w.r.t. W and b; training
     takes it inside step_gradients and never calls this.
 
@@ -375,10 +359,10 @@ def cmd_gradients(
     cfg = cfg or CmdConfig()
     trace_s = trace_s or forward(p, Xs)
     trace_t = trace_t or forward(p, Xt)
-    g = Gradients.zeros_like(p)
+    g = p.zeros_like()
     g_s, g_t = cmd_cotangents(trace_s.hidden, trace_t.hidden, cfg)
-    backprop_hidden(Xs, trace_s.hidden, g_s, (g.dW, g.db))
-    backprop_hidden(Xt, trace_t.hidden, g_t, (g.dW, g.db))
+    backprop_hidden(Xs, trace_s.hidden, g_s, (g.W, g.b))
+    backprop_hidden(Xt, trace_t.hidden, g_t, (g.W, g.b))
     return g
 
 
@@ -391,13 +375,14 @@ def _stencil_values(p: NetworkParams, names: str, rows: int, objective, step: fl
     """f[i, o]: objective, a function of the arrays names of p ("WbVc" or
     "Wb", which lead p.flat) stacked with a leading axis of networks, at p
     with its i-th coordinate of those arrays, each flattened, moved by
-    step * _STENCIL[o].  The perturbed networks run as stacks of at most
+    step * _STENCIL[o].  A stack holds one perturbed copy of those leading
+    elements per row, and _views lays the arrays over each row as they lie
+    over p.flat.  The perturbed networks run as stacks of at most
     _FD_CHUNK hidden activations, rows of them per network (one network
     at least); each network's arithmetic is the same in any stack, so
     chunking changes no value."""
     arrays = [getattr(p, name) for name in names]
     theta = p.flat[:sum(a.size for a in arrays)]
-    cuts = np.cumsum([a.size for a in arrays])[:-1]
     coord = np.repeat(np.arange(theta.size), len(_STENCIL))
     moved = theta[coord] + np.tile(step * np.array(_STENCIL), theta.size)
     per_chunk = max(1, _FD_CHUNK // (rows * p.hidden))
@@ -406,8 +391,7 @@ def _stencil_values(p: NetworkParams, names: str, rows: int, objective, step: fl
         g = min(per_chunk, coord.size - s0)
         stack = np.tile(theta, (g, 1))
         stack[np.arange(g), coord[s0:s0 + g]] = moved[s0:s0 + g]
-        parts = np.split(stack, cuts, axis=1)
-        f[s0:s0 + g] = objective(*(part.reshape(g, *a.shape) for part, a in zip(parts, arrays)))
+        f[s0:s0 + g] = objective(*_views(stack, arrays))
     return f.reshape(theta.size, len(_STENCIL))
 
 

@@ -282,12 +282,19 @@ def as_sample_pair(src, tgt) -> tuple[np.ndarray, np.ndarray]:
 
 def check_finite(**samples) -> None:
     """ValueError naming the first sample, given by keyword, that holds a
-    non-finite value: a dense array, or a SparseRowMatrix's stored data.
-    None is skipped."""
+    non-finite value: a number or dense array, read as float64 (an int
+    whose float() overflows is not finite), or a SparseRowMatrix's stored
+    data.  None is skipped."""
     for name, values in samples.items():
+        if values is None:
+            continue
         if isinstance(values, SparseRowMatrix):
             values = values.data
-        if values is not None and not np.all(np.isfinite(values)):
+        try:
+            finite = np.isfinite(np.asarray(values, dtype=np.float64)).all()
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got a non-finite value")
 
 
@@ -333,12 +340,17 @@ def check_json_types(doc: dict, ints=(), reals=(), nullable=(), arrays=None) -> 
             raise ValueError(f"{name} must be {what}, got {reprlib.repr(doc[name])}")
 
 
+_COUNT_MAX = 2**31 - 1  # every count's ceiling, the schemas' "maximum"
+
+
 def check_count(value, name: str, least: int = 1) -> None:
-    """ValueError unless value, the setting name, is an integer >= least, a
-    bool being none."""
+    """ValueError unless value, the setting name, is an integer in
+    [least, _COUNT_MAX], a bool being none."""
     check_json_types({name: value}, ints=(name,))
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+    if value > _COUNT_MAX:
+        raise ValueError(f"{name} must be <= {_COUNT_MAX}")
 
 
 def json_object(doc, keys, where: str) -> dict:

@@ -16,11 +16,11 @@ with alpha fixed at 1.  Note the E update uses a PLUS on the second term;
 an accumulator of squares must stay nonnegative, so a minus there (seen
 in some write-ups) would drive E negative and the square root complex.
 
-Each optimizer acts on the flat vectors NetworkParams.flat and
-Gradients.flat, and each step takes its pieces from one scaffold,
-_chunks: it checks the gradient, allocates at the first step the
-accumulators and two scratch vectors of _CHUNK doubles, and hands the
-vectors over one chunk at a time.  A step runs the formulas above on
+Each optimizer acts on the flat vectors of two NetworkParams, the
+parameters and their gradient, and each step takes its pieces from one
+scaffold, _chunks: it checks the gradient, allocates at the first step
+the accumulators and two scratch vectors of _CHUNK doubles, and hands
+the vectors over one chunk at a time.  A step runs the formulas above on
 each chunk, every temporary written into the scratch, so each element
 sees the same operations in the same order as a whole-vector step.  The
 accumulators are the rows of buffers: G, then E; NetworkParams.views
@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .network import Gradients, NetworkParams
+from .network import NetworkParams
 
 _CHUNK = 1 << 13  # doubles per chunk of a step: 64 KiB a scratch vector
 
@@ -61,7 +61,7 @@ class _State:
         check_settings(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
-def _chunks(opt: _State, p: NetworkParams, g: Gradients, count: int):
+def _chunks(opt: _State, p: NetworkParams, g: NetworkParams, count: int):
     """The pieces of a step of opt, which keeps count accumulators: per
     chunk of at most _CHUNK elements, the chunk of p.flat, of g.flat and
     of each accumulator, then the two scratch vectors cut to its length.
@@ -69,10 +69,10 @@ def _chunks(opt: _State, p: NetworkParams, g: Gradients, count: int):
     changes: ValueError on a gradient of the wrong shape, FloatingPointError
     naming the first non-finite one, and ValueError on parameters of
     another size than the state's.  Sgd's (0, size) buffers keep the size."""
-    if (p.W.shape, p.b.shape, p.V.shape, p.c.shape) != (g.dW.shape, g.db.shape, g.dV.shape, g.dc.shape):
+    if (p.W.shape, p.b.shape, p.V.shape, p.c.shape) != (g.W.shape, g.b.shape, g.V.shape, g.c.shape):
         raise ValueError("gradient shape does not match parameters")
     if not np.isfinite(g.flat).all():
-        name = next(n for n in "WbVc" if not np.isfinite(getattr(g, "d" + n)).all())
+        name = next(n for n in "WbVc" if not np.isfinite(getattr(g, n)).all())
         raise FloatingPointError(f"non-finite gradient d{name}")
     size = p.flat.size
     if opt.buffers is None:
@@ -91,7 +91,7 @@ def _chunks(opt: _State, p: NetworkParams, g: Gradients, count: int):
 class Sgd(_State):
     alpha: float = 0.1
 
-    def step(self, p: NetworkParams, g: Gradients) -> None:
+    def step(self, p: NetworkParams, g: NetworkParams) -> None:
         for theta, grad, u, _ in _chunks(self, p, g, 0):
             theta -= np.multiply(self.alpha, grad, out=u)
 
@@ -101,7 +101,7 @@ class Adagrad(_State):
     alpha: float = 0.01
     eps: float = 1e-8
 
-    def step(self, p: NetworkParams, g: Gradients) -> None:
+    def step(self, p: NetworkParams, g: NetworkParams) -> None:
         for theta, grad, G, u, v in _chunks(self, p, g, 1):
             G += np.multiply(grad, grad, out=u)
             np.multiply(self.alpha, grad, out=u)
@@ -114,7 +114,7 @@ class Adadelta(_State):
     rho: float = 0.95
     eps: float = 1e-6
 
-    def step(self, p: NetworkParams, g: Gradients) -> None:
+    def step(self, p: NetworkParams, g: NetworkParams) -> None:
         rest = 1.0 - self.rho
         for theta, grad, G, E, u, v in _chunks(self, p, g, 2):
             G *= self.rho

@@ -34,12 +34,12 @@ import numpy as np
 
 from .distances import CmdConfig, cmd_estimate
 from .network import (
-    Gradients,
     NetworkParams,
     cross_entropy_loss,
     forward,
     init_params,
     step_gradients,
+    weights_t,
 )
 from .numerics import SeededRng, SparseRowMatrix, check_count, check_finite, check_json_types, check_labels
 from .numerics import n_cols, n_rows, settings_from_dict, settings_to_dict, take_rows
@@ -210,11 +210,11 @@ def train(
     records: list[EpochRecord] = []
     snapshot = p.copy() if snapshot_at == start_epoch else None
     last_stable = p.copy()  # refreshed in place after each epoch
-    grads = Gradients.zeros_like(p)  # zeroed and refilled by every step
+    grads = p.zeros_like()  # zeroed and refilled by every step
     # A sparse forward gathers rows of W.T.  Each update writes W.T in C
     # order into the gradients' storage, which is dead until the next
     # step_gradients, and every forward until then reads it.
-    wt = grads.weights_t(p) if any(isinstance(X, SparseRowMatrix) for X in (Xs, Xt)) else None
+    wt = weights_t(grads, p) if any(isinstance(X, SparseRowMatrix) for X in (Xs, Xt)) else None
     diverged, cause, cause_epoch, batch = False, None, None, None
     # In full-batch mode the traces an epoch's record takes of (Xs, Xt)
     # after its step, and the moment pass of its CMD, are exactly the next
@@ -232,7 +232,7 @@ def train(
                 if not np.isfinite(p.flat).all():
                     raise FloatingPointError("non-finite parameters")
                 if wt is not None:
-                    wt = grads.weights_t(p)
+                    wt = weights_t(grads, p)
                 del Xbs, Ybs, Xbt  # gone before the next batch is built
 
             batch = None  # the record's checks follow

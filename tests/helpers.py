@@ -10,24 +10,21 @@ import numpy as np
 
 from momentalign.datasets import Sample, one_hot
 from momentalign.distances import CmdConfig, cmd_estimate
-from momentalign.network import Gradients, NetworkParams, cross_entropy_loss, forward
+from momentalign.network import NetworkParams, cross_entropy_loss, forward
 from momentalign.numerics import SeededRng, SparseRowMatrix
 
 
-zeros_like = Gradients.zeros_like
-
-
-def add_scaled(g: Gradients, other: Gradients, scale: float) -> Gradients:
+def add_scaled(g: NetworkParams, other: NetworkParams, scale: float) -> NetworkParams:
     """g += scale * other, array by array."""
-    g.dW += scale * other.dW
-    g.db += scale * other.db
-    g.dV += scale * other.dV
-    g.dc += scale * other.dc
+    g.W += scale * other.W
+    g.b += scale * other.b
+    g.V += scale * other.V
+    g.c += scale * other.c
     return g
 
 
-def all_finite(g: Gradients) -> bool:
-    return all(np.all(np.isfinite(a)) for a in (g.dW, g.db, g.dV, g.dc))
+def all_finite(g: NetworkParams) -> bool:
+    return all(np.all(np.isfinite(a)) for a in (g.W, g.b, g.V, g.c))
 
 
 def objective(p: NetworkParams, Xs, Ys, Xt, cfg):

@@ -200,8 +200,11 @@ def test_sensitivity_sweep_baseline_must_be_in_grid():
     ([2], ["1"], "lambdas must be a non-empty list of numbers >= 0, got ['1']"),
     ([2], [float("nan")], "lambdas must be a non-empty list of numbers >= 0, got [nan]"),
     ([2], [1.0, float("inf")], "lambda must be finite, got inf"),
+    ([2], [10**400], "lambdas must be a non-empty list of numbers >= 0,"
+                     " got [100000000000000000...0000000000000000000]"),
+    ([2, 2**31], [1.0], "ks must be <= 2147483647"),
 ], ids=["k-float", "k-bool", "k-negative", "k-string", "lambda-negative", "lambda-bool",
-        "lambda-string", "lambda-nan", "lambda-inf"])
+        "lambda-string", "lambda-nan", "lambda-inf", "lambda-401-digits", "k-above-the-ceiling"])
 def test_sensitivity_sweep_rejects_bad_grid_entries(ks, lambdas, message, monkeypatch):
     # the grid is checked before any cell trains: ks=[2.7] used to run as k = 2
     def no_training(*args, **kwargs):

@@ -8,7 +8,10 @@ import pytest
 
 from momentalign import trainer
 from momentalign.cli import main
+from momentalign.datasets import Sample, one_hot, save_sparse
 from momentalign.network import NetworkParams
+
+from helpers import bag_of_words
 
 
 def run(capsys, *argv):
@@ -548,6 +551,27 @@ def test_an_integer_beyond_the_float_range_exits_2_naming_its_key(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [2**31, 10**30], ids=["2**31", "10**30"])
+@pytest.mark.parametrize("command, key", [("train", "k"), ("train", "epochs"), ("train", "hidden"),
+                                          ("train", "batch_size"), ("train", "total"),
+                                          ("check", "cases"), ("gen-artificial", "total")])
+def test_a_count_above_the_ceiling_exits_2_naming_its_key(tmp_path, capsys, command, key, value):
+    # k = 10**30 ended in OverflowError with a traceback, and hidden,
+    # batch_size and total in NumPy's "Maximum allowed size exceeded"
+    out = tmp_path / "out"
+    if command == "check":
+        argv = ["gradients", "--cases", str(value)]
+    elif command == "gen-artificial":
+        argv = ["--out", str(out), "--samples", str(value)]
+    else:
+        doc = dict(SMALL_RUN, out=str(out))
+        block = "artificial" if key == "total" else "train"
+        doc[block] = dict(doc[block], **{key: value})
+        argv = ["--config", write_config(tmp_path, doc)]
+    assert run(capsys, command, *argv) == (2, "", f"error: {key} must be <= 2147483647\n")
+    assert not out.exists()
+
+
 def test_an_integer_rotation_beyond_int64_trains(tmp_path, capsys):
     # np.isfinite met it in an object array and raised TypeError, exit 1
     doc = dict(SMALL_RUN, out=str(tmp_path / "out"))
@@ -613,6 +637,33 @@ def test_warm_start_writes_the_pinned_bytes(tmp_path, capsys, seed):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in WARM_START_SHA256[seed]}
     assert got == WARM_START_SHA256[seed]
+
+
+# sha256 of metrics.csv and params.json of a sparse train (see below), per
+# batch size: the sparse products, minibatch gathers and params writer
+SPARSE_TRAIN_SHA256 = {
+    8: {"metrics.csv": "93ecb369f6f09ab32381f46ab66045131ffde0a5d4bafcc8f80b2dcff8738c83",
+        "params.json": "afd722c36d524ff1961b3238d6d88a282b7f8fed7b575de2dd719d4410bef305"},
+    0: {"metrics.csv": "d37c9da5742fd49c9379bb522c0fc6e218791a529e606c7771ae029d714528a9",
+        "params.json": "b1f6aaba24d4dca57d2f94007f2fe00d1a38ec4ab9b762a7a8831bc82582214f"},
+}
+
+
+@pytest.mark.parametrize("batch_size", sorted(SPARSE_TRAIN_SHA256))
+def test_sparse_train_writes_the_pinned_bytes(tmp_path, capsys, batch_size):
+    paths = [str(tmp_path / name) for name in ("source.txt", "target.txt")]
+    for seed, rows, path in zip((1, 2), (40, 30), paths):
+        S = bag_of_words(rows=rows, cols=300, per_row=8, seed=seed)
+        save_sparse(Sample(S, one_hot(np.arange(rows) % 2, 2)), path)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"source": paths[0], "target": paths[1], "format": "sparse",
+                                  "train": {"hidden": 6, "epochs": 4, "batch_size": batch_size,
+                                            "lambda": 1.0, "seed": 0},
+                                  "out": str(out)})
+    assert run(capsys, "train", "--config", cfg)[0] == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in SPARSE_TRAIN_SHA256[batch_size]}
+    assert got == SPARSE_TRAIN_SHA256[batch_size]
 
 
 def test_warm_start_artifacts(tmp_path, capsys):
@@ -759,6 +810,22 @@ def test_check_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "nonsense"])
     assert exc.value.code == 2
+
+
+# (exit code, sha256 of stdout) of each suite at seed 0 and its default cases
+CHECK_SHA256 = {
+    "appendix-a": (1, "4053a9a68dbecb7e71b17e153609243c562310f8a583e7abe5bbc68c088d0efd"),
+    "gradients": (0, "341692fba490f7e94c7836a716aa6cc70e8e1ed9fcd5b93bfa65bd142841b2bd"),
+    "prop-bound": (0, "62596478d5d881b2242f19eeb5f8e0ad74bc74092e41b4c8833ae59c892ea553"),
+    "char-fct": (0, "759f9dc222fbc14628792b98f3eb3b6fe9621fbe697864f660c7cc19eddf8c05"),
+    "dual-form": (0, "79da46f2df03132a3f1a26ec3ba2becf15e22cabd9bda3c660771f0999a09ace"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CHECK_SHA256))
+def test_check_suites_print_the_pinned_bytes(capsys, suite):
+    code, out, err = run(capsys, "check", suite, "--seed", "0")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CHECK_SHA256[suite] and err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,15 @@ def test_analytic_distributions_refuse_non_finite_parameters(kind, name, value):
         kind(**dict(base, **{name: value}))
 
 
+def test_analytic_distributions_refuse_an_integer_beyond_the_float_range():
+    # np.isfinite met 10**400 as a Python int in an object array: TypeError
+    with pytest.raises(ValueError, match="^mu must be finite, got a non-finite value$"):
+        Normal(10**400, 1.0)
+    with pytest.raises(ValueError, match="^scale must be finite, got a non-finite value$"):
+        AffineBeta(0.5, 0.5, scale=10**400)
+    assert Normal(10**300, 1.0).mu == 10**300
+
+
 def test_beta_draws_repeat_from_the_seed():
     d = AffineBeta(0.4, 0.4, 0.8, 0.1)
     first = sample_analytic(d, 5_000, SeededRng(17))

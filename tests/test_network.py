@@ -10,7 +10,6 @@ from momentalign import network
 from momentalign.distances import CmdConfig, cmd_estimate
 from momentalign.network import (
     ForwardTrace,
-    Gradients,
     NetworkParams,
     backprop_hidden,
     cmd_gradients,
@@ -23,10 +22,11 @@ from momentalign.network import (
     sigmoid,
     softmax_rows,
     step_gradients,
+    weights_t,
 )
 from momentalign.numerics import SeededRng, SparseRowMatrix
 
-from helpers import add_scaled, all_finite, lie_back_to_back, traced_peak, zeros_like
+from helpers import add_scaled, all_finite, lie_back_to_back, traced_peak
 
 
 def tiny_params(seed=0, m=3, h=4, c=2):
@@ -56,17 +56,17 @@ def test_params_copy_is_deep():
 
 def test_params_and_gradients_copy_their_arrays_into_one_vector():
     arrays = [np.arange(6.0).reshape(2, 3), np.ones(2), np.full((4, 2), -1.5), np.zeros(4)]
-    for obj, names in ((NetworkParams(*arrays, seed=3), "W b V c"),
-                       (Gradients(*arrays), "dW db dV dc")):
-        views = [getattr(obj, n) for n in names.split()]
-        assert lie_back_to_back(obj.flat, views)
-        assert np.array_equal(obj.flat, np.concatenate([a.ravel() for a in arrays]))
-        assert not any(np.shares_memory(v, a) for v, a in zip(views, arrays))
-    p = NetworkParams(*arrays)
+    p = NetworkParams(*arrays, seed=3)
+    views = (p.W, p.b, p.V, p.c)
+    assert lie_back_to_back(p.flat, views)
+    assert np.array_equal(p.flat, np.concatenate([a.ravel() for a in arrays]))
+    assert not any(np.shares_memory(v, a) for v, a in zip(views, arrays))
     q = p.copy()
     assert lie_back_to_back(q.flat, (q.W, q.b, q.V, q.c)) and not np.shares_memory(q.flat, p.flat)
-    g = Gradients.zeros_like(p)
-    assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc)) and not g.flat.any()
+    assert q.seed == 3
+    g = p.zeros_like()
+    assert lie_back_to_back(g.flat, (g.W, g.b, g.V, g.c)) and not g.flat.any()
+    assert g.seed is None and not np.shares_memory(g.flat, p.flat)
 
 
 def test_sparse_forward_from_weights_t_held_in_the_gradient():
@@ -76,8 +76,8 @@ def test_sparse_forward_from_weights_t_held_in_the_gradient():
     X = SeededRng(7).normal_matrix(5, 7)
     X[X < 0.2] = 0.0
     S = SparseRowMatrix.from_rows([[(i, v) for i, v in enumerate(r) if v] for r in X], 7)
-    g = Gradients.zeros_like(p)
-    wt = g.weights_t(p)
+    g = p.zeros_like()
+    wt = weights_t(g, p)
     assert wt.flags.c_contiguous and np.shares_memory(wt, g.flat)
     assert wt.tobytes() == p.W.T.tobytes()
     dot_dense, operands = SparseRowMatrix.dot_dense, []
@@ -294,12 +294,12 @@ def test_gradient_producers_fill_out_with_the_new_arrays_bits(sparse):
         product = product.T
     else:
         product = dpre.T @ X
-    want = Gradients(product / n, np.add.reduce(dpre, axis=0) / n,
-                     (resid.T @ h) / n, np.add.reduce(resid, axis=0) / n)
-    g = Gradients.zeros_like(p)
-    got = loss_cotangent(p, trace, Y, (g.dV, g.dc))
-    backprop_hidden(X, trace.hidden, got, (g.dW, g.db))
-    assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc))
+    want = NetworkParams(product / n, np.add.reduce(dpre, axis=0) / n,
+                         (resid.T @ h) / n, np.add.reduce(resid, axis=0) / n)
+    g = p.zeros_like()
+    got = loss_cotangent(p, trace, Y, (g.V, g.c))
+    backprop_hidden(X, trace.hidden, got, (g.W, g.b))
+    assert lie_back_to_back(g.flat, (g.W, g.b, g.V, g.c))
     assert got.tobytes() == cotangent.tobytes()
     assert g.flat.tobytes() == want.flat.tobytes()
     assert loss_gradients(p, X, Y).flat.tobytes() == g.flat.tobytes()
@@ -310,7 +310,7 @@ def test_gradient_producers_fill_out_with_the_new_arrays_bits(sparse):
 def test_gradients_written_into_out_ignore_what_it_held(sparse, lam):
     # every producer adds into out, so loss_gradients and step_gradients
     # must zero it first: NaN, or the W.T that train leaves there between
-    # steps (Gradients.weights_t), gives the bits of fresh zeros
+    # steps (weights_t), gives the bits of fresh zeros
     p = tiny_params(seed=6, m=6, h=5, c=3)
     Xs, Xt = small_inputs(sparse), small_inputs(sparse, rows=7, seed=8)
     Ys = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1, 2]]
@@ -323,11 +323,11 @@ def test_gradients_written_into_out_ignore_what_it_held(sparse, lam):
 
     want = produce(None).flat.tobytes()
     for held in ("zeros", "nan", "weights_t"):
-        out = Gradients.zeros_like(p)
+        out = p.zeros_like()
         if held == "nan":
             out.flat.fill(np.nan)
         elif held == "weights_t":
-            assert np.any(out.weights_t(p))
+            assert np.any(weights_t(out, p))
         assert produce(out) is out
         assert out.flat.tobytes() == want, held
 
@@ -367,14 +367,14 @@ def test_cross_entropy_clamps_zero_probability():
 
 def test_gradients_add_scaled_and_finite():
     p = tiny_params()
-    g = zeros_like(p)
+    g = p.zeros_like()
     X = SeededRng(2).normal_matrix(4, 3)
     Y = np.eye(2)[SeededRng(3).permutation(4) % 2]
     lg = loss_gradients(p, X, Y)
     add_scaled(g, lg, 2.0)
-    assert np.allclose(g.dW, 2.0 * lg.dW)
+    assert np.allclose(g.W, 2.0 * lg.W)
     assert all_finite(g)
-    g.dW[0, 0] = np.nan
+    g.W[0, 0] = np.nan
     assert not all_finite(g)
 
 
@@ -401,7 +401,7 @@ def test_cmd_gradients_zero_on_identical_activations():
     p = tiny_params(seed=10, m=2, h=3, c=2)
     X = SeededRng(11).normal_matrix(5, 2)
     g = cmd_gradients(p, X, X, CmdConfig())
-    assert np.all(g.dW == 0.0) and np.all(g.db == 0.0)
+    assert np.all(g.W == 0.0) and np.all(g.b == 0.0)
 
 
 def per_order_cmd_gradients(p, Xs, Xt, cfg):
@@ -458,9 +458,9 @@ def test_cmd_gradients_match_per_order_expectations(seed, k, ns, nt, sparse, uni
     args = (sparse_copy(Xs), sparse_copy(Xt)) if sparse else (Xs, Xt)
     got = cmd_gradients(p, *args, cfg)
     scale = max(np.abs(want_W).max(), np.abs(want_b).max())
-    assert np.all(np.abs(got.dW - want_W) <= 1e-12 * scale)
-    assert np.all(np.abs(got.db - want_b) <= 1e-12 * scale)
-    assert np.all(got.dV == 0.0) and np.all(got.dc == 0.0)
+    assert np.all(np.abs(got.W - want_W) <= 1e-12 * scale)
+    assert np.all(np.abs(got.b - want_b) <= 1e-12 * scale)
+    assert np.all(got.V == 0.0) and np.all(got.c == 0.0)
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -476,8 +476,8 @@ def test_cmd_gradients_skip_zero_norm_orders(sparse):
     got = cmd_gradients(p, *args, cfg)
     scale = max(np.abs(want_W).max(), np.abs(want_b).max())
     assert scale > 0.0
-    assert np.all(np.abs(got.dW - want_W) <= 1e-12 * scale)
-    assert np.all(np.abs(got.db - want_b) <= 1e-12 * scale)
+    assert np.all(np.abs(got.W - want_W) <= 1e-12 * scale)
+    assert np.all(np.abs(got.b - want_b) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("which", ["loss", "cmd"])
@@ -494,7 +494,7 @@ def test_finite_difference_check_nan_gradient_coordinate_is_nan(monkeypatch, whi
     def poisoned(*args, **kwargs):
         out = real(*args, **kwargs)
         if which == "loss":
-            out.db[2] = np.nan
+            out.b[2] = np.nan
         else:
             out[0][:, 2] = np.nan
         return out

@@ -513,6 +513,14 @@ def test_check_labels_returns_float64_labels():
     assert Y.dtype == np.float64 and Y.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
     assert numerics.check_labels(Y, 3) is Y
 
+def test_check_finite_reads_python_numbers_and_float64_arrays_without_a_copy():
+    numerics.check_finite(a=10**300, b=2, c=[1.5, -3])
+    for value in (10**400, -10**400, [1.0, 10**400], float("nan")):
+        with pytest.raises(ValueError, match="^x must be finite, got a non-finite value$"):
+            numerics.check_finite(x=value)
+    values = np.zeros(1 << 17)
+    assert traced_peak(numerics.check_finite, x=values)[1] < values.nbytes // 4
+
 
 FLOAT_MAX_INT = 2**1024 - 2**970 - 1  # the largest int float() takes: the largest double
 
@@ -584,6 +592,24 @@ def test_every_count_is_checked_where_it_enters(entry, value, message):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == f"{name} {message}"
+
+
+@pytest.mark.parametrize("value", [2**31, 10**30], ids=["2**31", "10**30"])
+@pytest.mark.parametrize("entry", [entry for entry in COUNT_ENTRIES if entry != "artificial-classes"])
+def test_every_count_is_held_to_the_ceiling_where_it_enters(entry, value):
+    # k = 10**30 ended in OverflowError, and a size that large in NumPy's
+    # "Maximum allowed size exceeded"; the classes entry first builds as
+    # many centers, so test_schemas holds classes to the ceiling instead
+    name, call = COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be <= 2147483647"
+
+
+def test_the_count_ceiling_is_the_largest_int32():
+    numerics.check_count(2**31 - 1, "n")  # only checked: a count this large is never run
+    with pytest.raises(ValueError, match="^n must be <= 2147483647$"):
+        numerics.check_count(np.int64(2**31), "n")
 
 
 @pytest.mark.parametrize("name, least, call", [

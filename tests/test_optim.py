@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from momentalign import optim
-from momentalign.network import Gradients, NetworkParams
+from momentalign.network import NetworkParams
 from momentalign.numerics import SeededRng
 from momentalign.optim import _CHUNK, OPTIMIZERS, Adadelta, Adagrad, Sgd, make_optimizer
 from momentalign.trainer import TrainConfig
 
-from helpers import lie_back_to_back, traced_peak, zeros_like
+from helpers import lie_back_to_back, traced_peak
 
 
 def scalarish_params():
@@ -19,8 +19,8 @@ def scalarish_params():
 
 
 def unit_grads(p, value=1.0):
-    g = zeros_like(p)
-    for arr in (g.dW, g.db, g.dV, g.dc):
+    g = p.zeros_like()
+    for arr in (g.W, g.b, g.V, g.c):
         arr += value
     return g
 
@@ -74,8 +74,8 @@ def random_run(seed, size=None):
     hidden, inputs = (50, 5000) if size is None else (1, size - 7)
     p = NetworkParams(rng.normal_matrix(hidden, inputs), rng.normals(hidden),
                       rng.normal_matrix(3, hidden), rng.normals(3))
-    grads = [Gradients(*(rng.normals(a.size).reshape(a.shape) * 10.0 ** (step % 5 - 2)
-                         for a in (p.W, p.b, p.V, p.c))) for step in range(12)]
+    grads = [NetworkParams(*(rng.normals(a.size).reshape(a.shape) * 10.0 ** (step % 5 - 2)
+                             for a in (p.W, p.b, p.V, p.c))) for step in range(12)]
     return p, grads
 
 
@@ -98,7 +98,7 @@ def test_adadelta_scratch_buffers_match_the_textbook_formula():
             opt.step(p, g)
             acc, eacc = (dict(zip("WbVc", p.views(b))) for b in opt.buffers)
             for n in "WbVc":
-                grad = getattr(g, "d" + n)
+                grad = getattr(g, n)
                 G[n] = rho * G[n] + (1.0 - rho) * grad * grad
                 update = np.sqrt(E[n] + eps) / np.sqrt(G[n] + eps) * grad
                 theta[n] = theta[n] - update
@@ -116,7 +116,7 @@ def test_sgd_scratch_buffer_matches_the_textbook_formula():
         for step, g in enumerate(grads):
             opt.step(p, g)
             for n in "WbVc":
-                theta[n] = theta[n] - alpha * getattr(g, "d" + n)
+                theta[n] = theta[n] - alpha * getattr(g, n)
                 assert getattr(p, n).tobytes() == theta[n].tobytes(), (size, step, n)
 
 
@@ -131,7 +131,7 @@ def test_adagrad_scratch_buffers_match_the_textbook_formula():
             opt.step(p, g)
             acc = dict(zip("WbVc", p.views(opt.buffers[0])))
             for n in "WbVc":
-                grad = getattr(g, "d" + n)
+                grad = getattr(g, n)
                 G[n] = G[n] + grad * grad
                 theta[n] = theta[n] - alpha * grad / np.sqrt(G[n] + eps)
                 for got, want in ((getattr(p, n), theta[n]), (acc[n], G[n])):
@@ -221,10 +221,10 @@ def test_the_settings_bounds_keep_their_edges():
 def test_step_rejects_bad_gradients():
     p = scalarish_params()
     g = unit_grads(p)
-    g.dW[0, 0] = np.inf
+    g.W[0, 0] = np.inf
     with pytest.raises(FloatingPointError):
         Sgd().step(p, g)
-    g2 = Gradients(np.zeros((2, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+    g2 = NetworkParams(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.zeros(1))
     with pytest.raises(ValueError):
         Sgd().step(p, g2)
 
@@ -235,7 +235,7 @@ def test_step_names_the_non_finite_gradient_and_moves_nothing(kind, name):
     p = scalarish_params()
     before = p.copy()
     g = unit_grads(p)
-    getattr(g, "d" + name)[0] = np.nan
+    getattr(g, name)[0] = np.nan
     with pytest.raises(FloatingPointError, match=f"^non-finite gradient d{name}$"):
         make_optimizer(kind).step(p, g)
     assert all(np.array_equal(getattr(p, n), getattr(before, n)) for n in "WbVc")

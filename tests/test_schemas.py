@@ -143,6 +143,31 @@ def test_every_integer_minimum_is_covered():
         "total", "classes", "hidden", "k", "epochs", "batch_size"}
 
 
+def integer_maximums():
+    """(settings class, key, maximum or None) of every integer property with
+    a minimum, a count, in the artificial block and the train block."""
+    docs = load_schemas()
+    blocks = ((ArtificialSpec, docs["artificial-spec"]), (TrainConfig, docs["run-config"]["$defs"]["train"]))
+    return [(cls, key, prop.get("maximum")) for cls, schema in blocks
+            for key, prop in schema["properties"].items()
+            if prop.get("type") == "integer" and "minimum" in prop]
+
+
+@pytest.mark.parametrize("cls, key, maximum", integer_maximums(),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_integer_maximums_of_the_schemas_are_checked_by_the_settings(cls, key, maximum):
+    # above it k ended in OverflowError, and hidden, batch_size and total
+    # in NumPy's "Maximum allowed size exceeded", which names no key
+    with pytest.raises(ValueError, match=f"^{key} must be <= {maximum}$"):
+        cls.from_dict({key: maximum + 1})
+
+
+def test_every_integer_maximum_is_covered():
+    # every count is bounded above by the one ceiling, the sweep's ks items too
+    ks = load_schemas()["sweep-config"]["properties"]["ks"]["items"]
+    assert {m for *_, m in integer_maximums()} == {ks.get("maximum")} == {2**31 - 1}
+
+
 def test_run_config_instances(validators):
     v = validators["run-config"]
     v.validate({

@@ -134,7 +134,7 @@ def test_steps_keep_gradients_and_parameters_views_of_their_vectors(sparse, lam)
     for _ in range(3):
         trace_s, trace_t = forward(p, Xs), forward(p, Xt)
         g = step_gradients(p, Xs, Ys, Xt, lam, CmdConfig(k=3), trace_s, trace_t)
-        assert lie_back_to_back(g.flat, (g.dW, g.db, g.dV, g.dc))
+        assert lie_back_to_back(g.flat, (g.W, g.b, g.V, g.c))
         opt.step(p, g)
         assert p.flat is params and lie_back_to_back(p.flat, (p.W, p.b, p.V, p.c))
 
@@ -214,7 +214,7 @@ def test_non_finite_gradient_reverts_to_last_stable():
         grads = step_gradients(*args)
         calls.append(None)
         if len(calls) == 3:
-            grads.db[1] = np.nan
+            grads.b[1] = np.nan
         return grads
 
     with pytest.MonkeyPatch.context() as mp:
@@ -235,7 +235,7 @@ def test_divergence_keeps_a_non_finite_gradients_name_epoch_and_step(name):
         grads = step_gradients(*args)
         calls.append(None)
         if len(calls) == 6:
-            getattr(grads, "d" + name)[0] = np.nan
+            getattr(grads, name)[0] = np.nan
         return grads
 
     with pytest.MonkeyPatch.context() as mp:
@@ -522,9 +522,9 @@ def test_sparse_minibatch_train_bitwise_equals_add_at_products():
 
 
 def gradients_close(got, want, rel=1e-12):
-    scale = max(np.abs(a).max() for a in (want.dW, want.db, want.dV, want.dc))
+    scale = max(np.abs(a).max() for a in (want.W, want.b, want.V, want.c))
     return all(np.all(np.abs(g - w) <= rel * scale) for g, w in (
-        (got.dW, want.dW), (got.db, want.db), (got.dV, want.dV), (got.dc, want.dc)))
+        (got.W, want.W), (got.b, want.b), (got.V, want.V), (got.c, want.c)))
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -544,7 +544,7 @@ def test_step_gradients_is_loss_plus_lambda_cmd(sparse, lam):
     want = loss_gradients(p, Xs, Ys, trace_s)
     if lam == 0.0:
         assert all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in (
-            (got.dW, want.dW), (got.db, want.db), (got.dV, want.dV), (got.dc, want.dc)))
+            (got.W, want.W), (got.b, want.b), (got.V, want.V), (got.c, want.c)))
     else:
         add_scaled(want, cmd_gradients(p, Xs, Xt, cmd_cfg, trace_s, trace_t), lam)
         assert gradients_close(got, want)
@@ -572,7 +572,7 @@ def test_sparse_minibatch_step_makes_one_input_product_per_domain(lam, per_step)
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_a_run_allocates_one_gradient_and_one_rollback_copy(sparse, lam):
-    # every step refills the run's one Gradients and every epoch refreshes
+    # every step refills the run's one gradient and every epoch refreshes
     # its one rollback copy in place
     if sparse:
         Xs, Ys, Xt = sparse_pair(seed=3)
@@ -580,10 +580,9 @@ def test_a_run_allocates_one_gradient_and_one_rollback_copy(sparse, lam):
         Xs, Ys, Xt, _ = small_problem(seed=3)
     cfg = TrainConfig(hidden=4, lam=lam, epochs=4, batch_size=8, seed=1)
     made = []
-    zeros_like, copy = network.Gradients.zeros_like, network.NetworkParams.copy
+    zeros_like, copy = network.NetworkParams.zeros_like, network.NetworkParams.copy
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(network.Gradients, "zeros_like",
-                   classmethod(lambda cls, p: made.append("gradient") or zeros_like(p)))
+        mp.setattr(network.NetworkParams, "zeros_like", lambda p: made.append("gradient") or zeros_like(p))
         mp.setattr(network.NetworkParams, "copy", lambda p: made.append("copy") or copy(p))
         res = train(Xs, Ys, Xt, cfg)
     assert not res.diverged and len(res.records) == cfg.epochs
