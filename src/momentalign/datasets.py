@@ -25,10 +25,11 @@ shortest round-trip repr so that save(load(f)) == f byte for byte):
   headerless first line of values is unlabeled data.  Cells, padded
   with spaces or tabs, hold labels and values of the sparse grammar.
 * sparse    -- optional "#dim N" first line (N ASCII digits, 1 <= N <=
-  2**53), then lines of "<label> <idx>:<val> ...": an integer label,
-  tokens of ASCII-digit 0-based indices, strictly increasing within the
-  line, and finite decimal values, separated by spaces or tabs.  Lines
-  of spaces and tabs alone are skipped.
+  2**31 - 1, the counts' ceiling), then lines of "<label> <idx>:<val>
+  ...": an integer label, tokens of ASCII-digit 0-based indices below N
+  (or the ceiling), strictly increasing within the line, and finite
+  decimal values, separated by spaces or tabs.  Lines of spaces and
+  tabs alone are skipped.
 * both      -- class ids are >= 0, at most 2**27 one-hot cells in all.
 """
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import SeededRng, SparseRowMatrix, as_sample, check_finite, n_cols, n_rows, take_rows
-from .numerics import check_count, check_json_types, check_labels, settings_from_dict, settings_to_dict
+from .numerics import _COUNT_MAX, check_count, check_json_types, check_labels, settings_from_dict, settings_to_dict
 
 
 @dataclass
@@ -278,7 +279,6 @@ def save_dense_csv(sample: Sample, path) -> None:
 _TOKEN = rf"([0-9]+):({_VALUE})"
 _SPARSE_LINE = rf"[ \t]*(?:{_LABEL}(?:[ \t]+[0-9]+:{_VALUE})*[ \t]*)?"
 _DIM_HEADER = r"#dim[ \t]+([0-9]+)[ \t]*"
-_WIDEST = 2**53  # every index below it is exact as a float64
 
 
 def _line_fault(line: str, limit: int, declared: bool) -> str:
@@ -319,10 +319,10 @@ def load_sparse(path) -> Sample:
         if header is None:
             raise ValueError("line 1: malformed #dim line")
         declared_dim = int(header[1])
-        if not 1 <= declared_dim <= _WIDEST:
-            raise ValueError("line 1: dimension must lie between 1 and 2**53")
+        if not 1 <= declared_dim <= _COUNT_MAX:
+            raise ValueError(f"line 1: dimension must lie between 1 and {_COUNT_MAX}")
         start = 1
-    limit = declared_dim or _WIDEST
+    limit = declared_dim or _COUNT_MAX
 
     rows, linenos, sizes = [], [], []
     faulty = None

@@ -3,11 +3,12 @@ MMD, and covariance (CORAL) distance.
 
 The central moment discrepancy between two samples is
 
-    cmd(X, X') = sum_{j=1..k} a_j * ||c_j(X) - c_j(X')||_2
+    cmd(X, X') = sum_{j=1..k} ||c_j(X) - c_j(X')||_2
 
-with c_1 the mean and c_j the order-j central moment vector.  The default
-configuration (k=5, all weights 1, marginal monomials) is the one the
-trainer uses on sigmoid activations.  The analytic variant evaluates the
+with c_1 the mean and c_j the order-j central moment vector.  Every order
+weighs 1, the weight 1/|b-a|^j of the activations' interval [a, b] = [0, 1].
+The default configuration (k=5, marginal monomials) is the one the trainer
+uses on sigmoid activations.  The analytic variant evaluates the
 same dual form on exact 1-D moments and backs the closed-form inequality
 checks, alongside the raw-moment IPM |E[x^k] - E[x'^k]| and the
 polynomial-kernel MMD whose raw-moment expansion makes those metrics
@@ -40,18 +41,10 @@ _NORM_EPS = 1e-12
 @dataclass(frozen=True)  # checked once, when built
 class CmdConfig:
     k: int = 5
-    weights: list = field(default_factory=list)  # empty = all ones
     mode: str = MARGINAL
 
     def __post_init__(self):
         _check_monomials(self.k, self.mode)
-        if self.weights and len(self.weights) != self.k:
-            raise ValueError("need one weight per order 1..k")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-
-    def weight(self, j: int) -> float:
-        return float(self.weights[j - 1]) if self.weights else 1.0
 
 
 @dataclass
@@ -95,9 +88,8 @@ class MomentGap:
     def reports(self, cfg: CmdConfig) -> list:
         """The cmd DistanceReport of every pair; the report of a single
         pair keeps this pass."""
-        terms = self.norms * [cfg.weight(j) for j in range(1, cfg.k + 1)]
-        keep = self if len(terms) == 1 else None
-        return [DistanceReport("cmd", math.fsum(t), t, keep) for t in terms.tolist()]
+        keep = self if len(self.norms) == 1 else None
+        return [DistanceReport("cmd", math.fsum(t), t, keep) for t in self.norms.tolist()]
 
 
 def cmd_estimate(src, tgt, cfg: CmdConfig | None = None) -> DistanceReport:
@@ -116,8 +108,8 @@ def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig,
     spares the moment pass.
 
     With D = A - c_1 and u_j the unit vector along c_j(S) - c_j(T), the
-    order-j term a_j ||c_j(S) - c_j(T)|| contributes coef_j * (D^{j-1} -
-    mean D^{j-1}) with coef_j = j a_j u_j, and the opposite sign on the
+    order-j term ||c_j(S) - c_j(T)|| contributes coef_j * (D^{j-1} -
+    mean D^{j-1}) with coef_j = j u_j, and the opposite sign on the
     target side.  So each side is the polynomial sum_j coef_j D^{j-1},
     evaluated by Horner's rule, minus a constant built from the same
     central moments the distance reports: mean D^{j-1} is c_{j-1} for
@@ -129,19 +121,18 @@ def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig,
     if moments is None:
         Xs, Xt = as_sample_pair(As, At)
         moments = MomentGap.of(Xs[None], Xt[None], cfg)
-    cs, ct = moments.source, moments.target  # each order of shape (1, m)
+    cs, ct = moments.source.orders, moments.target.orders  # c_j = cs[j - 1], shape (1, m)
     coefs = []
-    for j in range(1, cfg.k + 1):
-        delta, nrm = cs[j] - ct[j], moments.norms[0, j - 1]
-        coefs.append(cfg.weight(j) * j * delta / nrm if nrm >= _NORM_EPS else np.zeros_like(delta))
+    for j, s, t, nrm in zip(range(1, cfg.k + 1), cs, ct, moments.norms[0].tolist()):
+        coefs.append(j * (s - t) / nrm if nrm >= _NORM_EPS else np.zeros_like(s))
 
     def side(A, c, coefs):
-        D = A - c[1]
+        D = A - c[0]
         acc, const = np.zeros_like(D), coefs[0]
         for j in range(cfg.k, 1, -1):
             acc += coefs[j - 1]
             acc *= D
-            const = const - coefs[j - 1] * (D.mean(axis=0) if j == 2 else c[j - 1])
+            const = const - coefs[j - 1] * (D.mean(axis=0) if j == 2 else c[j - 2])
         acc += const
         return acc
 
@@ -151,12 +142,9 @@ def cmd_cotangents(As: np.ndarray, At: np.ndarray, cfg: CmdConfig,
 def cmd_analytic(d1, d2, cfg: CmdConfig | None = None) -> DistanceReport:
     """CMD dual form on exact moments of two 1-D analytic distributions."""
     cfg = cfg or CmdConfig()
-    terms = [cfg.weight(1) * abs(analytic_mean(d1) - analytic_mean(d2))]
+    terms = [float(abs(analytic_mean(d1) - analytic_mean(d2)))]  # a Normal's mean may be an int
     for j in range(2, cfg.k + 1):
-        terms.append(
-            cfg.weight(j)
-            * abs(analytic_central_moment(d1, j) - analytic_central_moment(d2, j))
-        )
+        terms.append(abs(analytic_central_moment(d1, j) - analytic_central_moment(d2, j)))
     return DistanceReport("cmd", math.fsum(terms), terms)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -237,6 +237,24 @@ def analytic_mean(d) -> float:
     raise TypeError(f"unsupported distribution {type(d).__name__}")
 
 
+def _in_float_range(moment):
+    """moment(d, n), or ValueError naming n where a power or the sum overflows:
+    an OverflowError or, the parameters being finite, a non-finite value."""
+
+    @wraps(moment)
+    def checked(d, n: int) -> float:
+        try:
+            value = moment(d, n)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"moment of order {n} overflows a float")
+        return value
+
+    return checked
+
+
+@_in_float_range
 def analytic_raw_moment(d, n: int) -> float:
     """Exact E[X^n] for a supported 1-D distribution."""
     check_count(n, "moment order", 0)
@@ -266,6 +284,7 @@ def analytic_raw_moment(d, n: int) -> float:
     raise TypeError(f"unsupported distribution {type(d).__name__}")
 
 
+@_in_float_range
 def analytic_central_moment(d, n: int) -> float:
     """Exact E[(X - E[X])^n].
 

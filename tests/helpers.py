@@ -83,10 +83,10 @@ def load_sparse_per_token(path) -> Sample:
         if header is None:
             raise ValueError("line 1: malformed #dim line")
         declared_dim = int(header[1])
-        if not 1 <= declared_dim <= 2**53:
-            raise ValueError("line 1: dimension must lie between 1 and 2**53")
+        if not 1 <= declared_dim <= 2**31 - 1:
+            raise ValueError("line 1: dimension must lie between 1 and 2147483647")
         start = 1
-    limit = declared_dim or 2**53
+    limit = declared_dim or 2**31 - 1
 
     rows, classes, linenos = [], [], []
     max_index = -1

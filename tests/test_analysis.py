@@ -157,7 +157,7 @@ def test_dual_equivalence_multivariate_sampled():
     rng = SeededRng(12)
     src = rng.normal_matrix(40, 3) * 0.2
     tgt = rng.normal_matrix(35, 3) * 0.2 + 0.1
-    chk = dual_equivalence_check(src, tgt, directions=500, seed=3)
+    chk = dual_equivalence_check(src, tgt, seed=3)
     assert chk.passed
     assert chk.lhs <= chk.rhs + 1e-10
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import resource
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ def test_distance_sparse_format(tmp_path, capsys):
     assert json.loads(out)["value"] == 0.0
 
 
+def test_distance_on_a_file_too_wide_to_densify_exits_2(tmp_path, capsys):
+    # three rows of width 2**31 - 1 densify to 48 GiB: NumPy's MemoryError
+    # ended in a traceback and exit 1.  A 32 GiB address-space limit on this
+    # process keeps the allocation refused on a host that would overcommit it.
+    path = tmp_path / "wide.sparse"
+    path.write_text("#dim 2147483647\n0 0:1.0\n1 5:2.0\n0 2147483646:0.5\n")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 32 << 30 if soft == resource.RLIM_INFINITY else min(32 << 30, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        code, out, err = run(capsys, "distance", "--metric", "cmd", "--format", "sparse",
+                             "--source", str(path), "--target", str(path))
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate 48.0 GiB for an array with shape (3, 2147483647)")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("header", ["#dimension 2", "#dim 1_000"])
 def test_distance_rejects_a_malformed_dim_header(tmp_path, capsys, header):
     src = tmp_path / "a.sparse"
@@ -217,6 +237,37 @@ def test_distance_sparse_matches_dense_for_every_metric(tmp_path, capsys):
             docs.append(json.loads(out))
         assert docs[0] == docs[1], extra
         assert docs[0]["value"] > 0.0, extra
+
+
+# sha256 of what distance prints for one fixed pair of 5 and 4 rows over 3
+# features, values not binary fractions, per metric and its setting
+DISTANCE_SHA256 = {
+    ("cmd",): "1f3dd82ad8e294f6d9cc06a3a955379c8b67682e2da1f0704c65f71e7bc91195",
+    ("raw-ipm", "--k", "3"): "6d203d2d76c84242bf86c81d197547a9567cf5c0625975e48756c72724ed81bc",
+    ("mmd-poly", "--degree", "2"): "d4ae4226ff5d3d7b74975edb3d52e56152bc8ab3555a9789ed36ecffb559c16f",
+    ("mmd-gauss", "--beta", "0.7"): "4234bdeaba6890693485ed084d9a9cbb7d12d9f45f5f2713a03fa0174d7fce7f",
+    ("coral",): "1d44e416113154331eca36e9dbef13241dc7c2e8d441c9943565b7af637eb6fe",
+}
+
+
+@pytest.mark.parametrize("fmt", ["dense", "sparse"])
+@pytest.mark.parametrize("metric", sorted(DISTANCE_SHA256), ids=lambda m: m[0])
+def test_distance_prints_the_pinned_bytes(tmp_path, capsys, metric, fmt):
+    rows = {"a": [[0.1, 0.0, 0.7], [0.35, 0.9, 0.0], [0.0, 0.45, 0.3], [0.8, 0.15, 0.55],
+                  [0.6, 0.0, 0.05]],
+            "b": [[0.3, 0.2, 0.0], [0.0, 0.65, 0.95], [0.7, 0.4, 0.25], [0.15, 0.0, 0.85]]}
+    paths = []
+    for name, dense in rows.items():
+        path = tmp_path / name
+        if fmt == "sparse":
+            path.write_text("#dim 3\n" + "".join(
+                "0 " + " ".join(f"{i}:{v!r}" for i, v in enumerate(r) if v) + "\n" for r in dense))
+        else:
+            path.write_text("f1,f2,f3\n" + "".join(",".join(map(repr, r)) + "\n" for r in dense))
+        paths.append(str(path))
+    code, out, err = run(capsys, "distance", "--format", fmt, "--source", paths[0],
+                         "--target", paths[1], "--metric", *metric)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, DISTANCE_SHA256[metric], "")
 
 
 @pytest.mark.parametrize("fmt, text, message", [

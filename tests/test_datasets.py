@@ -260,6 +260,8 @@ def test_sparse_loader_infers_dimension(tmp_path):
     s = load_sparse(path)
     assert s.dim == 5
     assert s.features.toarray()[0, 4] == 1.0
+    path.write_text("0 2147483646:1.5\n")  # the widest a file may be
+    assert load_sparse(path).dim == 2147483647
 
 
 def test_sparse_loader_errors(tmp_path):
@@ -389,8 +391,12 @@ def test_sparse_loader_equals_the_per_token_loader_bitwise(tmp_path_factory, tex
     ("0 1:1.0\n-1 0:1.0\n", "line 2: negative class id -1"),
     ("#dim abc\n0 1:1\n", "line 1: malformed #dim line"),
     ("#dimension 4\n0 1:1\n", "line 1: malformed #dim line"),
-    ("#dim 0\n0 1:1\n", "line 1: dimension must lie between 1 and 2**53"),
-    ("#dim 9007199254740993\n0 1:1\n", "line 1: dimension must lie between 1 and 2**53"),
+    ("#dim 0\n0 1:1\n", "line 1: dimension must lie between 1 and 2147483647"),
+    ("#dim 9007199254740993\n0 1:1\n", "line 1: dimension must lie between 1 and 2147483647"),
+    # train loaded it, then exited 2 with "input_dim must be <= 2147483647"
+    ("#dim 3000000000\n0 1:1\n", "line 1: dimension must lie between 1 and 2147483647"),
+    ("0 2147483647:1.0\n", "line 1: index 2147483647 exceeds the largest dimension"),
+    ("#dim 2147483647\n0 2147483647:1.0\n", "line 2: index 2147483647 exceeds declared dimension"),
     ("", "file contains no data rows"),
     ("#dim 4\n \n\n", "file contains no data rows"),
     ("0\n1\n", "cannot infer dimension from an all-empty file"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentalign import moments
+from momentalign.distances import cmd_analytic, mmd_polynomial_analytic, raw_moment_ipm
 from momentalign.moments import (
     FULL,
     MARGINAL,
@@ -378,6 +379,40 @@ def test_analytic_distributions_refuse_an_integer_beyond_the_float_range():
     with pytest.raises(ValueError, match="^scale must be finite, got a non-finite value$"):
         AffineBeta(0.5, 0.5, scale=10**400)
     assert Normal(10**300, 1.0).mu == 10**300
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: analytic_raw_moment(d, 2),
+    lambda d: raw_moment_ipm(d, Normal(0.0, 1.0), 2),
+    lambda d: mmd_polynomial_analytic(d, Normal(0.0, 1.0), 2),
+], ids=["raw-moment", "raw-ipm", "mmd-poly"])
+@pytest.mark.parametrize("mu", [1e300, 10**300], ids=["float", "int"])
+def test_a_raw_moment_that_overflows_raises_value_error(call, mu):
+    # the float's power raised OverflowError (34, 'Numerical result out of
+    # range'), and the int's product 'int too large to convert to float'
+    with pytest.raises(ValueError, match="^moment of order 2 overflows a float$"):
+        call(Normal(mu, 1.0))
+
+
+def test_a_central_moment_that_overflows_raises_value_error():
+    # d.scale ** n raised OverflowError inside cmd_analytic
+    wide = AffineBeta(0.5, 0.5, 1e300, 0.0)
+    with pytest.raises(ValueError, match="^moment of order 2 overflows a float$"):
+        cmd_analytic(wide, AffineBeta(0.5, 0.5))
+    with pytest.raises(ValueError, match="^moment of order 3 overflows a float$"):
+        analytic_central_moment(AffineBeta(0.5, 2.0, 1e120, 0.0), 3)
+
+
+def test_a_sum_that_overflows_raises_value_error():
+    # every power is finite but the terms add past the float range: the
+    # raw moment read inf
+    with pytest.raises(ValueError, match="^moment of order 2 overflows a float$"):
+        analytic_raw_moment(AffineBeta(0.5, 0.5, 1e154, 1e154), 2)
+
+
+def test_a_moment_inside_the_float_range_is_kept():
+    value = analytic_raw_moment(Normal(1e150, 1.0), 2)
+    assert math.isfinite(value) and value == pytest.approx(1e300, rel=1e-15)
 
 
 def test_beta_draws_repeat_from_the_seed():

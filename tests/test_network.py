@@ -423,7 +423,7 @@ def per_order_cmd_gradients(p, Xs, Xt, cfg):
         nrm = np.linalg.norm(c[0] - c[1])
         if nrm < 1e-12:
             continue
-        u = cfg.weight(j) * (c[0] - c[1]) / nrm
+        u = (c[0] - c[1]) / nrm
         for sign, (X, _, q, P) in zip((1.0, -1.0), sides):
             gb, gw = q.mean(axis=0), q.T @ X / X.shape[0]
             if j > 1:
@@ -442,10 +442,10 @@ def sparse_copy(X):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**16), st.integers(1, 6), st.integers(2, 9), st.integers(2, 9),
-       st.booleans(), st.booleans())
-def test_cmd_gradients_match_per_order_expectations(seed, k, ns, nt, sparse, unit):
+       st.booleans())
+def test_cmd_gradients_match_per_order_expectations(seed, k, ns, nt, sparse):
     # cotangent plus one backprop per domain against the per-order formula,
-    # with unequal sample sizes and, unless unit, non-unit weights
+    # with unequal sample sizes
     rng = SeededRng(seed)
     p = init_params(4, 3, 2, rng)
     p.b[:] = rng.normal_matrix(1, 3)[0]
@@ -453,7 +453,7 @@ def test_cmd_gradients_match_per_order_expectations(seed, k, ns, nt, sparse, uni
     Xt = rng.normal_matrix(nt, 4) * 0.7 + 0.3
     Xs[rng.uniform_matrix(ns, 4) < 0.3] = 0.0
     Xt[rng.uniform_matrix(nt, 4) < 0.3] = 0.0
-    cfg = CmdConfig(k=k) if unit else CmdConfig(k=k, weights=list(rng.uniforms(k) * 3.0 + 0.1))
+    cfg = CmdConfig(k=k)
     want_W, want_b = per_order_cmd_gradients(p, Xs, Xt, cfg)
     args = (sparse_copy(Xs), sparse_copy(Xt)) if sparse else (Xs, Xt)
     got = cmd_gradients(p, *args, cfg)
@@ -470,7 +470,7 @@ def test_cmd_gradients_skip_zero_norm_orders(sparse):
     p = init_params(3, 4, 2, SeededRng(12))
     Xs = SeededRng(13).normal_matrix(7, 3)
     Xt = -Xs
-    cfg = CmdConfig(k=6, weights=[1.0, 2.0, 0.5, 3.0, 1.5, 4.0])
+    cfg = CmdConfig(k=6)
     want_W, want_b = per_order_cmd_gradients(p, Xs, Xt, cfg)
     args = (sparse_copy(Xs), sparse_copy(Xt)) if sparse else (Xs, Xt)
     got = cmd_gradients(p, *args, cfg)
@@ -550,10 +550,10 @@ def _moved(p, names, i, delta):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 4), st.integers(2, 3),
-       st.integers(2, 7), st.integers(2, 7), st.integers(1, 7), st.booleans())
-def test_stencil_values_match_scalar_objectives(seed, m, h, c, ns, nt, k, unit):
+       st.integers(2, 7), st.integers(2, 7), st.integers(1, 7))
+def test_stencil_values_match_scalar_objectives(seed, m, h, c, ns, nt, k):
     # every perturbed network of the stack against the one-network
-    # objective, with unequal sample sizes and, unless unit, non-unit weights
+    # objective, with unequal sample sizes
     rng = SeededRng(seed)
     p = init_params(m, h, c, rng)
     p.b[:] = rng.normal_matrix(1, h)[0]
@@ -561,7 +561,7 @@ def test_stencil_values_match_scalar_objectives(seed, m, h, c, ns, nt, k, unit):
     Xs = rng.normal_matrix(ns, m) * 1.5
     Xt = rng.normal_matrix(nt, m) * 0.7 + 0.3
     Y = np.eye(c)[np.arange(ns) % c]
-    cfg = CmdConfig(k=k) if unit else CmdConfig(k=k, weights=list(rng.uniforms(k) * 3.0 + 0.1))
+    cfg = CmdConfig(k=k)
     step = 1e-3  # finite_difference_check's default
     cases = (
         ("WbVc", ns, lambda q: cross_entropy_loss(forward(q, Xs), Y)),
@@ -574,7 +574,7 @@ def test_stencil_values_match_scalar_objectives(seed, m, h, c, ns, nt, k, unit):
         for i, row in enumerate(f):
             for got, offset in zip(row, (1.0, -1.0, 2.0, -2.0)):
                 want = scalar(_moved(p, names, i, offset * step))
-                assert abs(got - want) <= 1e-13 * abs(want), (which, i, offset)
+                assert abs(got - want) <= 1e-13 * abs(want), (names, i, offset)
 
 
 @pytest.mark.parametrize("which", ["loss", "cmd"])

@@ -566,7 +566,6 @@ COUNT_ENTRIES = {
     "check_dual_form": ("cases", lambda v: check_dual_form(cases=v)),
     "prop1_bound": ("order", prop1_bound),
     "prop1_check": ("j", lambda v: prop1_check(SQUARE, SQUARE[::-1], v, 0.0, 1.0)),
-    "dual_equivalence_check": ("directions", lambda v: dual_equivalence_check(SQUARE, SQUARE.T, directions=v)),
     "cmd-config": ("k", lambda v: CmdConfig(k=v)),
     "raw_moment_ipm": ("k", lambda v: raw_moment_ipm(*NORMALS, v)),
     "raw_moment_ipm_estimate": ("k", lambda v: raw_moment_ipm_estimate(SQUARE, SQUARE.T, v)),

@@ -29,7 +29,7 @@ TWO_SAMPLE = {
     "mmd_polynomial_estimate": lambda s, t: mmd_polynomial_estimate(s, t, 3),
     "raw_moment_ipm_estimate": lambda s, t: raw_moment_ipm_estimate(s, t, 3),
     "prop1_check": lambda s, t: prop1_check(s, t, 3, -0.2, 0.2).to_dict(),
-    "dual_equivalence_check": lambda s, t: dual_equivalence_check(s, t, directions=50).to_dict(),
+    "dual_equivalence_check": lambda s, t: dual_equivalence_check(s, t).to_dict(),
     "thm3_check": lambda s, t: thm3_check(s, t, k=3).to_dict(),
 }
 

@@ -1,6 +1,5 @@
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,15 +83,23 @@ def _dropped_constants(real, As, At, cfg, moments=None):
     g_s, g_t = real(As, At, cfg, moments)
     gap = moments or MomentGap.of(As[None], At[None], cfg)
     for j in range(3, cfg.k + 1):
-        coef = cfg.weight(j) * j * (gap.source[j] - gap.target[j]) / gap.norms[0, j - 1]
+        coef = j * (gap.source[j] - gap.target[j]) / gap.norms[0, j - 1]
         g_s += coef * gap.source[j - 1]
         g_t -= coef * gap.target[j - 1]
     return g_s, g_t
 
 
 def _a3_scaled(real, As, At, cfg, moments=None):
-    weights = [cfg.weight(j) * (1.05 if j == 3 else 1.0) for j in range(1, cfg.k + 1)]
-    return real(As, At, replace(cfg, weights=weights), moments)
+    # order 3's term weighed 1.05: each side gains 0.05 * coef_3 * (D^2 - c_2),
+    # coef_3 = 3 u_3, with the opposite sign on the target
+    g_s, g_t = real(As, At, cfg, moments)
+    gap = moments or MomentGap.of(As[None], At[None], cfg)
+    if cfg.k < 3 or gap.norms[0, 2] < 1e-12:  # no order 3, or its zero subgradient
+        return g_s, g_t
+    u = (gap.source[3] - gap.target[3]) / gap.norms[0, 2]
+    for g, c, A, sign in ((g_s, gap.source, As, 1.0), (g_t, gap.target, At, -1.0)):
+        g += sign * 0.05 * 3 * u * ((A - c[1]) ** 2 - c[2])
+    return g_s, g_t
 
 
 def _target_sign_flipped(real, As, At, cfg, moments=None):
